@@ -11,7 +11,7 @@ use locble_scenario::{
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 thread_local! {
@@ -21,28 +21,37 @@ thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Heap allocations performed by every thread of the process while
+/// [`CountingAlloc`] is installed.
+static PROCESS_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+fn count_alloc() {
+    THREAD_ALLOCS.with(|c| c.set(c.get() + 1));
+    PROCESS_ALLOCS.fetch_add(1, Ordering::Relaxed);
+}
+
 /// A [`GlobalAlloc`] wrapper around [`System`] that counts every
-/// allocation (and reallocating resize) on the calling thread. Install
-/// it per binary with `#[global_allocator]`; the zero-alloc regression
-/// tests and the `hotpath` experiment read the counter around a
-/// steady-state section to prove the hot paths stay off the heap.
+/// allocation (and reallocating resize), per thread and process-wide.
+/// Install it per binary with `#[global_allocator]`; the zero-alloc
+/// regression tests and the `hotpath` experiment read a counter around
+/// a steady-state section to prove the hot paths stay off the heap.
 /// Frees are deliberately not counted: a steady-state loop that
 /// allocates and frees per batch still churns the allocator.
 pub struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        THREAD_ALLOCS.with(|c| c.set(c.get() + 1));
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        THREAD_ALLOCS.with(|c| c.set(c.get() + 1));
+        count_alloc();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        THREAD_ALLOCS.with(|c| c.set(c.get() + 1));
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -56,6 +65,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// not the binary's global allocator.
 pub fn alloc_count() -> u64 {
     THREAD_ALLOCS.with(Cell::get)
+}
+
+/// Allocations counted on every thread so far — what a section that
+/// hands work to other threads (the engine's pooled drain) must be
+/// measured with. Other threads running at the same time count too.
+pub fn process_alloc_count() -> u64 {
+    PROCESS_ALLOCS.load(Ordering::Relaxed)
 }
 
 /// Worker-thread count experiments should use for concurrent engines

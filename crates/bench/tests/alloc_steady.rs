@@ -7,23 +7,48 @@
 //! the measured section performs **zero** allocations, not "few".
 //!
 //! Warm-up is deliberately generous (it may allocate: arenas grow, the
-//! ANF designs itself, the particle cloud spawns); only the steady
-//! state afterwards is measured.
+//! ANF designs itself, the particle cloud spawns, the engine's drain
+//! helper starts); only the steady state afterwards is measured.
 
-use locble_bench::util::{alloc_count, CountingAlloc};
+use locble_bench::util::{alloc_count, process_alloc_count, CountingAlloc};
 use locble_ble::BeaconId;
-use locble_core::backend::Estimator as EstimatorBackend;
 use locble_core::{
     Estimator, EstimatorConfig, ParticleBackend, ParticleConfig, RssBatch, StreamingEstimator,
 };
-use locble_engine::{Advert, Engine, EngineConfig};
+use locble_engine::{shard_of, Advert, Engine, EngineConfig};
 use locble_geom::{Trajectory, Vec2};
 use locble_motion::{MotionTrack, StepResult};
 use locble_obs::Obs;
 use locble_rf::LogDistanceModel;
+use std::collections::BTreeSet;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Serializes this binary's tests: the engine tick is counted
+/// process-wide, so no other test may allocate while it is measured.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Waits until no thread has allocated for 20 ms. The test harness
+/// allocates while it retires the previous test and starts the next,
+/// right after that test releases [`SERIAL`].
+fn quiesce() {
+    let mut last = process_alloc_count();
+    loop {
+        std::thread::sleep(Duration::from_millis(20));
+        let now = process_alloc_count();
+        if now == last {
+            return;
+        }
+        last = now;
+    }
+}
 
 /// A long deterministic L-walk: per-sample observer positions and RSS
 /// readings for one beacon, chunked into `batch` -sample batches.
@@ -69,6 +94,7 @@ fn walk_fixture(total: usize, batch: usize) -> (Vec<RssBatch>, MotionTrack) {
 
 #[test]
 fn warm_streaming_session_processes_batches_without_allocating() {
+    let _serial = serial();
     let (batches, track) = walk_fixture(400, 20);
     let (warm, measured) = batches.split_at(batches.len() / 2);
     let measured_samples: usize = measured.iter().map(RssBatch::len).sum();
@@ -95,6 +121,7 @@ fn warm_streaming_session_processes_batches_without_allocating() {
 
 #[test]
 fn warm_particle_session_processes_batches_without_allocating() {
+    let _serial = serial();
     let (batches, track) = walk_fixture(400, 20);
     let (warm, measured) = batches.split_at(batches.len() / 2);
 
@@ -123,13 +150,13 @@ fn warm_particle_session_processes_batches_without_allocating() {
     );
 }
 
-#[test]
-fn warm_engine_tick_processes_pending_batches_without_allocating() {
-    // Single worker thread: the inline drain path is the zero-alloc
-    // one (the pooled path pays scoped-thread setup by design).
+/// A warm engine's steady-state `process()` tick, measured
+/// process-wide so a pooled helper's allocations count too. Returns the
+/// allocations made during the measured tick.
+fn warm_engine_tick_allocs(threads: usize) -> u64 {
     let config = EngineConfig {
         shards: 4,
-        threads: 1,
+        threads,
         idle_evict_s: f64::INFINITY,
         ..EngineConfig::default()
     };
@@ -140,6 +167,9 @@ fn warm_engine_tick_processes_pending_batches_without_allocating() {
     );
 
     let beacons = 6u32;
+    // A helper joins a pass only when a second shard has work.
+    let busy: BTreeSet<usize> = (0..beacons).map(|b| shard_of(BeaconId(b), 4)).collect();
+    assert!(busy.len() > 1, "fixture must spread over shards");
     let adverts: Vec<Advert> = (0..4000)
         .map(|i| Advert {
             beacon: BeaconId(i % beacons),
@@ -159,17 +189,26 @@ fn warm_engine_tick_processes_pending_batches_without_allocating() {
     // coalesced tick shape.
     let report = engine.ingest(measured);
     assert_eq!(report.consumed, measured.len(), "fixture overruns queues");
-    let before = alloc_count();
+    quiesce();
+    let before = process_alloc_count();
     let processed = engine.process();
-    let allocs = alloc_count() - before;
+    let allocs = process_alloc_count() - before;
     assert!(processed.samples_processed > 0);
     assert!(
         processed.batches_pushed > 0,
         "measured tick must flush at least one completed window"
     );
-    assert_eq!(
-        allocs, 0,
-        "warm engine process() allocated {allocs} times while draining {} samples",
-        processed.samples_processed
-    );
+    allocs
+}
+
+#[test]
+fn warm_engine_tick_processes_pending_batches_without_allocating() {
+    let _serial = serial();
+    for threads in [1, 2] {
+        let allocs = warm_engine_tick_allocs(threads);
+        assert_eq!(
+            allocs, 0,
+            "warm {threads}-thread engine process() allocated {allocs} times"
+        );
+    }
 }

@@ -7,11 +7,14 @@
 //!    [`SessionRegistry`] (capacity limit), and routed by beacon-id hash
 //!    to its shard's FIFO queue. A full shard queue stops ingestion and
 //!    reports how much of the slice was consumed (backpressure).
-//! 2. [`Engine::process`] — the worker pool (std `thread::scope`, no
-//!    dependencies) drains the shards. A shard is always drained by
+//! 2. [`Engine::process`] — the calling thread and the engine's
+//!    persistent worker pool (`threads − 1` parked std threads, spawned
+//!    on the first pass that needs them, joined on drop; no
+//!    dependencies) drain the shards. A shard is always drained by
 //!    exactly one worker, so per-beacon sample order is preserved no
-//!    matter how many threads run; workers claim shards from an atomic
-//!    counter for load balance. Each shard's sessions batch their
+//!    matter how many threads run; each worker takes a fixed stride of
+//!    the shards, so a shard stays on one thread from pass to pass
+//!    (see `pool.rs`). Each shard's sessions batch their
 //!    samples into 2.2 s windows and run the per-beacon estimation
 //!    backend selected by [`EngineConfig::backend`] (the streaming
 //!    regression by default). Idle sessions are then evicted.
@@ -25,6 +28,7 @@
 //! ingest calls. The differential test suite (`tests/determinism.rs`)
 //! enforces this.
 
+use crate::pool::{PoolWork, WorkerPool};
 use crate::registry::{AdmitError, Admitted, SessionMeta, SessionRegistry};
 use crate::router::{shard_of, Advert, ShardQueues};
 use crate::state::{BeaconSessionState, EngineState, RestoreError, SessionState};
@@ -35,7 +39,6 @@ use locble_geom::Trajectory;
 use locble_motion::{MotionTrack, StepResult};
 use locble_obs::{Obs, Stage, TraceCtx};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -45,7 +48,8 @@ pub struct EngineConfig {
     /// Number of shards beacons hash onto. Fixed at construction;
     /// independent of the thread count (so results are too).
     pub shards: usize,
-    /// Worker threads draining shards in [`Engine::process`].
+    /// Worker threads draining shards in [`Engine::process`], the
+    /// calling thread included (`threads − 1` helpers are pooled).
     pub threads: usize,
     /// Maximum live sessions; new beacons beyond it are rejected until
     /// eviction frees slots.
@@ -264,10 +268,15 @@ impl BeaconSession {
     }
 }
 
-/// Per-shard worker state: the sessions living on this shard.
+/// Per-shard worker state: the sessions living on this shard, plus the
+/// hand-off slots of a drain pass — the queued adverts and eviction
+/// decisions moved in before it, the report it leaves behind.
 #[derive(Default)]
 struct ShardState {
     sessions: BTreeMap<BeaconId, BeaconSession>,
+    inbox: VecDeque<Advert>,
+    evictions: Vec<(BeaconId, SessionMeta)>,
+    report: DrainReport,
 }
 
 /// What one worker did to one shard during a drain.
@@ -324,26 +333,110 @@ struct TraceMark {
 const MAX_PENDING_MARKS: usize = 1024;
 
 /// Reusable per-[`Engine::process`] buffers, sized once at
-/// construction. With these (plus the shard queues' recycled deques and
-/// each session's reclaimed batch buffers), the single-threaded drain
-/// path runs a steady-state process call without heap allocation.
+/// construction. With these (plus the shard queues' recycled deques
+/// and each session's reclaimed batch buffers), a steady-state process
+/// call runs without heap allocation on any thread count.
 #[derive(Default)]
 struct ProcessScratch {
-    /// Eviction decisions bucketed by shard (cleared, never shrunk).
+    /// Eviction decisions bucketed by shard (cleared, never shrunk;
+    /// swapped with the shards' own lists each pass).
     evictions: Vec<Vec<(BeaconId, SessionMeta)>>,
     /// Per-shard drain reports for the shared fold.
     reports: Vec<DrainReport>,
 }
 
-/// The concurrent multi-beacon tracking engine. See the module docs for
-/// the dataflow and the determinism guarantee.
-pub struct Engine {
+/// One drain pass as every worker sees it.
+#[derive(Clone)]
+struct Pass {
+    /// Also push each session's partial batch and refit
+    /// ([`Engine::finish`]).
+    finish: bool,
+    /// Measure each shard's drain (traced batches are pending).
+    timed: bool,
+    motion: Arc<MotionTrack>,
+}
+
+/// Everything a drain worker touches, shared by `Arc` between the
+/// engine and its pooled helpers.
+struct Core {
     config: EngineConfig,
     prototype: Estimator,
     obs: Obs,
+    shards: Vec<Mutex<ShardState>>,
+}
+
+impl PoolWork for Core {
+    type Pass = Pass;
+
+    fn units(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Drains one shard's inbox in FIFO order, applies its evictions
+    /// (queued samples are always processed first) and, on a finish
+    /// pass, completes every session. Deques and eviction lists are
+    /// emptied in place so their capacity survives.
+    fn run(&self, pass: &Pass, i: usize) {
+        let t0 = pass.timed.then(Instant::now);
+        let mut guard = self.shards[i].lock().expect("shard not poisoned");
+        let state = &mut *guard;
+        let motion: &MotionTrack = &pass.motion;
+        let config = &self.config;
+        let mut report = DrainReport {
+            queue_depth: state.inbox.len(),
+            ..DrainReport::default()
+        };
+        while let Some(advert) = state.inbox.pop_front() {
+            let session = state.sessions.entry(advert.beacon).or_insert_with(|| {
+                BeaconSession::new(&config.backend, &self.prototype, config.refit_stride)
+            });
+            let (pushed, rejected) =
+                session.push_sample(advert.t, advert.rssi_dbm, config.batch_window_s, motion);
+            report.samples += 1;
+            report.batches += pushed;
+            report.batches_rejected += rejected;
+        }
+        for (beacon, meta) in state.evictions.drain(..) {
+            if state.sessions.remove(&beacon).is_some() {
+                report.evicted += 1;
+                if self.obs.enabled() {
+                    self.obs.event(
+                        "engine",
+                        "session_evicted",
+                        &[
+                            ("beacon", u64::from(beacon.0).into()),
+                            ("shard", i.into()),
+                            ("last_t", meta.last_t.into()),
+                            ("idle_threshold_s", config.idle_evict_s.into()),
+                        ],
+                    );
+                }
+            }
+        }
+        if pass.finish {
+            for session in state.sessions.values_mut() {
+                let (pushed, rejected) = session.flush_batch(motion);
+                report.batches += pushed;
+                report.batches_rejected += rejected;
+                session.estimator.refit_now(motion);
+            }
+        }
+        if let Some(t0) = t0 {
+            report.drain_us = t0.elapsed().as_micros() as u64;
+        }
+        state.report = report;
+    }
+}
+
+/// The concurrent multi-beacon tracking engine. See the module docs for
+/// the dataflow and the determinism guarantee.
+pub struct Engine {
+    core: Arc<Core>,
+    /// `threads − 1` drain helpers, spawned by the first pass that
+    /// needs them.
+    pool: WorkerPool<Core>,
     registry: SessionRegistry,
     queues: ShardQueues,
-    shards: Vec<Mutex<ShardState>>,
     motion: Arc<MotionTrack>,
     watermark: f64,
     stats: EngineStats,
@@ -372,34 +465,39 @@ impl Engine {
     /// (pass [`Obs::noop`] to run silent).
     pub fn new(config: EngineConfig, prototype: Estimator, obs: Obs) -> Engine {
         let config = config.normalized();
-        Engine {
-            registry: SessionRegistry::new(config.max_sessions),
-            queues: ShardQueues::new(config.shards, config.shard_queue_cap),
+        let core = Arc::new(Core {
             shards: (0..config.shards)
                 .map(|_| Mutex::new(ShardState::default()))
                 .collect(),
+            config,
+            prototype,
+            obs,
+        });
+        let config = &core.config;
+        Engine {
+            pool: WorkerPool::new(Arc::clone(&core), config.threads.min(config.shards) - 1),
+            registry: SessionRegistry::new(config.max_sessions),
+            queues: ShardQueues::new(config.shards, config.shard_queue_cap),
             motion: Arc::new(empty_track()),
             watermark: f64::NEG_INFINITY,
             stats: EngineStats::default(),
-            shard_names: shard_metric_names(&obs, config.shards),
+            shard_names: shard_metric_names(&core.obs, config.shards),
             pending_marks: Vec::new(),
             scratch: ProcessScratch {
                 evictions: (0..config.shards).map(|_| Vec::new()).collect(),
                 reports: vec![DrainReport::default(); config.shards],
             },
-            config,
-            prototype,
-            obs,
+            core,
         }
     }
 
     /// Pre-grows every live session's batch buffers and estimator for
     /// `additional` more samples per session. A warm engine whose
     /// sessions stay within that headroom runs steady-state
-    /// [`Engine::process`] calls entirely off the allocator (on the
-    /// single-threaded drain path).
+    /// [`Engine::process`] calls entirely off the allocator, on any
+    /// thread count.
     pub fn reserve_headroom(&mut self, additional: usize) {
-        for state in &self.shards {
+        for state in &self.core.shards {
             let mut state = state.lock().expect("shard not poisoned");
             for session in state.sessions.values_mut() {
                 session.batch_t.reserve(additional);
@@ -411,13 +509,13 @@ impl Engine {
 
     /// The effective (normalized) configuration.
     pub fn config(&self) -> &EngineConfig {
-        &self.config
+        &self.core.config
     }
 
     /// The estimator prototype new sessions clone — what a cluster peer
     /// needs to rebuild this engine from an exported state.
     pub fn prototype(&self) -> &Estimator {
-        &self.prototype
+        &self.core.prototype
     }
 
     /// Cumulative statistics.
@@ -477,16 +575,16 @@ impl Engine {
                 continue;
             }
             if self.queues.would_block(advert.beacon) {
-                self.obs.counter_add("engine.backpressure_stalls", 1);
+                self.core.obs.counter_add("engine.backpressure_stalls", 1);
                 break;
             }
-            let shard = shard_of(advert.beacon, self.config.shards);
+            let shard = shard_of(advert.beacon, self.core.config.shards);
             match self.registry.admit(advert.beacon, shard, advert.t) {
                 Ok(created) => {
                     if created == Admitted::Created {
                         report.sessions_created += 1;
-                        if self.obs.enabled() {
-                            self.obs.event(
+                        if self.core.obs.enabled() {
+                            self.core.obs.event(
                                 "engine",
                                 "session_created",
                                 &[
@@ -519,22 +617,20 @@ impl Engine {
         self.stats.samples_routed += report.routed as u64;
         self.stats.samples_rejected += report.rejected() as u64;
         self.stats.sessions_created += report.sessions_created as u64;
-        self.obs
-            .counter_add("engine.samples_routed", report.routed as u64);
-        self.obs
-            .counter_add("engine.sessions_created", report.sessions_created as u64);
+        let obs = &self.core.obs;
+        obs.counter_add("engine.samples_routed", report.routed as u64);
+        obs.counter_add("engine.sessions_created", report.sessions_created as u64);
         if report.rejected() > 0 {
-            self.obs
-                .counter_add("engine.samples_rejected", report.rejected() as u64);
-            self.obs.counter_add(
+            obs.counter_add("engine.samples_rejected", report.rejected() as u64);
+            obs.counter_add(
                 "engine.samples_rejected_non_finite",
                 report.rejected_non_finite as u64,
             );
-            self.obs.counter_add(
+            obs.counter_add(
                 "engine.samples_rejected_out_of_order",
                 report.rejected_out_of_order as u64,
             );
-            self.obs.counter_add(
+            obs.counter_add(
                 "engine.samples_rejected_capacity",
                 report.rejected_capacity as u64,
             );
@@ -606,7 +702,7 @@ impl Engine {
         );
         let mut shards: Vec<usize> = adverts[..report.consumed]
             .iter()
-            .map(|a| shard_of(a.beacon, self.config.shards))
+            .map(|a| shard_of(a.beacon, self.core.config.shards))
             .collect();
         shards.sort_unstable();
         shards.dedup();
@@ -626,13 +722,27 @@ impl Engine {
     /// sessions. Deterministic for any thread count: each shard is
     /// drained by exactly one worker, in FIFO order.
     pub fn process(&mut self) -> ProcessReport {
-        let n_shards = self.config.shards;
+        self.pass(false)
+    }
+
+    /// Completes the stream: processes everything still queued, pushes
+    /// every session's partial trailing batch, and forces a final refit
+    /// where the refit stride left estimates stale. Call at end-of-walk
+    /// before reading [`Engine::snapshot`].
+    pub fn finish(&mut self) -> ProcessReport {
+        self.pass(true)
+    }
+
+    /// One drain pass over every shard: [`Engine::process`], plus the
+    /// per-session completion of [`Engine::finish`] when `finish`.
+    fn pass(&mut self, finish: bool) -> ProcessReport {
+        let n_shards = self.core.config.shards;
         // Eviction decisions come from the single-threaded registry so
         // they cannot depend on worker timing; workers apply them after
         // draining, so queued samples are always processed first.
         let evicted = self
             .registry
-            .evict_idle(self.watermark, self.config.idle_evict_s);
+            .evict_idle(self.watermark, self.core.config.idle_evict_s);
         for bucket in &mut self.scratch.evictions {
             bucket.clear();
         }
@@ -640,161 +750,47 @@ impl Engine {
             self.scratch.evictions[meta.shard].push((beacon, meta));
         }
 
-        let threads = self.config.threads.min(n_shards);
         // Close out traced batches routed since the last process call:
         // their shard-queue wait ends now, and their refit lap is the
         // drain about to run. Per-shard drain timing is only measured
         // while marks are pending — untraced processing reads no clocks.
         let marks = std::mem::take(&mut self.pending_marks);
-        let timed = !marks.is_empty();
         let drain_start_us: Vec<u64> = marks.iter().map(|m| m.obs.now_us()).collect();
-        let mut span = self.obs.span("engine", "process");
-        self.scratch.reports.clear();
-        self.scratch
-            .reports
-            .resize(n_shards, DrainReport::default());
+        let mut span = self.core.obs.span("engine", "process");
 
-        if threads == 1 {
-            // Inline drain: same shards, same FIFO order, no worker
-            // pool. Deques are popped and handed back to the router so
-            // their capacity survives; reports land in the scratch.
-            // This is the zero-allocation steady-state path.
-            for i in 0..n_shards {
-                let mut queue = self.queues.take_shard(i);
-                let drain_t0 = timed.then(Instant::now);
-                let mut report = DrainReport {
-                    queue_depth: queue.len(),
-                    ..DrainReport::default()
-                };
-                {
-                    let mut state = self.shards[i].lock().expect("shard not poisoned");
-                    while let Some(advert) = queue.pop_front() {
-                        let session = state.sessions.entry(advert.beacon).or_insert_with(|| {
-                            BeaconSession::new(
-                                &self.config.backend,
-                                &self.prototype,
-                                self.config.refit_stride,
-                            )
-                        });
-                        let (pushed, rejected) = session.push_sample(
-                            advert.t,
-                            advert.rssi_dbm,
-                            self.config.batch_window_s,
-                            &self.motion,
-                        );
-                        report.samples += 1;
-                        report.batches += pushed;
-                        report.batches_rejected += rejected;
-                    }
-                    for (beacon, meta) in &self.scratch.evictions[i] {
-                        if state.sessions.remove(beacon).is_some() {
-                            report.evicted += 1;
-                            if self.obs.enabled() {
-                                self.obs.event(
-                                    "engine",
-                                    "session_evicted",
-                                    &[
-                                        ("beacon", u64::from(beacon.0).into()),
-                                        ("shard", i.into()),
-                                        ("last_t", meta.last_t.into()),
-                                        ("idle_threshold_s", self.config.idle_evict_s.into()),
-                                    ],
-                                );
-                            }
-                        }
-                    }
-                }
-                self.queues.restore_shard(i, queue);
-                if let Some(t0) = drain_t0 {
-                    report.drain_us = t0.elapsed().as_micros() as u64;
-                }
-                self.scratch.reports[i] = report;
-            }
-        } else {
-            // Move each shard's queued work into a slot its worker can
-            // take.
-            let work: Vec<Mutex<Option<VecDeque<Advert>>>> = (0..n_shards)
-                .map(|i| Mutex::new(Some(self.queues.take_shard(i))))
-                .collect();
-            let reports: Vec<Mutex<DrainReport>> = (0..n_shards)
-                .map(|_| Mutex::new(DrainReport::default()))
-                .collect();
-
-            let shards = &self.shards;
-            let prototype = &self.prototype;
-            let backend_spec = &self.config.backend;
-            let obs = &self.obs;
-            let motion: &MotionTrack = &self.motion;
-            let evictions = &self.scratch.evictions;
-            let work = &work;
-            let reports = &reports;
-            let window_s = self.config.batch_window_s;
-            let refit_stride = self.config.refit_stride;
-            let idle_evict_s = self.config.idle_evict_s;
-
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n_shards {
-                            break;
-                        }
-                        let queue = work[i]
-                            .lock()
-                            .expect("work slot not poisoned")
-                            .take()
-                            .expect("each shard is drained once");
-                        let drain_t0 = timed.then(Instant::now);
-                        let mut state = shards[i].lock().expect("shard not poisoned");
-                        let mut report = DrainReport {
-                            queue_depth: queue.len(),
-                            ..DrainReport::default()
-                        };
-                        for advert in queue {
-                            let session =
-                                state.sessions.entry(advert.beacon).or_insert_with(|| {
-                                    BeaconSession::new(backend_spec, prototype, refit_stride)
-                                });
-                            let (pushed, rejected) =
-                                session.push_sample(advert.t, advert.rssi_dbm, window_s, motion);
-                            report.samples += 1;
-                            report.batches += pushed;
-                            report.batches_rejected += rejected;
-                        }
-                        for (beacon, meta) in &evictions[i] {
-                            if state.sessions.remove(beacon).is_some() {
-                                report.evicted += 1;
-                                if obs.enabled() {
-                                    obs.event(
-                                        "engine",
-                                        "session_evicted",
-                                        &[
-                                            ("beacon", u64::from(beacon.0).into()),
-                                            ("shard", i.into()),
-                                            ("last_t", meta.last_t.into()),
-                                            ("idle_threshold_s", idle_evict_s.into()),
-                                        ],
-                                    );
-                                }
-                            }
-                        }
-                        drop(state);
-                        if let Some(t0) = drain_t0 {
-                            report.drain_us = t0.elapsed().as_micros() as u64;
-                        }
-                        *reports[i].lock().expect("report slot not poisoned") = report;
-                    });
-                }
-            });
-            for (i, slot) in reports.iter().enumerate() {
-                self.scratch.reports[i] = *slot.lock().expect("report slot not poisoned");
+        // Hand each shard its queued adverts and evictions. The deque
+        // goes back to the router after the pass and the eviction lists
+        // swap, so every buffer keeps its capacity.
+        let mut busy = 0usize;
+        for i in 0..n_shards {
+            let mut state = self.core.shards[i].lock().expect("shard not poisoned");
+            state.inbox = self.queues.take_shard(i);
+            std::mem::swap(&mut state.evictions, &mut self.scratch.evictions[i]);
+            if !state.inbox.is_empty()
+                || !state.evictions.is_empty()
+                || (finish && !state.sessions.is_empty())
+            {
+                busy += 1;
             }
         }
+        // The caller drains too; helpers only pay off with a busy shard
+        // left for each.
+        let pass = Pass {
+            finish,
+            timed: !marks.is_empty(),
+            motion: Arc::clone(&self.motion),
+        };
+        self.pool.run(pass, busy.saturating_sub(1));
 
+        let obs = &self.core.obs;
         let mut out = ProcessReport::default();
         for i in 0..n_shards {
-            let r = self.scratch.reports[i];
+            let mut state = self.core.shards[i].lock().expect("shard not poisoned");
+            self.queues
+                .restore_shard(i, std::mem::take(&mut state.inbox));
+            let r = state.report;
+            drop(state);
+            self.scratch.reports[i] = r;
             out.samples_processed += r.samples as usize;
             out.batches_pushed += r.batches as usize;
             out.sessions_evicted += r.evicted as usize;
@@ -805,13 +801,12 @@ impl Engine {
             self.stats.sessions_evicted += r.evicted;
             if let Some(names) = &self.shard_names {
                 let n = &names[i];
-                self.obs.gauge_set(&n.queue_depth, 0.0);
-                self.obs.counter_add(&n.samples, r.samples);
+                obs.gauge_set(&n.queue_depth, 0.0);
+                obs.counter_add(&n.samples, r.samples);
                 if r.evicted > 0 {
-                    self.obs.counter_add(&n.evictions, r.evicted);
+                    obs.counter_add(&n.evictions, r.evicted);
                 }
-                self.obs
-                    .histogram_observe("engine.queue_depth_at_drain", r.queue_depth as f64);
+                obs.histogram_observe("engine.queue_depth_at_drain", r.queue_depth as f64);
             }
         }
         for (mark, start_us) in marks.into_iter().zip(drain_start_us) {
@@ -831,12 +826,9 @@ impl Engine {
                 .trace_stage(mark.trace_id, Stage::Refit, start_us, refit_us);
         }
         self.stats.processes += 1;
-        self.obs
-            .counter_add("engine.batches_pushed", out.batches_pushed as u64);
-        self.obs
-            .counter_add("engine.sessions_evicted", out.sessions_evicted as u64);
-        self.obs
-            .gauge_set("engine.sessions_live", self.registry.len() as f64);
+        obs.counter_add("engine.batches_pushed", out.batches_pushed as u64);
+        obs.counter_add("engine.sessions_evicted", out.sessions_evicted as u64);
+        obs.gauge_set("engine.sessions_live", self.registry.len() as f64);
         span.field("samples", out.samples_processed);
         span.field("batches", out.batches_pushed);
         span.field("evicted", out.sessions_evicted);
@@ -844,56 +836,11 @@ impl Engine {
         out
     }
 
-    /// Completes the stream: processes everything still queued, pushes
-    /// every session's partial trailing batch, and forces a final refit
-    /// where the refit stride left estimates stale. Call at end-of-walk
-    /// before reading [`Engine::snapshot`].
-    pub fn finish(&mut self) -> ProcessReport {
-        let mut report = self.process();
-        let n_shards = self.config.shards;
-        let reports: Vec<Mutex<DrainReport>> = (0..n_shards)
-            .map(|_| Mutex::new(DrainReport::default()))
-            .collect();
-        let shards = &self.shards;
-        let motion: &MotionTrack = &self.motion;
-        let reports_ref = &reports;
-        let threads = self.config.threads.min(n_shards);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n_shards {
-                        break;
-                    }
-                    let mut state = shards[i].lock().expect("shard not poisoned");
-                    let mut r = DrainReport::default();
-                    for session in state.sessions.values_mut() {
-                        let (pushed, rejected) = session.flush_batch(motion);
-                        r.batches += pushed;
-                        r.batches_rejected += rejected;
-                        session.estimator.refit_now(motion);
-                    }
-                    drop(state);
-                    *reports_ref[i].lock().expect("report slot not poisoned") = r;
-                });
-            }
-        });
-        for slot in &reports {
-            let r = *slot.lock().expect("report slot not poisoned");
-            report.batches_pushed += r.batches as usize;
-            self.stats.batches_pushed += r.batches;
-            self.stats.batches_rejected += r.batches_rejected;
-            self.obs.counter_add("engine.batches_pushed", r.batches);
-        }
-        report
-    }
-
     /// Current estimates of every live session that has one, in
     /// ascending beacon-id order.
     pub fn snapshot(&self) -> Vec<(BeaconId, LocationEstimate)> {
         let mut out = Vec::new();
-        for state in &self.shards {
+        for state in &self.core.shards {
             let state = state.lock().expect("shard not poisoned");
             for (&beacon, session) in &state.sessions {
                 if let Some(est) = session.estimator.current() {
@@ -908,7 +855,9 @@ impl Engine {
     /// The current estimate of one beacon, if its session has one.
     pub fn estimate_of(&self, beacon: BeaconId) -> Option<LocationEstimate> {
         let meta = self.registry.meta(beacon)?;
-        let state = self.shards[meta.shard].lock().expect("shard not poisoned");
+        let state = self.core.shards[meta.shard]
+            .lock()
+            .expect("shard not poisoned");
         state
             .sessions
             .get(&beacon)
@@ -918,7 +867,9 @@ impl Engine {
     /// Combined registry + session view of one beacon.
     pub fn session_stats(&self, beacon: BeaconId) -> Option<SessionStats> {
         let meta = self.registry.meta(beacon)?;
-        let state = self.shards[meta.shard].lock().expect("shard not poisoned");
+        let state = self.core.shards[meta.shard]
+            .lock()
+            .expect("shard not poisoned");
         let session = state.sessions.get(&beacon);
         Some(SessionStats {
             shard: meta.shard,
@@ -944,7 +895,9 @@ impl Engine {
         let mut sessions = Vec::with_capacity(self.registry.len());
         for beacon in self.registry.beacons() {
             let meta = *self.registry.meta(beacon).expect("beacon is live");
-            let state = self.shards[meta.shard].lock().expect("shard not poisoned");
+            let state = self.core.shards[meta.shard]
+                .lock()
+                .expect("shard not poisoned");
             let session = state.sessions.get(&beacon).map(|s| BeaconSessionState {
                 estimator: s.estimator.export_state(),
                 batch_t: s.batch_t.clone(),
@@ -963,12 +916,12 @@ impl Engine {
             });
         }
         EngineState {
-            shards: self.config.shards,
+            shards: self.core.config.shards,
             watermark: self.watermark,
             stats: self.stats,
             motion: (*self.motion).clone(),
             sessions,
-            queued: (0..self.config.shards)
+            queued: (0..self.core.config.shards)
                 .map(|s| self.queues.iter_shard(s).copied().collect())
                 .collect(),
         }
@@ -1030,10 +983,11 @@ impl Engine {
                 },
             );
             if let Some(b) = s.session {
-                let estimator = engine
+                let core = &engine.core;
+                let estimator = core
                     .config
                     .backend
-                    .restore(&engine.prototype, engine.config.refit_stride, b.estimator)
+                    .restore(&core.prototype, core.config.refit_stride, b.estimator)
                     .map_err(|e| RestoreError::BackendMismatch {
                         expected: e.expected,
                         found: e.found,
@@ -1046,7 +1000,7 @@ impl Engine {
                     samples: b.samples,
                     batches: b.batches,
                 };
-                engine.shards[s.shard]
+                engine.core.shards[s.shard]
                     .lock()
                     .expect("shard not poisoned")
                     .sessions
@@ -1056,7 +1010,7 @@ impl Engine {
         for (shard, queue) in state.queued.into_iter().enumerate() {
             engine.queues.restore_shard(shard, queue.into());
         }
-        engine.obs.counter_add("engine.restores", 1);
+        engine.core.obs.counter_add("engine.restores", 1);
         let report = engine.ingest_all(wal_tail);
         Ok((engine, report))
     }
@@ -1065,7 +1019,7 @@ impl Engine {
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("config", &self.config)
+            .field("config", &self.core.config)
             .field("sessions_live", &self.registry.len())
             .field("queued", &self.queues.total_depth())
             .field("watermark", &self.watermark)

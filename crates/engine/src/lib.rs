@@ -11,9 +11,10 @@
 //!   one shard, in arrival order.
 //! * [`registry`] — the single-threaded control plane deciding session
 //!   creation, capacity limits, and idle eviction.
-//! * [`engine`] — the [`Engine`] itself: batch ingestion, a
-//!   zero-dependency `std::thread::scope` worker pool draining whole
-//!   shards, and a [`Engine::snapshot`] of every live estimate.
+//! * [`engine`] — the [`Engine`] itself: batch ingestion, whole shards
+//!   drained by the calling thread plus a persistent, zero-dependency
+//!   pool of parked helper threads (spawned on first need, joined on
+//!   drop), and a [`Engine::snapshot`] of every live estimate.
 //!
 //! The headline property is **differential determinism**: engine output
 //! is bit-identical to running each beacon's stream through a
@@ -39,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+mod pool;
 pub mod registry;
 pub mod router;
 pub mod state;

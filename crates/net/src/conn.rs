@@ -114,7 +114,7 @@ pub(crate) enum Flush {
 /// Reply bytes queued per connection before the reactor pauses reading
 /// from it (a peer that never reads its acks must not grow the buffer
 /// unboundedly).
-pub(crate) const WRITE_BACKPRESSURE_BYTES: usize = 256 * 1024;
+pub const WRITE_BACKPRESSURE_BYTES: usize = 256 * 1024;
 
 /// One nonblocking connection: read-side assembler + buffered write
 /// half + the reactor's per-connection bookkeeping.

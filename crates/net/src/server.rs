@@ -23,8 +23,9 @@
 //!   [`Frame::IngestAck`], and shard-queue `Backpressure` is drained
 //!   in-line by interleaving `Engine::process` (never by dropping the
 //!   connection);
-//! * replies queue into per-connection write buffers flushed on write
-//!   readiness; a peer that never reads its acks trips write
+//! * replies queue into per-connection write buffers, written once per
+//!   connection per tick (before the coalesced pass) and flushed on
+//!   write readiness; a peer that never reads its acks trips write
 //!   backpressure, which pauses *reading* from that peer until the
 //!   buffer drains — the event loop itself never blocks;
 //! * [`ServerHandle::shutdown`] is graceful and ordered: stop
@@ -586,6 +587,9 @@ struct Reactor {
     dirty: Vec<usize>,
     wheel: TimerWheel,
     scratch: Vec<u8>,
+    /// Traced acks queued on the connection being executed, awaiting
+    /// the flush that closes their ack lap.
+    traced_acks: Vec<(u64, u64, Instant)>,
 }
 
 /// Runs the reactor until shutdown, then drains and closes everything.
@@ -613,6 +617,7 @@ fn reactor_loop(listener: TcpListener, shared: Arc<Shared>) {
         dirty: Vec::new(),
         wheel,
         scratch: vec![0u8; 64 * 1024],
+        traced_acks: Vec::new(),
     };
     reactor.run();
 }
@@ -886,36 +891,51 @@ impl Reactor {
                     };
                     executed += 1;
                     // The ack lap covers encoding + handing the reply to
-                    // the transport; recorded after the flush attempt,
-                    // it lands in the trace table (served via
+                    // the transport; recorded after the connection's
+                    // flush, it lands in the trace table (served via
                     // TraceQuery), not in the ack frame itself.
-                    let traced_ack = match &reply {
-                        Frame::TracedIngestAck(ack) if obs.enabled() => {
-                            Some((ack.ctx.trace_id, obs.now_us(), Instant::now()))
+                    if let Frame::TracedIngestAck(ack) = &reply {
+                        if obs.enabled() {
+                            self.traced_acks
+                                .push((ack.ctx.trace_id, obs.now_us(), Instant::now()));
                         }
-                        _ => None,
-                    };
+                    }
                     let bytes = encode_frame(&reply);
                     slot.conn.queue(&bytes);
                     obs.counter_add("net.frames_tx", 1);
                     obs.counter_add("net.bytes_tx", bytes.len() as u64);
-                    if slot.conn.flush().is_err() {
+                    // A burst whose replies outgrow the backpressure
+                    // bound writes early rather than buffering it all.
+                    if slot.conn.write_backlog() > WRITE_BACKPRESSURE_BYTES
+                        && slot.conn.flush().is_err()
+                    {
                         close_now = true;
                         break;
                     }
-                    if let Some((trace_id, start_us, t0)) = traced_ack {
-                        obs.trace_stage(
-                            trace_id,
-                            Stage::Ack,
-                            start_us,
-                            t0.elapsed().as_micros() as u64,
-                        );
-                    }
+                }
+                // One write for the whole tick's replies.
+                if !close_now && slot.conn.flush().is_err() {
+                    close_now = true;
+                }
+                if close_now {
+                    self.traced_acks.clear();
+                }
+                for (trace_id, start_us, t0) in self.traced_acks.drain(..) {
+                    obs.trace_stage(
+                        trace_id,
+                        Stage::Ack,
+                        start_us,
+                        t0.elapsed().as_micros() as u64,
+                    );
                 }
                 if !close_now {
                     // A peer that never reads its acks: pause reading
                     // until write readiness drains the backlog.
-                    slot.conn.paused = slot.conn.write_backlog() > WRITE_BACKPRESSURE_BYTES;
+                    let paused = slot.conn.write_backlog() > WRITE_BACKPRESSURE_BYTES;
+                    if paused && !slot.conn.paused {
+                        obs.counter_add("net.backpressure_pauses", 1);
+                    }
+                    slot.conn.paused = paused;
                     if slot.conn.close_after_flush && slot.conn.write_backlog() == 0 {
                         close_now = true;
                     }

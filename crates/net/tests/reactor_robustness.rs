@@ -1,12 +1,14 @@
 //! Reactor robustness at epoll scale: many concurrent slow-loris
 //! connections dribbling one byte per readiness event, mid-frame
-//! disconnects, garbage-then-valid pipelined streams, and a peer that
-//! never reads its acks — through all of it the single-threaded event
+//! disconnects, garbage-then-valid pipelined streams, a peer that
+//! never reads its acks, and reply bursts batched into one write per
+//! connection per tick — through all of it the single-threaded event
 //! loop must stay live for well-behaved clients and account exactly.
 
 use locble_ble::BeaconId;
 use locble_core::{Estimator, EstimatorConfig};
 use locble_engine::{Advert, Engine, EngineConfig};
+use locble_net::conn::WRITE_BACKPRESSURE_BYTES;
 use locble_net::wire::{encode_frame, ErrorCode, Frame, WireAdvert, WIRE_VERSION};
 use locble_net::{Client, Server, ServerConfig, ServerHandle};
 use locble_obs::Obs;
@@ -266,4 +268,92 @@ fn peer_that_never_reads_acks_cannot_stall_the_reactor() {
     let engine = server.shutdown();
     assert_eq!(engine.queued(), 0);
     assert_eq!(engine.stats().samples_processed as u64, routed);
+}
+
+/// 64 `AdvertBatch` + `QueryBeacon` pairs pipelined into one write: the
+/// reactor executes them in one or a few ticks and writes each tick's
+/// replies together, yet every one of the 128 replies arrives, in
+/// order, with exact counts.
+#[test]
+fn pipelined_pairs_get_every_reply_in_order() {
+    const PAIRS: u32 = 64;
+    const PER_BATCH: u32 = 8;
+    let server = bind_server(EngineConfig::default(), ServerConfig::default());
+    let mut client = Client::connect(server.addr()).expect("connect");
+
+    let mut pipelined = Vec::new();
+    for k in 0..PAIRS {
+        let batch: Vec<WireAdvert> = (0..PER_BATCH)
+            .map(|i| WireAdvert {
+                beacon: k % 4,
+                t: f64::from(k * PER_BATCH + i) * 0.01,
+                rssi_dbm: -63.0,
+            })
+            .collect();
+        pipelined.extend_from_slice(&encode_frame(&Frame::AdvertBatch(batch)));
+        pipelined.extend_from_slice(&encode_frame(&Frame::QueryBeacon(k % 4)));
+    }
+    let frames_tx = server.obs().metrics().counter("net.frames_tx");
+    client.send_raw(&pipelined).expect("pipelined send");
+
+    for k in 0..PAIRS {
+        match client.read_frame().expect("ack") {
+            Frame::IngestAck(summary) => {
+                assert_eq!(summary.consumed, u64::from(PER_BATCH), "pair {k}");
+                assert_eq!(summary.routed, u64::from(PER_BATCH), "pair {k}");
+                assert_eq!(summary.sessions_created, u64::from(k < 4), "pair {k}");
+            }
+            other => panic!("pair {k}: expected IngestAck, got {other:?}"),
+        }
+        match client.read_frame().expect("beacon reply") {
+            // No motion track, so no beacon has an estimate yet.
+            Frame::BeaconReply(None) => {}
+            other => panic!("pair {k}: expected an empty BeaconReply, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        server.obs().metrics().counter("net.frames_tx") - frames_tx,
+        u64::from(2 * PAIRS)
+    );
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.samples_routed, u64::from(PAIRS * PER_BATCH));
+    assert_eq!(stats.samples_rejected, 0);
+}
+
+/// A pipelined burst whose replies dwarf `WRITE_BACKPRESSURE_BYTES`,
+/// from a peer that does not read: the reactor writes early, pauses
+/// reading from the peer once the backlog passes the bound, and when
+/// the peer finally reads, every reply drains and the connection
+/// serves on.
+#[test]
+fn reply_burst_past_the_backpressure_bound_pauses_then_drains() {
+    let server = bind_server(EngineConfig::default(), ServerConfig::default());
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let batch: Vec<Advert> = (0..40).map(|i| advert(3, i as f64 * 0.1, -60.0)).collect();
+    client.ingest(&batch).expect("ingest");
+
+    // Metrics reports are the largest replies a plain node sends. Ask
+    // for 64× the bound's worth, far past what the kernel's socket
+    // buffers absorb.
+    let report_len = encode_frame(&Frame::MetricsReport(client.metrics().expect("metrics"))).len();
+    let requests = 64 * WRITE_BACKPRESSURE_BYTES / report_len;
+    let burst: Vec<u8> = (0..requests)
+        .flat_map(|_| encode_frame(&Frame::MetricsQuery))
+        .collect();
+    client.send_raw(&burst).expect("burst send");
+    wait_for_counter(
+        &server,
+        "net.backpressure_pauses",
+        1,
+        Duration::from_secs(10),
+    );
+
+    for i in 0..requests {
+        match client.read_frame().expect("metrics reply") {
+            Frame::MetricsReport(_) => {}
+            other => panic!("reply {i}: expected MetricsReport, got {other:?}"),
+        }
+    }
+    let stats = client.stats().expect("served after draining");
+    assert_eq!(stats.samples_routed, 40);
 }

@@ -109,6 +109,16 @@ grep -q '"reconciles":true' BENCH_cluster.json \
 grep -q '"failover_zero_loss":true' BENCH_cluster.json \
   || { echo "cluster smoke failed: acked adverts lost across failover"; cat BENCH_cluster.json; exit 1; }
 
+echo "==> serving benchmark smoke (perfbench trickle + cluster, bit-identical to a 1-thread reference engine)"
+# perfbench exits 0 only when every round passed its correctness gate:
+# exact accounting and every estimate bit-identical to a single-threaded
+# reference engine (the pooled drain must not move a bit).
+for workload in trickle cluster; do
+  cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml --bin perfbench -- \
+    --workload "$workload" --seconds 5 >/dev/null \
+    || { echo "perfbench $workload failed"; exit 1; }
+done
+
 echo "==> bench compare (perf ratchet vs bench/baselines)"
 scripts/bench_compare.sh
 
