@@ -5,12 +5,11 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use locble_bench::experiments::hotpath::{
     dsp_signal, fingerprint_score_flat, fingerprint_score_reference, fingerprint_trace,
-    fit_columns, gram_accumulate_reference, gram_accumulate_triangle, gram_rows, particle_cloud,
-    reweight_reference, reweight_unrolled, rho_rhs_reference, rho_rhs_unrolled,
+    fit_columns, gram_accumulate_reference, gram_accumulate_triangle, gram_rows, rho_rhs_reference,
+    rho_rhs_unrolled,
 };
 use locble_dsp::{Butterworth, Envelope};
 use locble_geom::Vec2;
-use locble_rf::LogDistanceModel;
 use std::hint::black_box;
 
 fn bench_hotpath(c: &mut Criterion) {
@@ -33,28 +32,6 @@ fn bench_hotpath(c: &mut Criterion) {
         });
         c.bench_function("gram_accumulate_triangle_4096", |b| {
             b.iter(|| black_box(gram_accumulate_triangle(&rows)))
-        });
-    }
-
-    {
-        let (xs, ys) = particle_cloud(N);
-        let model = LogDistanceModel::new(-59.0, 2.0);
-        let obs_pos = Vec2::new(1.0, 2.0);
-        let inv = 1.0 / (2.0 * 4.0 * 4.0);
-        let mut w = vec![0.0f64; N];
-        c.bench_function("particle_reweight_reference_4096", |b| {
-            b.iter(|| {
-                w.fill(0.0);
-                reweight_reference(&xs, &ys, &mut w, obs_pos, -63.0, &model, inv);
-                black_box(&w);
-            })
-        });
-        c.bench_function("particle_reweight_unrolled_4096", |b| {
-            b.iter(|| {
-                w.fill(0.0);
-                reweight_unrolled(&xs, &ys, &mut w, obs_pos, -63.0, &model, inv);
-                black_box(&w);
-            })
         });
     }
 

@@ -7,9 +7,8 @@
 //! ```
 //!
 //! `--threads N` sets the worker-thread count for engine-backed
-//! experiments (e.g. `fleet`); the default is 8 capped by the machine.
-//! `--connections N` sets the client-connection count for server-backed
-//! experiments (e.g. `serve`); the default is 4.
+//! experiments (`obs`, `recover`); the default is 8 capped by the
+//! machine.
 //!
 //! With `--metrics <path>`, the harness additionally writes a JSON
 //! sidecar: per-experiment wall-clock timings plus the full
@@ -23,11 +22,6 @@
 //! shared-factorization search over the naive refit — see DESIGN.md
 //! §12) as a JSON artifact; `scripts/check.sh` archives it as
 //! `BENCH_refit.json`.
-//!
-//! With `--serve-json <path>`, the harness runs the three-arm serving
-//! benchmark (engine-direct ceiling, reactor at 1k connections, reactor
-//! at 10k connections — see DESIGN.md §14) and writes it as a JSON
-//! artifact; `scripts/check.sh` archives it as `BENCH_serve.json`.
 //!
 //! With `--backends-json <path>`, the harness runs the estimation-backend
 //! shootout (per-backend median/p90 error and per-batch cost across the
@@ -53,16 +47,9 @@ use std::time::Instant;
 static ALLOC: locble_bench::util::CountingAlloc = locble_bench::util::CountingAlloc;
 
 fn main() {
-    // The 10k-connection serve arm re-executes this binary as the
-    // client-side worker (both socket ends won't fit one process's fd
-    // limit); the env gate routes that child straight into the driver.
-    if locble_bench::experiments::serve::synthetic_worker_from_env() {
-        return;
-    }
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let metrics_path = take_flag_value(&mut args, "--metrics");
     let refit_json_path = take_flag_value(&mut args, "--refit-json");
-    let serve_json_path = take_flag_value(&mut args, "--serve-json");
     let backends_json_path = take_flag_value(&mut args, "--backends-json");
     let hotpath_json_path = take_flag_value(&mut args, "--hotpath-json");
     if let Some(threads) = take_flag_value(&mut args, "--threads") {
@@ -74,18 +61,9 @@ fn main() {
             }
         }
     }
-    if let Some(connections) = take_flag_value(&mut args, "--connections") {
-        match connections.parse::<usize>() {
-            Ok(n) if n > 0 => locble_bench::util::set_harness_connections(n),
-            _ => {
-                eprintln!("--connections requires a positive integer, got {connections:?}");
-                std::process::exit(2);
-            }
-        }
-    }
     if args.is_empty() || args[0] == "help" || args[0] == "--help" {
         eprintln!(
-            "usage: harness <exp-id>... | all | list  [--metrics <path>] [--refit-json <path>] [--serve-json <path>] [--backends-json <path>] [--hotpath-json <path>] [--threads <n>] [--connections <n>]"
+            "usage: harness <exp-id>... | all | list  [--metrics <path>] [--refit-json <path>] [--backends-json <path>] [--hotpath-json <path>] [--threads <n>]"
         );
         eprintln!("experiments: {}", ALL_EXPERIMENTS.join(", "));
         std::process::exit(2);
@@ -122,15 +100,6 @@ fn main() {
             Ok(()) => eprintln!("refit benchmark JSON written to {path}"),
             Err(e) => {
                 eprintln!("failed to write refit benchmark JSON to {path}: {e}");
-                failed = true;
-            }
-        }
-    }
-    if let Some(path) = serve_json_path {
-        match std::fs::write(&path, locble_bench::experiments::serve::json_report()) {
-            Ok(()) => eprintln!("serve benchmark JSON written to {path}"),
-            Err(e) => {
-                eprintln!("failed to write serve benchmark JSON to {path}: {e}");
                 failed = true;
             }
         }

@@ -18,15 +18,24 @@
 //! their median error across the grid must land within the generous
 //! band a plausible implementation of that algorithm family occupies
 //! (they are comparison baselines, not the paper's contribution).
+//!
+//! The report then streams fig11b's moving-target sessions (env #9 and
+//! #8, 3-9 m, 40 runs each) through every backend, with the paper's
+//! `estimate_moving` (which also knows the target's own motion) as a
+//! reference row. These are report rows only: no gate, not in the JSON.
 
 use crate::stats::{mean, median, percentile};
 use crate::util::{default_estimator, header, parallel_map, StationaryRun};
 use locble_ble::{BeaconHardware, BeaconId};
-use locble_core::{BackendSpec, FingerprintConfig, ParticleConfig, RssBatch, StreamingEstimator};
+use locble_core::{
+    BackendSpec, Estimator, EstimatorConfig, FingerprintConfig, ParticleConfig, RssBatch,
+    StreamingEstimator,
+};
+use locble_dsp::TimeSeries;
 use locble_geom::Vec2;
-use locble_motion::MotionTrack;
+use locble_motion::{track, MotionTrack, TrackerConfig};
 use locble_scenario::runner::track_observer;
-use locble_scenario::world::simulate_session;
+use locble_scenario::world::{simulate_session, MovingSession};
 use locble_scenario::{environment_by_index, plan_l_walk, BeaconSpec, SessionConfig};
 use serde::Value;
 use std::time::Instant;
@@ -64,9 +73,26 @@ fn stream_session(run: &StationaryRun) -> Option<StreamSession> {
         &plan,
         &SessionConfig::paper_default(run.seed),
     );
-    let motion = track_observer(&session);
-    let truth = session.truth_local(BeaconId(1))?;
-    let rss = session.rss_of(BeaconId(1))?;
+    Some(StreamSession {
+        batches: stream_batches(session.rss_of(BeaconId(1))?),
+        motion: track_observer(&session),
+        truth: session.truth_local(BeaconId(1))?,
+    })
+}
+
+/// The streamable form of one fig11b moving-target session. Backends
+/// see only the observer's motion; the truth is the target's initial
+/// position, as fig11b scores it.
+fn moving_stream_session(session: &MovingSession) -> StreamSession {
+    StreamSession {
+        batches: stream_batches(&session.rss),
+        motion: track(&session.observer_walk.imu, &TrackerConfig::default()),
+        truth: session.truth_local_initial(),
+    }
+}
+
+/// Slices an RSS series into consecutive [`STREAM_BATCH_S`] batches.
+fn stream_batches(rss: &TimeSeries) -> Vec<RssBatch> {
     let mut batches = Vec::new();
     let mut start = 0;
     while start < rss.len() {
@@ -81,11 +107,7 @@ fn stream_session(run: &StationaryRun) -> Option<StreamSession> {
         ));
         start = end;
     }
-    Some(StreamSession {
-        batches,
-        motion,
-        truth,
-    })
+    batches
 }
 
 /// One backend's aggregate over the grid.
@@ -172,6 +194,18 @@ impl Shootout {
     }
 }
 
+/// Every backend, by report name.
+fn backend_specs() -> [(&'static str, BackendSpec); 3] {
+    [
+        ("streaming", BackendSpec::Streaming),
+        ("particle", BackendSpec::Particle(ParticleConfig::default())),
+        (
+            "fingerprint",
+            BackendSpec::Fingerprint(FingerprintConfig::default()),
+        ),
+    ]
+}
+
 /// Streams the full grid through every backend.
 fn measure(envs: &[usize], seeds_per_env: usize) -> Shootout {
     let prototype = default_estimator();
@@ -202,16 +236,8 @@ fn measure(envs: &[usize], seeds_per_env: usize) -> Shootout {
         concrete_estimates.push(bits);
     }
 
-    let specs: [(&'static str, BackendSpec); 3] = [
-        ("streaming", BackendSpec::Streaming),
-        ("particle", BackendSpec::Particle(ParticleConfig::default())),
-        (
-            "fingerprint",
-            BackendSpec::Fingerprint(FingerprintConfig::default()),
-        ),
-    ];
     let mut default_bit_identical = true;
-    let arms = specs
+    let arms = backend_specs()
         .into_iter()
         .map(|(name, spec)| {
             let mut arm = Arm {
@@ -257,12 +283,60 @@ fn measure(envs: &[usize], seeds_per_env: usize) -> Shootout {
     }
 }
 
+/// Streams fig11b's moving-target sessions (`runs_per_distance` runs
+/// per distance and test) through every backend, plus `estimate_moving`
+/// on the same sessions, and formats one row per estimator.
+fn moving_rows(runs_per_distance: usize) -> String {
+    // fig11b's estimator configuration, so the backends and the
+    // reference row differ only in the algorithm.
+    let prototype = Estimator::new(EstimatorConfig::default());
+    let moving: Vec<MovingSession> = super::fig11b::TESTS
+        .iter()
+        .flat_map(|&(_, env, seed)| super::fig11b::sessions(env, runs_per_distance, seed))
+        .collect();
+    let streams: Vec<StreamSession> = moving.iter().map(moving_stream_session).collect();
+    let mut rows: Vec<(&str, Vec<f64>)> = backend_specs()
+        .into_iter()
+        .map(|(name, spec)| {
+            let errors = parallel_map(streams.len(), |i| {
+                let s = &streams[i];
+                let mut backend = spec.build(&prototype, 1);
+                for b in &s.batches {
+                    backend.push_batch(b, &s.motion);
+                }
+                backend.refit_now(&s.motion);
+                backend.current().map(|est| score(est, s.truth))
+            });
+            (name, errors.into_iter().flatten().collect())
+        })
+        .collect();
+    rows.push(("estimate_moving", super::fig11b::errors(&moving)));
+
+    let mut out = String::from(
+        "  moving target (fig11b sessions; estimate_moving is the reference)\n  \
+         estimator         runs   median (m)   p90 (m)\n",
+    );
+    for (name, errors) in &rows {
+        out.push_str(&format!(
+            "  {:<15} {:>3}/{:<3}   {:>7.2}   {:>7.2}\n",
+            name,
+            errors.len(),
+            moving.len(),
+            median(errors),
+            percentile(errors, 90.0),
+        ));
+    }
+    out
+}
+
 const FULL_ENVS: [usize; 9] = [1, 2, 3, 4, 5, 6, 7, 8, 9];
 
 /// Runs the experiment at acceptance scale: all nine environments, six
-/// seeds each.
+/// seeds each, then fig11b's 80 moving-target sessions.
 pub fn run() -> String {
-    run_scaled(&FULL_ENVS, 6)
+    let mut out = run_scaled(&FULL_ENVS, 6);
+    out.push_str(&moving_rows(super::fig11b::RUNS_PER_DISTANCE));
+    out
 }
 
 /// The report body, parameterized so the in-crate test can run a small
@@ -416,6 +490,14 @@ mod tests {
             crate::util::flag_is_true(&report, "fingerprint reconciles"),
             "{report}"
         );
+    }
+
+    #[test]
+    fn moving_rows_cover_every_estimator() {
+        let rows = super::moving_rows(1);
+        for name in ["streaming", "particle", "fingerprint", "estimate_moving"] {
+            assert!(rows.contains(name), "{rows}");
+        }
     }
 
     #[test]

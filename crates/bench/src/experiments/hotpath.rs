@@ -7,10 +7,10 @@
 //! forms over the same deterministic fixture and differentially
 //! checked; the backends section prices one warm `push_batch` per
 //! backend and, when the harness's counting allocator is installed,
-//! reports the heap allocations it performed. The `hotpath-smoke` gate
-//! in scripts/check.sh and the ratchet in scripts/bench_compare.sh
-//! enforce the two headline speedups (fingerprint scoring and the
-//! LB_Keogh envelope) and every boolean gate below.
+//! reports the heap allocations it performed. The ratchet in
+//! scripts/bench_compare.sh enforces the two headline speedups
+//! (fingerprint scoring and the LB_Keogh envelope) and every boolean
+//! gate below.
 
 use crate::util::{alloc_count, header, row};
 use locble_core::{BackendSpec, Estimator, EstimatorConfig, RssBatch};
@@ -124,52 +124,6 @@ pub fn gram_accumulate_triangle(rows: &[[f64; 4]]) -> [[f64; 4]; 4] {
         }
     }
     gram
-}
-
-/// Scalar particle re-weight: one log-weight update per particle for
-/// one RSS observation (the pre-unroll shape).
-pub fn reweight_reference(
-    xs: &[f64],
-    ys: &[f64],
-    log_w: &mut [f64],
-    obs_pos: Vec2,
-    v: f64,
-    model: &LogDistanceModel,
-    inv_two_sigma_sq: f64,
-) {
-    for i in 0..xs.len() {
-        let d = obs_pos.distance(Vec2::new(xs[i], ys[i]));
-        let r = v - model.rss_at(d);
-        log_w[i] -= r * r * inv_two_sigma_sq;
-    }
-}
-
-/// 4-lane unrolled particle re-weight, the production form. Each
-/// particle's update is element-wise independent, so the unroll is
-/// trivially bit-identical.
-pub fn reweight_unrolled(
-    xs: &[f64],
-    ys: &[f64],
-    log_w: &mut [f64],
-    obs_pos: Vec2,
-    v: f64,
-    model: &LogDistanceModel,
-    inv_two_sigma_sq: f64,
-) {
-    let n = xs.len();
-    let quads = n - n % 4;
-    for i in (0..quads).step_by(4) {
-        for l in 0..4 {
-            let d = obs_pos.distance(Vec2::new(xs[i + l], ys[i + l]));
-            let r = v - model.rss_at(d);
-            log_w[i + l] -= r * r * inv_two_sigma_sq;
-        }
-    }
-    for i in quads..n {
-        let d = obs_pos.distance(Vec2::new(xs[i], ys[i]));
-        let r = v - model.rss_at(d);
-        log_w[i] -= r * r * inv_two_sigma_sq;
-    }
 }
 
 /// One scored fingerprint candidate (the fields both arms must agree
@@ -348,19 +302,6 @@ pub fn gram_rows(n: usize) -> Vec<[f64; 4]> {
     (0..n).map(|i| [s[i], p[i], q[i], 1.0]).collect()
 }
 
-/// Deterministic particle cloud (positions only; weights start at 0).
-pub fn particle_cloud(n: usize) -> (Vec<f64>, Vec<f64>) {
-    let mut xs = Vec::with_capacity(n);
-    let mut ys = Vec::with_capacity(n);
-    for i in 0..n {
-        let a = i as f64 * 0.37;
-        let r = 1.0 + (i % 17) as f64 * 0.4;
-        xs.push(3.0 + r * a.cos());
-        ys.push(4.0 + r * a.sin());
-    }
-    (xs, ys)
-}
-
 /// Deterministic observer walk + RSS trace for fingerprint scoring.
 pub fn fingerprint_trace(n: usize) -> (Vec<Vec2>, Vec<f64>) {
     let model = LogDistanceModel::new(-61.0, 2.4);
@@ -522,39 +463,6 @@ pub(crate) fn measure(n: usize, reps: usize) -> HotpathMetrics {
         });
         kernels.push(KernelMetrics {
             name: "gram_accumulate",
-            scalar_ns_per_elem: scalar,
-            fast_ns_per_elem: fast,
-            differential_ok: ok,
-        });
-    }
-
-    // Particle re-weight.
-    {
-        let (xs, ys) = particle_cloud(n);
-        let model = LogDistanceModel::new(-59.0, 2.0);
-        let obs_pos = Vec2::new(1.0, 2.0);
-        let inv_two_sigma_sq = 1.0 / (2.0 * 4.0 * 4.0);
-        let mut w_a = vec![0.0f64; n];
-        let mut w_b = vec![0.0f64; n];
-        reweight_reference(&xs, &ys, &mut w_a, obs_pos, -63.0, &model, inv_two_sigma_sq);
-        reweight_unrolled(&xs, &ys, &mut w_b, obs_pos, -63.0, &model, inv_two_sigma_sq);
-        let ok = w_a
-            .iter()
-            .zip(&w_b)
-            .all(|(&x, &y)| x.to_bits() == y.to_bits());
-        let mut w = vec![0.0f64; n];
-        let scalar = time_ns_per_elem(n, reps, || {
-            w.fill(0.0);
-            reweight_reference(&xs, &ys, &mut w, obs_pos, -63.0, &model, inv_two_sigma_sq);
-            std::hint::black_box(&w);
-        });
-        let fast = time_ns_per_elem(n, reps, || {
-            w.fill(0.0);
-            reweight_unrolled(&xs, &ys, &mut w, obs_pos, -63.0, &model, inv_two_sigma_sq);
-            std::hint::black_box(&w);
-        });
-        kernels.push(KernelMetrics {
-            name: "particle_reweight",
             scalar_ns_per_elem: scalar,
             fast_ns_per_elem: fast,
             differential_ok: ok,

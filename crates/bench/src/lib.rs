@@ -31,10 +31,8 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "fig14",
     "fig15",
     "sec7_8",
-    "fleet",
     "hotpath",
     "refit",
-    "serve",
     "obs",
     "recover",
     "backends",
@@ -62,10 +60,8 @@ pub fn run_experiment(id: &str) -> Option<String> {
         "fig14" => fig14::run(),
         "fig15" => fig15::run(),
         "sec7_8" => sec7_8::run(),
-        "fleet" => fleet::run(),
         "hotpath" => hotpath::run(),
         "refit" => refit::run(),
-        "serve" => serve::run(),
         "obs" => obs::run(),
         "recover" => recover::run(),
         "backends" => backends::run(),

@@ -78,10 +78,6 @@ pub fn process_alloc_count() -> u64 {
 /// (harness `--threads N`); 0 until configured.
 static HARNESS_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Client-connection count for server-backed experiments (harness
-/// `--connections N`); 0 until configured.
-static HARNESS_CONNECTIONS: AtomicUsize = AtomicUsize::new(0);
-
 /// Sets the thread count for engine-backed experiments (the harness
 /// `--threads N` flag).
 pub fn set_harness_threads(threads: usize) {
@@ -95,21 +91,6 @@ pub fn harness_threads() -> usize {
         0 => std::thread::available_parallelism()
             .map_or(4, |n| n.get())
             .min(8),
-        n => n,
-    }
-}
-
-/// Sets the connection count for server-backed experiments (the
-/// harness `--connections N` flag).
-pub fn set_harness_connections(connections: usize) {
-    HARNESS_CONNECTIONS.store(connections, Ordering::Relaxed);
-}
-
-/// The configured client-connection count; defaults to 4 when
-/// `--connections` was not given.
-pub fn harness_connections() -> usize {
-    match HARNESS_CONNECTIONS.load(Ordering::Relaxed) {
-        0 => 4,
         n => n,
     }
 }

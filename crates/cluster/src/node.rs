@@ -10,9 +10,9 @@
 //! promoted follower that inherits its dead owner's partition.
 //!
 //! The env plumbing ([`spec_to_env`] / [`spec_from_env`] /
-//! [`serve_node_from_env`]) exists because the crashtests and
-//! `clusterctl` spawn nodes as real OS processes (SIGKILL must kill a
-//! kernel task, not a thread). The child re-executes the current
+//! [`serve_node_from_env`]) exists because the crashtests spawn nodes
+//! as real OS processes (SIGKILL must kill a kernel task, not a
+//! thread). The child re-executes the current
 //! binary, reads its spec from `LOCBLE_NODE_*`, binds, prints
 //! `listen <addr>` on stdout, and parks.
 
@@ -109,7 +109,7 @@ pub fn serve_node(spec: &NodeSpec, obs: Obs) -> std::io::Result<ServerHandle> {
 }
 
 /// Renders a membership view as `epoch|id=addr,id=addr` — the env/CLI
-/// form shared by the crashtests and `clusterctl`.
+/// form the crashtests pass to child nodes.
 pub fn format_map(map: &WirePartitionMap) -> String {
     let nodes: Vec<String> = map
         .nodes
@@ -219,8 +219,7 @@ pub fn spec_from_env() -> Result<NodeSpec, String> {
 /// Child-process entry point: reads the spec from the environment,
 /// binds, announces `listen <addr>` on stdout (flushed, so the parent's
 /// line-read never stalls), then parks forever — the parent owns the
-/// process's lifetime (SIGKILL in the crashtests, kill-on-drop in
-/// `clusterctl`).
+/// process's lifetime (SIGKILL in the crashtests).
 pub fn serve_node_from_env() -> Result<(), String> {
     let spec = spec_from_env()?;
     let handle = serve_node(&spec, Obs::ring(256)).map_err(|e| format!("node bind failed: {e}"))?;

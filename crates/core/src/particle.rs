@@ -295,21 +295,9 @@ impl ParticleBackend {
             }
         }
         let inv_two_sigma_sq = 1.0 / (2.0 * self.config.rss_sigma_db * self.config.rss_sigma_db);
-        // Hot loop: 4-lane unrolled re-weight. Each particle's update is
-        // element-wise independent, so the unroll is trivially
-        // bit-identical to the scalar loop.
-        let n = self.state.xs.len();
-        let quads = n - n % 4;
         for (&t, &v) in batch.t.iter().zip(&batch.v) {
             let obs_pos = Self::observer_at(observer, t);
-            for i in (0..quads).step_by(4) {
-                for l in 0..4 {
-                    let d = obs_pos.distance(Vec2::new(self.state.xs[i + l], self.state.ys[i + l]));
-                    let r = v - self.model.rss_at(d);
-                    self.state.log_w[i + l] -= r * r * inv_two_sigma_sq;
-                }
-            }
-            for i in quads..n {
+            for i in 0..self.state.xs.len() {
                 let d = obs_pos.distance(Vec2::new(self.state.xs[i], self.state.ys[i]));
                 let r = v - self.model.rss_at(d);
                 self.state.log_w[i] -= r * r * inv_two_sigma_sq;

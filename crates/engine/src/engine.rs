@@ -655,29 +655,6 @@ impl Engine {
         total
     }
 
-    /// Ingests many batches, then drains whatever they enqueued with a
-    /// single [`Engine::process`] pass — the reactor server's coalesced
-    /// tick shape, exposed directly so the bench harness can measure
-    /// the engine-side ceiling of that shape without a socket in the
-    /// way. Each batch is consumed fully (backpressure drains in-line,
-    /// exactly like [`Engine::ingest_all`]); the returned reports are
-    /// per-batch, in offer order, plus the final coalesced drain's
-    /// report. Estimates are bit-identical to ingesting the same
-    /// adverts through any other entry point: processing cadence never
-    /// feeds the math.
-    pub fn ingest_batches(&mut self, batches: &[&[Advert]]) -> (Vec<IngestReport>, ProcessReport) {
-        let mut reports = Vec::with_capacity(batches.len());
-        for batch in batches {
-            reports.push(self.ingest_all(batch));
-        }
-        let drained = if self.queued() > 0 {
-            self.process()
-        } else {
-            ProcessReport::default()
-        };
-        (reports, drained)
-    }
-
     /// [`Engine::ingest`] with trace attribution: records a `route` lap
     /// against `ctx` and leaves a mark so the next [`Engine::process`]
     /// can attribute the shard-queue wait and drain duration to the
@@ -1119,39 +1096,6 @@ mod tests {
         traced.finish();
         let a = plain.snapshot();
         let b = traced.snapshot();
-        assert_eq!(a.len(), b.len());
-        for ((id_a, ea), (id_b, eb)) in a.iter().zip(&b) {
-            assert_eq!(id_a, id_b);
-            assert_eq!(ea.position.x.to_bits(), eb.position.x.to_bits());
-            assert_eq!(ea.position.y.to_bits(), eb.position.y.to_bits());
-        }
-    }
-
-    /// The reactor's coalesced tick shape — many batches, one drain —
-    /// must account exactly and leave estimates bit-identical to one
-    /// sequential `ingest_all` of the concatenated stream.
-    #[test]
-    fn ingest_batches_coalesces_and_matches_sequential() {
-        let input = adverts(400);
-        let mut sequential = engine(Obs::noop());
-        let seq_report = sequential.ingest_all(&input);
-        sequential.finish();
-
-        let mut coalesced = engine(Obs::noop());
-        let batches: Vec<&[Advert]> = input.chunks(37).collect();
-        let (reports, drained) = coalesced.ingest_batches(&batches);
-        assert_eq!(reports.len(), batches.len());
-        let consumed: usize = reports.iter().map(|r| r.consumed).sum();
-        let routed: usize = reports.iter().map(|r| r.routed).sum();
-        assert_eq!(consumed, input.len());
-        assert_eq!(routed, seq_report.routed);
-        // The coalesced drain emptied every shard queue.
-        assert!(drained.samples_processed > 0);
-        assert_eq!(coalesced.queued(), 0);
-        coalesced.finish();
-
-        let a = sequential.snapshot();
-        let b = coalesced.snapshot();
         assert_eq!(a.len(), b.len());
         for ((id_a, ea), (id_b, eb)) in a.iter().zip(&b) {
             assert_eq!(id_a, id_b);

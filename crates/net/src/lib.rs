@@ -75,5 +75,5 @@ pub use wire::{
     decode_frame, decode_frame_with_limit, encode_frame, frame_size, ClusterSummary, DecodeError,
     ErrorCode, FinishSummary, Frame, IngestSummary, NodeEntry, NodeRole, TracedAck, WireAdvert,
     WireError, WireEstimate, WireMetrics, WirePartitionMap, WireStats, DEFAULT_MAX_FRAME_LEN,
-    MIN_WIRE_VERSION, WIRE_VERSION,
+    WIRE_VERSION,
 };

@@ -34,9 +34,8 @@
 //! extended an existing body's value range — stage laps may now carry
 //! the `Forward`/`Replicate` discriminants, which a v1 decoder would
 //! reject as malformed — hence the bump rather than tags alone. The
-//! decoder stays backward compatible: any version in
-//! [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`] is accepted, so v1 frames
-//! (every pre-cluster tag) still decode bit-for-bit.
+//! decoder accepts exactly [`WIRE_VERSION`]: every other version byte
+//! is a recoverable [`DecodeError::BadVersion`].
 
 use locble_ble::BeaconId;
 use locble_core::{FitMethod, LocationEstimate};
@@ -46,9 +45,6 @@ use locble_obs::{HistogramSnapshot, MetricsSnapshot, Stage, StageLap, TraceCtx, 
 
 /// Current protocol version byte.
 pub const WIRE_VERSION: u8 = 2;
-
-/// Oldest protocol version this decoder still accepts.
-pub const MIN_WIRE_VERSION: u8 = 1;
 
 /// Bytes of the fixed header (length prefix).
 pub const HEADER_LEN: usize = 4;
@@ -718,8 +714,7 @@ pub enum DecodeError {
         /// The decoder's cap.
         max: usize,
     },
-    /// The version byte is outside
-    /// [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`]. Recoverable: the
+    /// The version byte is not [`WIRE_VERSION`]. Recoverable: the
     /// length prefix still delimits the frame.
     BadVersion {
         /// The version byte received.
@@ -750,7 +745,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadVersion { got } => {
                 write!(
                     f,
-                    "unsupported protocol version {got} (want {MIN_WIRE_VERSION}..={WIRE_VERSION})"
+                    "unsupported protocol version {got} (want {WIRE_VERSION})"
                 )
             }
             DecodeError::BadTag { got } => write!(f, "unknown frame tag {got}"),
@@ -1172,7 +1167,7 @@ pub fn decode_frame_with_limit(buf: &[u8], max_len: usize) -> Result<(Frame, usi
         });
     }
     let version = buf[HEADER_LEN];
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
+    if version != WIRE_VERSION {
         return Err(DecodeError::BadVersion { got: version });
     }
     let tag = buf[HEADER_LEN + 1];
@@ -1912,40 +1907,6 @@ mod tests {
         let err = decode_frame(&unknown).expect_err("unknown tag");
         assert_eq!(err, DecodeError::BadTag { got: 250 });
         assert!(err.is_recoverable());
-    }
-
-    #[test]
-    fn v1_frames_still_decode_under_the_v2_decoder() {
-        // "Old tags still decode": every pre-cluster frame a v1 peer
-        // encodes (same body layout, version byte 1) must decode.
-        let old = [
-            Frame::AdvertBatch(vec![WireAdvert {
-                beacon: 5,
-                t: 2.5,
-                rssi_dbm: -70.0,
-            }]),
-            Frame::QuerySnapshot,
-            Frame::Snapshot(vec![sample_estimate()]),
-            Frame::Finish,
-            Frame::MetricsQuery,
-            Frame::TraceQuery(None),
-        ];
-        for frame in &old {
-            let mut bytes = encode_frame(frame);
-            bytes[HEADER_LEN] = MIN_WIRE_VERSION;
-            let (back, used) = decode_frame(&bytes).expect("v1 frame decodes");
-            assert_eq!(&back, frame);
-            assert_eq!(used, bytes.len());
-        }
-        // Below the floor is still rejected.
-        let mut bytes = encode_frame(&Frame::Finish);
-        bytes[HEADER_LEN] = MIN_WIRE_VERSION - 1;
-        assert_eq!(
-            decode_frame(&bytes),
-            Err(DecodeError::BadVersion {
-                got: MIN_WIRE_VERSION - 1
-            })
-        );
     }
 
     #[test]

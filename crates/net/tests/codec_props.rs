@@ -8,8 +8,7 @@ use locble_geom::EnvClass;
 use locble_net::wire::{
     decode_frame, decode_frame_with_limit, encode_frame, ClusterSummary, DecodeError, ErrorCode,
     FinishSummary, Frame, IngestSummary, NodeEntry, NodeRole, TracedAck, WireAdvert, WireError,
-    WireEstimate, WireMetrics, WirePartitionMap, WireStats, DEFAULT_MAX_FRAME_LEN,
-    MIN_WIRE_VERSION, WIRE_VERSION,
+    WireEstimate, WireMetrics, WirePartitionMap, WireStats, DEFAULT_MAX_FRAME_LEN, WIRE_VERSION,
 };
 use locble_net::{Assembled, FrameAssembler};
 use locble_obs::{HistogramSnapshot, Stage, StageLap, TraceCtx, TraceRecord};
@@ -410,9 +409,7 @@ proptest! {
 
     /// Totality over corruption: flipping any single byte of a valid
     /// encoding yields a frame or a typed error, never a panic; and a
-    /// corrupted version byte either lands inside the supported range
-    /// (still the same frame — bodies are version-independent) or is
-    /// `BadVersion`.
+    /// corrupted version byte is always a recoverable `BadVersion`.
     #[test]
     fn single_byte_corruption_never_panics(
         frame in any_frame(),
@@ -425,21 +422,14 @@ proptest! {
         match decode_frame(&bytes) {
             Ok(_) | Err(_) => {}
         }
-        // Target the version byte specifically.
+        // Target the version byte specifically: every byte other than
+        // WIRE_VERSION is a recoverable BadVersion.
         let mut bytes = encode_frame(&frame);
         let corrupted = WIRE_VERSION ^ flip;
         bytes[4] = corrupted;
-        if (MIN_WIRE_VERSION..=WIRE_VERSION).contains(&corrupted) {
-            let (decoded, used) = decode_frame(&bytes)
-                .expect("a supported version decodes whatever the stamp");
-            prop_assert_eq!(decoded, frame);
-            prop_assert_eq!(used, bytes.len());
-        } else {
-            prop_assert_eq!(
-                decode_frame(&bytes).expect_err("version byte corrupted"),
-                DecodeError::BadVersion { got: corrupted }
-            );
-        }
+        let err = decode_frame(&bytes).expect_err("version byte corrupted");
+        prop_assert_eq!(err, DecodeError::BadVersion { got: corrupted });
+        prop_assert!(err.is_recoverable());
     }
 
     /// The reactor's partial-frame state machine: any byte-boundary
