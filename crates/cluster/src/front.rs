@@ -1,44 +1,45 @@
-//! The cluster front: a blocking thread-per-connection proxy that
-//! partitions client batches across owner nodes.
+//! The cluster front: a reactor service that partitions client batches
+//! across owner nodes.
 //!
-//! The front speaks the ordinary `locble-net` wire protocol on both
-//! sides. Clients connect to it exactly as they would to a standalone
+//! Clients connect to the front exactly as they would to a standalone
 //! server — `AdvertBatch` in, `IngestAck` out — and never see the
-//! partitioning. Behind it, each batch is split by the rendezvous
-//! router into per-owner buckets (arrival order preserved inside each
-//! bucket, so every beacon's sample order is untouched) and shipped as
-//! [`Frame::Forward`] to the owning nodes over cached connections.
-//! Queries fan out: snapshots merge in beacon order, stats sum, finish
-//! reaches every owner.
+//! partitioning. It runs on the same epoll reactor as a node
+//! ([`Server::host`]); only the per-tick execute step is its own.
 //!
-//! Why blocking threads here when the nodes run an epoll reactor? The
-//! front holds no engine and no lock-ordered state — each connection
-//! thread owns its downstream clients outright, so threads never
-//! contend. At the ~10k-connection scale the reactor was built for,
-//! fronts are expected to be many and small; a thread per client
-//! connection on each front is the simple shape that loses nothing.
+//! Each tick's requests run as one pipeline. A batch is split by the
+//! rendezvous router into per-owner [`Frame::Forward`] buckets (arrival
+//! order preserved inside each, so every beacon's sample order is
+//! untouched), a point query is relayed to its owner, and a
+//! snapshot/stats/finish fans out to every owner. All of a tick's
+//! sub-requests are written to each owner's cached connection before any
+//! reply is read; the replies then fold back into their requests (acks
+//! and stats sum, snapshots merge in beacon order). An owner answers a
+//! connection in order, so a query that follows a batch on one client
+//! connection reaches the owner after that batch.
+//!
+//! Owner I/O blocks, but every connect, read and write times out after
+//! [`OWNER_TIMEOUT`]. An owner failure fails every request of the tick
+//! with a part on that owner and evicts its connection.
 //!
 //! Membership lives here: a `Join` admits (or re-addresses) a node and
 //! broadcasts the bumped map; an installed `PartitionMap` — the
-//! failover driver's lever — is likewise re-broadcast to every node it
-//! lists, which is what promotes a follower (it sees its own address
-//! under its node id and starts serving).
+//! failover driver's lever — is re-broadcast to every node it lists,
+//! which is what promotes a follower.
 
 use crate::router::ClusterRouter;
 use locble_ble::BeaconId;
+use locble_net::conn::WRITE_BACKPRESSURE_BYTES;
+use locble_net::server::{ReactorHandle, Request, Service};
 use locble_net::wire::{
     encode_frame, ClusterSummary, ErrorCode, FinishSummary, Frame, IngestSummary, NodeEntry,
-    NodeRole, WireError, WirePartitionMap, WireStats, DEFAULT_MAX_FRAME_LEN,
+    NodeRole, TracedAck, WireEstimate, WireMetrics, WirePartitionMap, WireStats,
 };
-use locble_net::{Assembled, Client, ClientError, FrameAssembler};
+use locble_net::{Client, ClientError, Server, ServerConfig};
 use locble_obs::{Obs, Stage, TraceCtx};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Front tuning knobs.
@@ -55,476 +56,357 @@ impl Default for FrontConfig {
     fn default() -> FrontConfig {
         FrontConfig {
             addr: "127.0.0.1:0".to_string(),
-            map: WirePartitionMap {
-                epoch: 0,
-                nodes: Vec::new(),
-            },
+            map: WirePartitionMap::default(),
         }
     }
 }
 
-/// State shared by the accept loop and every connection thread.
-struct FrontShared {
-    router: Mutex<Arc<ClusterRouter>>,
-    obs: Obs,
-    shutdown: AtomicBool,
-    forwarded_batches: AtomicU64,
-    forwarded_adverts: AtomicU64,
-}
+/// Bound on each owner connect, read and write.
+const OWNER_TIMEOUT: Duration = Duration::from_secs(5);
 
-impl FrontShared {
-    fn router(&self) -> Arc<ClusterRouter> {
-        Arc::clone(&self.router.lock().expect("router mutex not poisoned"))
-    }
-}
+/// Sub-requests per owner per round: their replies (each well under
+/// 1 KiB) stay below the [`WRITE_BACKPRESSURE_BYTES`] at which an owner
+/// stops reading, so a round is always written in full before any reply
+/// is read. An unbounded snapshot reply closes its round.
+const ROUND_SUBS: usize = WRITE_BACKPRESSURE_BYTES / 1024;
 
 /// Namespace for [`Front::bind`].
 pub struct Front;
 
 impl Front {
-    /// Binds the front and starts accepting client connections.
+    /// Binds the front and starts serving client connections.
     pub fn bind(config: FrontConfig, obs: Obs) -> std::io::Result<FrontHandle> {
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let shared = Arc::new(FrontShared {
-            router: Mutex::new(Arc::new(ClusterRouter::new(&config.map))),
-            obs,
-            shutdown: AtomicBool::new(false),
-            forwarded_batches: AtomicU64::new(0),
-            forwarded_adverts: AtomicU64::new(0),
-        });
-        let accept_shared = Arc::clone(&shared);
-        let accept = std::thread::spawn(move || accept_loop(listener, accept_shared));
-        Ok(FrontHandle {
-            addr,
-            shared,
-            accept: Some(accept),
-        })
+        let router = Arc::new(Mutex::new(Arc::new(ClusterRouter::new(&config.map))));
+        let service = FrontService {
+            router: Arc::clone(&router),
+            obs: obs.clone(),
+            owners: HashMap::new(),
+            seq: 0,
+            forwarded_batches: 0,
+            forwarded_adverts: 0,
+        };
+        let server = ServerConfig {
+            addr: config.addr,
+            ..ServerConfig::default()
+        };
+        let reactor = Server::host(server, obs, |_| Ok(service))?;
+        Ok(FrontHandle { reactor, router })
     }
 }
 
 /// Control handle for a running front. Dropping it shuts the front
 /// down.
 pub struct FrontHandle {
-    addr: SocketAddr,
-    shared: Arc<FrontShared>,
-    accept: Option<JoinHandle<()>>,
+    reactor: ReactorHandle<FrontService>,
+    router: Arc<Mutex<Arc<ClusterRouter>>>,
 }
 
 impl FrontHandle {
     /// The bound address (with the real port when `addr` asked for 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.reactor.addr()
     }
 
     /// The membership view currently routed by.
     pub fn map(&self) -> WirePartitionMap {
-        self.shared.router().to_map()
+        self.router
+            .lock()
+            .expect("router mutex not poisoned")
+            .to_map()
     }
 
-    /// Stops accepting and joins the accept loop. Connection threads
-    /// observe the flag within their read timeout and exit on their
-    /// own.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-    }
-}
-
-impl Drop for FrontHandle {
-    fn drop(&mut self) {
-        self.shutdown_inner();
+    /// Graceful shutdown, as for a node: answer every buffered complete
+    /// frame (batches get `ShuttingDown`), flush within the write-timeout
+    /// grace, join the reactor, close the owner connections.
+    pub fn shutdown(self) {
+        self.reactor.shutdown();
     }
 }
 
 impl std::fmt::Debug for FrontHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FrontHandle")
-            .field("addr", &self.addr)
-            .field("running", &self.accept.is_some())
+            .field("addr", &self.addr())
             .finish()
     }
 }
 
-/// How long a connection thread blocks per read before re-checking the
-/// shutdown flag.
-const CONN_READ_TIMEOUT: Duration = Duration::from_millis(100);
-
-/// Accept cadence while the listener has nothing pending.
-const ACCEPT_IDLE: Duration = Duration::from_millis(2);
-
-fn accept_loop(listener: TcpListener, shared: Arc<FrontShared>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                shared.obs.counter_add("front.connections_opened", 1);
-                let conn_shared = Arc::clone(&shared);
-                conns.push(std::thread::spawn(move || serve_conn(stream, conn_shared)));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_IDLE),
-            Err(_) => break,
-        }
-    }
-    for conn in conns {
-        let _ = conn.join();
-    }
+/// The front's state, owned by its reactor thread.
+struct FrontService {
+    /// Shared with the handle, which reads the current map.
+    router: Arc<Mutex<Arc<ClusterRouter>>>,
+    obs: Obs,
+    /// Cached owner connections by node id, dropped whenever a map is
+    /// installed (addresses may have moved).
+    owners: HashMap<u64, Client>,
+    /// Last `Forward` sequence number sent (echoed by its `ForwardAck`).
+    seq: u64,
+    forwarded_batches: u64,
+    forwarded_adverts: u64,
 }
 
-/// One cached downstream connection: the epoch it was dialed under plus
-/// the client. A newer epoch invalidates the whole cache — addresses
-/// may have moved.
-struct OwnerClients {
-    epoch: u64,
-    by_id: HashMap<u64, Client>,
+/// How one request's reply is built from its owners' replies.
+enum Plan {
+    /// Settled: answered without the owners, or failed.
+    Done(Frame),
+    /// A batch forwarded in per-owner buckets; the acks' summaries sum.
+    Ingest {
+        summary: IngestSummary,
+        /// The stamped context, lap start (µs) and start instant of a
+        /// traced batch's Forward lap.
+        trace: Option<(TraceCtx, u64, Instant)>,
+    },
+    /// A point query: its owner's reply, verbatim.
+    Relay,
+    Snapshot(Vec<WireEstimate>),
+    Stats(WireStats),
+    Finish(FinishSummary),
 }
 
-impl OwnerClients {
-    fn new() -> OwnerClients {
-        OwnerClients {
-            epoch: 0,
-            by_id: HashMap::new(),
-        }
-    }
-
-    /// A connected client for `entry`, dialing if needed. Crossing an
-    /// epoch drops every cached connection first.
-    fn get(&mut self, epoch: u64, entry: &NodeEntry) -> Result<&mut Client, ClientError> {
-        if self.epoch != epoch {
-            self.by_id.clear();
-            self.epoch = epoch;
-        }
-        match self.by_id.entry(entry.node_id) {
-            Entry::Occupied(cached) => Ok(cached.into_mut()),
-            Entry::Vacant(slot) => Ok(slot.insert(Client::connect(entry.addr.as_str())?)),
-        }
-    }
-
-    /// Drops a connection that just failed so the next use redials.
-    fn evict(&mut self, node_id: u64) {
-        self.by_id.remove(&node_id);
-    }
-}
-
-fn serve_conn(stream: TcpStream, shared: Arc<FrontShared>) {
-    let _ = stream.set_read_timeout(Some(CONN_READ_TIMEOUT));
-    let _ = stream.set_nodelay(true);
-    let mut stream = stream;
-    let mut assembler = FrameAssembler::new(DEFAULT_MAX_FRAME_LEN);
-    let mut owners = OwnerClients::new();
-    let mut seq: u64 = 0;
-    let mut scratch = [0u8; 64 * 1024];
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match stream.read(&mut scratch) {
-            Ok(0) => return,
-            Ok(n) => assembler.feed(&scratch[..n]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
-            Err(_) => return,
-        }
-        loop {
-            match assembler.next_frame() {
-                Ok(Some(Assembled::Frame(frame))) => {
-                    shared.obs.counter_add("front.frames_rx", 1);
-                    let reply = handle_frame(&shared, &mut owners, &mut seq, frame);
-                    if stream.write_all(&encode_frame(&reply)).is_err() {
-                        return;
-                    }
-                }
-                Ok(Some(Assembled::Skipped(e))) => {
-                    shared.obs.counter_add("front.frame_errors", 1);
-                    let reply = Frame::Error(WireError {
-                        code: ErrorCode::BadFrame,
-                        message: e.to_string(),
-                    });
-                    if stream.write_all(&encode_frame(&reply)).is_err() {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    // Framing lost: report once, close.
-                    let reply = Frame::Error(WireError {
-                        code: ErrorCode::BadFrame,
-                        message: e.to_string(),
-                    });
-                    let _ = stream.write_all(&encode_frame(&reply));
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// A typed error reply.
-fn error(code: ErrorCode, message: impl Into<String>) -> Frame {
-    Frame::Error(WireError {
-        code,
-        message: message.into(),
-    })
-}
-
-fn handle_frame(
-    shared: &FrontShared,
-    owners: &mut OwnerClients,
-    seq: &mut u64,
+/// One sub-request bound for one owner.
+struct Sub {
+    /// Index of the request (plan) it belongs to.
+    plan: usize,
+    /// The `Forward` sequence number its ack must echo (0 otherwise).
+    seq: u64,
     frame: Frame,
-) -> Frame {
-    match frame {
-        Frame::AdvertBatch(batch) => forward_batch(shared, owners, seq, None, batch),
-        Frame::TracedAdvertBatch(ctx, batch) => {
-            forward_batch(shared, owners, seq, Some(ctx), batch)
-        }
-        Frame::QuerySnapshot => fan_out_snapshot(shared, owners),
-        Frame::QueryBeacon(beacon) => {
-            let router = shared.router();
-            let Some(entry) = router.owner_of(BeaconId(beacon)) else {
-                return error(ErrorCode::Internal, "empty partition map");
-            };
-            relay(owners, router.epoch(), entry, &Frame::QueryBeacon(beacon))
-        }
-        Frame::QueryStats => fan_out_stats(shared, owners),
-        Frame::Finish => fan_out_finish(shared, owners),
-        Frame::MetricsQuery => Frame::MetricsReport(locble_net::wire::WireMetrics::from_snapshot(
-            &shared.obs.metrics(),
-        )),
-        Frame::TraceQuery(id) => Frame::TraceReport(match id {
-            None => shared.obs.traces(),
-            Some(id) => shared.obs.trace_lookup(id).into_iter().collect(),
-        }),
-        Frame::ClusterQuery => {
-            let router = shared.router();
-            Frame::ClusterReport(ClusterSummary {
-                node_id: 0,
-                role: NodeRole::Front,
-                map: router.to_map(),
-                owned_sessions: 0,
-                forwarded_batches: shared.forwarded_batches.load(Ordering::Relaxed),
-                forwarded_adverts: shared.forwarded_adverts.load(Ordering::Relaxed),
-                replicated_records: 0,
-            })
-        }
-        Frame::Join(entry) => {
-            // Admit (or re-address) the node, bump the epoch, broadcast.
-            let map = {
-                let mut router = shared.router.lock().expect("router mutex not poisoned");
-                let mut map = router.to_map();
-                match map.nodes.iter_mut().find(|n| n.node_id == entry.node_id) {
-                    Some(existing) => existing.addr = entry.addr.clone(),
-                    None => map.nodes.push(entry),
-                }
-                map.epoch += 1;
-                *router = Arc::new(ClusterRouter::new(&map));
-                map
-            };
-            shared.obs.counter_add("front.joins", 1);
-            broadcast_map(shared, &map);
-            Frame::JoinAck(map)
-        }
-        Frame::PartitionMap(map) => {
-            // The failover driver's lever: install and re-broadcast, so
-            // every listed node reconciles its role against the new
-            // view (that broadcast is what promotes a follower).
-            let installed = {
-                let mut router = shared.router.lock().expect("router mutex not poisoned");
-                if map.epoch < router.epoch() {
-                    return error(
-                        ErrorCode::BadFrame,
-                        format!(
-                            "stale partition map: epoch {} < held epoch {}",
-                            map.epoch,
-                            router.epoch()
-                        ),
-                    );
-                }
-                *router = Arc::new(ClusterRouter::new(&map));
-                router.to_map()
-            };
-            shared.obs.counter_add("front.map_installs", 1);
-            broadcast_map(shared, &installed);
-            Frame::JoinAck(installed)
-        }
-        Frame::Forward { .. } | Frame::Replicate { .. } => error(
-            ErrorCode::BadFrame,
-            "the front owns no partition; send batches as AdvertBatch",
-        ),
-        Frame::ExportState | Frame::Handoff { .. } => error(
-            ErrorCode::BadFrame,
-            "the front holds no engine state; address owners directly",
-        ),
-        Frame::IngestAck(_)
-        | Frame::TracedIngestAck(_)
-        | Frame::MetricsReport(_)
-        | Frame::TraceReport(_)
-        | Frame::Snapshot(_)
-        | Frame::BeaconReply(_)
-        | Frame::Stats(_)
-        | Frame::FinishAck(_)
-        | Frame::JoinAck(_)
-        | Frame::ForwardAck { .. }
-        | Frame::ReplicateAck { .. }
-        | Frame::ClusterReport(_)
-        | Frame::HandoffAck { .. }
-        | Frame::StateExport { .. }
-        | Frame::Error(_) => error(ErrorCode::BadFrame, "reply frame sent as a request"),
-    }
 }
 
-/// Pushes `map` to every node it lists, best-effort over fresh
-/// connections (a node being replaced is typically unreachable — that
-/// must not block the install).
-fn broadcast_map(shared: &FrontShared, map: &WirePartitionMap) {
-    for entry in &map.nodes {
-        let pushed = Client::connect(entry.addr.as_str())
-            .and_then(|mut client| client.install_map(map.clone()));
-        if pushed.is_err() {
-            shared.obs.counter_add("front.map_push_failures", 1);
+/// A run of owner-bound requests executed as one pipeline.
+struct Pipeline {
+    router: Arc<ClusterRouter>,
+    plans: Vec<Plan>,
+    /// Per owner, indexed like `router.nodes()`, in request order.
+    subs: Vec<Vec<Sub>>,
+}
+
+impl Pipeline {
+    fn new(router: Arc<ClusterRouter>) -> Pipeline {
+        let subs = router.nodes().iter().map(|_| Vec::new()).collect();
+        Pipeline {
+            router,
+            plans: Vec::new(),
+            subs,
         }
     }
 }
 
-/// Partitions one client batch and forwards every non-empty bucket to
-/// its owner, folding the acks into one summary. Any owner failure
-/// fails the whole batch with a typed error — the client retries, and
-/// per-advert accounting stays exact because owners deduplicate nothing
-/// (the resend reaches the engine as a fresh offer; out-of-order
-/// rejection absorbs true duplicates deterministically).
-fn forward_batch(
-    shared: &FrontShared,
-    owners: &mut OwnerClients,
-    seq: &mut u64,
-    ctx: Option<TraceCtx>,
-    batch: Vec<locble_net::wire::WireAdvert>,
-) -> Frame {
-    let router = shared.router();
-    let adverts = batch.len() as u64;
-    let forward_t0 = ctx.map(|c| {
+impl Service for FrontService {
+    type Output = ();
+
+    fn execute(&mut self, requests: Vec<Request>, draining: bool) -> Vec<Frame> {
+        let mut replies = Vec::with_capacity(requests.len());
+        let mut pipeline = Pipeline::new(self.router());
+        for Request { frame, .. } in requests {
+            match frame {
+                Frame::AdvertBatch(_)
+                | Frame::TracedAdvertBatch(..)
+                | Frame::QueryBeacon(_)
+                | Frame::QuerySnapshot
+                | Frame::QueryStats
+                | Frame::Finish => self.plan(&mut pipeline, frame, draining),
+                local => {
+                    // Local requests read or change state the requests
+                    // before them touch: finish those first.
+                    replies.extend(self.run(pipeline));
+                    replies.push(self.local(local));
+                    pipeline = Pipeline::new(self.router());
+                }
+            }
+        }
+        replies.extend(self.run(pipeline));
+        replies
+    }
+
+    fn finish(self) {}
+}
+
+impl FrontService {
+    fn router(&self) -> Arc<ClusterRouter> {
+        Arc::clone(&self.router.lock().expect("router mutex not poisoned"))
+    }
+
+    /// A connected client for `entry`, dialing if needed.
+    fn owner(&mut self, entry: &NodeEntry) -> Result<&mut Client, ClientError> {
+        match self.owners.entry(entry.node_id) {
+            Entry::Occupied(cached) => Ok(cached.into_mut()),
+            Entry::Vacant(slot) => Ok(slot.insert(Client::connect_with(
+                entry.addr.as_str(),
+                OWNER_TIMEOUT,
+                OWNER_TIMEOUT,
+            )?)),
+        }
+    }
+
+    /// Adds one owner-bound request to the pipeline.
+    fn plan(&mut self, p: &mut Pipeline, frame: Frame, draining: bool) {
+        let idx = p.plans.len();
+        let plan = match frame {
+            Frame::AdvertBatch(_) | Frame::TracedAdvertBatch(..) if draining => Plan::Done(
+                Frame::error(ErrorCode::ShuttingDown, "front is draining; ingest refused"),
+            ),
+            Frame::AdvertBatch(batch) => self.plan_batch(p, idx, None, batch),
+            Frame::TracedAdvertBatch(ctx, batch) => self.plan_batch(p, idx, Some(ctx), batch),
+            Frame::QueryBeacon(beacon) => match p.router.owner_index(BeaconId(beacon)) {
+                Some(owner) => {
+                    p.subs[owner].push(Sub {
+                        plan: idx,
+                        seq: 0,
+                        frame: Frame::QueryBeacon(beacon),
+                    });
+                    Plan::Relay
+                }
+                None => Plan::Done(Frame::error(ErrorCode::Internal, "empty partition map")),
+            },
+            fan_out => {
+                for subs in &mut p.subs {
+                    subs.push(Sub {
+                        plan: idx,
+                        seq: 0,
+                        frame: fan_out.clone(),
+                    });
+                }
+                match fan_out {
+                    Frame::QuerySnapshot => Plan::Snapshot(Vec::new()),
+                    Frame::QueryStats => Plan::Stats(WireStats::default()),
+                    _ => Plan::Finish(FinishSummary::default()),
+                }
+            }
+        };
+        p.plans.push(plan);
+    }
+
+    /// Splits one client batch into per-owner `Forward` buckets.
+    fn plan_batch(
+        &mut self,
+        p: &mut Pipeline,
+        idx: usize,
+        ctx: Option<TraceCtx>,
+        batch: Vec<locble_net::WireAdvert>,
+    ) -> Plan {
+        let Some(buckets) = p.router.partition(batch, |a| BeaconId(a.beacon)) else {
+            return Plan::Done(Frame::error(ErrorCode::Internal, "empty partition map"));
+        };
         // The front's trace table gets the Forward lap; the owner's
         // table gets the downstream laps under the same trace id.
-        let stamped = c.with_stage(Stage::Forward);
-        shared.obs.trace_begin(stamped);
-        (stamped, shared.obs.now_us(), Instant::now())
-    });
-    let Some(buckets) = router.partition(batch, |a| BeaconId(a.beacon)) else {
-        return error(ErrorCode::Internal, "empty partition map");
-    };
-    let mut total = IngestSummary::default();
-    for (idx, bucket) in buckets.into_iter().enumerate() {
-        if bucket.is_empty() {
-            continue;
-        }
-        let entry = &router.nodes()[idx];
-        let bucket_len = bucket.len() as u64;
-        *seq += 1;
-        let fwd_ctx = match forward_t0 {
-            Some((stamped, _, _)) => stamped,
-            None => TraceCtx {
-                trace_id: 0,
-                path: 0,
-            },
-        };
-        let forwarded = owners
-            .get(router.epoch(), entry)
-            .and_then(|client| client.forward(*seq, fwd_ctx, bucket));
-        match forwarded {
-            Ok((summary, _replica_durable)) => {
-                total.absorb(summary);
-                shared.forwarded_batches.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .forwarded_adverts
-                    .fetch_add(bucket_len, Ordering::Relaxed);
+        let trace = ctx.map(|c| {
+            let stamped = c.with_stage(Stage::Forward);
+            self.obs.trace_begin(stamped);
+            (stamped, self.obs.now_us(), Instant::now())
+        });
+        let fwd_ctx = trace.map_or(TraceCtx::default(), |(stamped, _, _)| stamped);
+        for (owner, bucket) in buckets.into_iter().enumerate() {
+            if bucket.is_empty() {
+                continue;
             }
-            Err(e) => {
-                owners.evict(entry.node_id);
-                shared.obs.counter_add("front.forward_failures", 1);
-                return error(
-                    ErrorCode::Internal,
-                    format!(
-                        "forward to node {} ({}) failed: {e}",
-                        entry.node_id, entry.addr
-                    ),
-                );
+            self.seq += 1;
+            p.subs[owner].push(Sub {
+                plan: idx,
+                seq: self.seq,
+                frame: Frame::Forward {
+                    seq: self.seq,
+                    ctx: fwd_ctx,
+                    adverts: bucket,
+                },
+            });
+        }
+        Plan::Ingest {
+            summary: IngestSummary::default(),
+            trace,
+        }
+    }
+
+    /// Executes a pipeline: per round, write every owner's next
+    /// sub-requests, then read and fold their replies.
+    fn run(&mut self, p: Pipeline) -> Vec<Frame> {
+        let Pipeline {
+            router,
+            mut plans,
+            subs,
+        } = p;
+        let mut next = vec![0; subs.len()];
+        let mut failed = vec![false; subs.len()];
+        loop {
+            let mut sent = Vec::with_capacity(subs.len());
+            for (owner, queue) in subs.iter().enumerate() {
+                let start = next[owner];
+                if failed[owner] || start == queue.len() {
+                    sent.push(start..start);
+                    continue;
+                }
+                let end = round_end(queue, start);
+                let mut bytes = Vec::new();
+                for sub in &queue[start..end] {
+                    bytes.extend_from_slice(&encode_frame(&sub.frame));
+                }
+                let entry = &router.nodes()[owner];
+                let written = self.owner(entry).and_then(|client| client.send_raw(&bytes));
+                if let Err(e) = written {
+                    self.fail_owner(entry, queue, &mut plans, e);
+                    failed[owner] = true;
+                }
+                next[owner] = end;
+                sent.push(start..end);
+            }
+            if sent.iter().all(|r| r.is_empty()) {
+                break;
+            }
+            for (owner, range) in sent.into_iter().enumerate() {
+                let entry = &router.nodes()[owner];
+                for sub in &subs[owner][range] {
+                    if failed[owner] {
+                        break;
+                    }
+                    let folded = self
+                        .owner(entry)
+                        .and_then(|client| client.read_frame())
+                        .and_then(|reply| self.fold(&mut plans[sub.plan], sub.seq, reply));
+                    if let Err(e) = folded {
+                        self.fail_owner(entry, &subs[owner], &mut plans, e);
+                        failed[owner] = true;
+                    }
+                }
             }
         }
+        plans.into_iter().map(|plan| self.reply(plan)).collect()
     }
-    shared.obs.counter_add("front.adverts_forwarded", adverts);
-    match forward_t0 {
-        Some((stamped, start_us, t0)) => {
-            shared.obs.trace_stage(
-                stamped.trace_id,
-                Stage::Forward,
-                start_us,
-                t0.elapsed().as_micros() as u64,
-            );
-            let (ctx, laps) = match shared.obs.trace_lookup(stamped.trace_id) {
-                Some(record) => (record.ctx, record.laps),
-                None => (stamped, Vec::new()),
-            };
-            Frame::TracedIngestAck(locble_net::wire::TracedAck {
-                summary: total,
-                ctx,
-                laps,
-            })
-        }
-        None => Frame::IngestAck(total),
-    }
-}
 
-/// Sends one request frame to `entry` and relays the reply verbatim
-/// (bit-exact: the front never re-encodes estimate floats, it just
-/// re-frames them).
-fn relay(owners: &mut OwnerClients, epoch: u64, entry: &NodeEntry, request: &Frame) -> Frame {
-    let exchanged = owners.get(epoch, entry).and_then(|client| {
-        client.send_frame(request)?;
-        client.read_frame()
-    });
-    match exchanged {
-        Ok(reply) => reply,
-        Err(e) => {
-            owners.evict(entry.node_id);
-            error(
-                ErrorCode::Internal,
-                format!(
-                    "query to node {} ({}) failed: {e}",
-                    entry.node_id, entry.addr
-                ),
-            )
+    /// Fails every request with a part on `entry` and drops its
+    /// connection so the next use redials.
+    fn fail_owner(&mut self, entry: &NodeEntry, queue: &[Sub], plans: &mut [Plan], e: ClientError) {
+        self.owners.remove(&entry.node_id);
+        self.obs.counter_add("front.forward_failures", 1);
+        let message = format!("owner node {} ({}) failed: {e}", entry.node_id, entry.addr);
+        for sub in queue {
+            plans[sub.plan] = Plan::Done(Frame::error(ErrorCode::Internal, message.clone()));
         }
     }
-}
 
-fn fan_out_snapshot(shared: &FrontShared, owners: &mut OwnerClients) -> Frame {
-    let router = shared.router();
-    let mut merged: Vec<locble_net::wire::WireEstimate> = Vec::new();
-    for entry in router.nodes() {
-        match relay(owners, router.epoch(), entry, &Frame::QuerySnapshot) {
-            Frame::Snapshot(estimates) => merged.extend(estimates),
-            err @ Frame::Error(_) => return err,
-            _ => return error(ErrorCode::Internal, "unexpected snapshot reply"),
-        }
-    }
-    // Owners return ascending beacon ids and partitions are disjoint,
-    // so a sort by beacon restores the global order a single node would
-    // have served.
-    merged.sort_by_key(|e| e.beacon);
-    Frame::Snapshot(merged)
-}
-
-fn fan_out_stats(shared: &FrontShared, owners: &mut OwnerClients) -> Frame {
-    let router = shared.router();
-    let mut total = WireStats::default();
-    for entry in router.nodes() {
-        match relay(owners, router.epoch(), entry, &Frame::QueryStats) {
-            Frame::Stats(s) => {
+    /// Folds one owner reply into its request's plan. An `Err` means the
+    /// owner's reply stream is out of step: an owner failure.
+    fn fold(&mut self, plan: &mut Plan, seq: u64, reply: Frame) -> Result<(), ClientError> {
+        match (&mut *plan, reply) {
+            // Already settled: the reply only keeps the stream aligned.
+            (Plan::Done(_), _) => {}
+            (_, Frame::Error(e)) => *plan = Plan::Done(Frame::Error(e)),
+            (Plan::Relay, reply) => *plan = Plan::Done(reply),
+            (
+                Plan::Ingest { summary, .. },
+                Frame::ForwardAck {
+                    seq: echoed,
+                    summary: part,
+                    ..
+                },
+            ) => {
+                if echoed != seq {
+                    return Err(ClientError::UnexpectedFrame("ForwardAck seq echo"));
+                }
+                summary.absorb(part);
+                self.forwarded_batches += 1;
+                self.forwarded_adverts += part.consumed;
+            }
+            (Plan::Snapshot(all), Frame::Snapshot(part)) => all.extend(part),
+            (Plan::Stats(total), Frame::Stats(s)) => {
                 total.samples_routed += s.samples_routed;
                 total.samples_rejected += s.samples_rejected;
                 total.samples_processed += s.samples_processed;
@@ -536,28 +418,138 @@ fn fan_out_stats(shared: &FrontShared, owners: &mut OwnerClients) -> Frame {
                 total.processes += s.processes;
                 total.queued += s.queued;
             }
-            err @ Frame::Error(_) => return err,
-            _ => return error(ErrorCode::Internal, "unexpected stats reply"),
-        }
-    }
-    Frame::Stats(total)
-}
-
-fn fan_out_finish(shared: &FrontShared, owners: &mut OwnerClients) -> Frame {
-    let router = shared.router();
-    let mut total = FinishSummary {
-        samples_processed: 0,
-        batches_pushed: 0,
-    };
-    for entry in router.nodes() {
-        match relay(owners, router.epoch(), entry, &Frame::Finish) {
-            Frame::FinishAck(s) => {
+            (Plan::Finish(total), Frame::FinishAck(s)) => {
                 total.samples_processed += s.samples_processed;
                 total.batches_pushed += s.batches_pushed;
             }
-            err @ Frame::Error(_) => return err,
-            _ => return error(ErrorCode::Internal, "unexpected finish reply"),
+            _ => return Err(ClientError::UnexpectedFrame("a reply matching the request")),
+        }
+        Ok(())
+    }
+
+    /// The client reply a settled plan stands for.
+    fn reply(&mut self, plan: Plan) -> Frame {
+        match plan {
+            Plan::Done(reply) => reply,
+            Plan::Relay => Frame::error(ErrorCode::Internal, "owner sent no reply"),
+            Plan::Ingest { summary, trace } => {
+                self.obs
+                    .counter_add("front.adverts_forwarded", summary.consumed);
+                let Some((stamped, start_us, t0)) = trace else {
+                    return Frame::IngestAck(summary);
+                };
+                self.obs.trace_stage(
+                    stamped.trace_id,
+                    Stage::Forward,
+                    start_us,
+                    t0.elapsed().as_micros() as u64,
+                );
+                let (ctx, laps) = match self.obs.trace_lookup(stamped.trace_id) {
+                    Some(record) => (record.ctx, record.laps),
+                    None => (stamped, Vec::new()),
+                };
+                Frame::TracedIngestAck(TracedAck { summary, ctx, laps })
+            }
+            // Owners return ascending beacon ids and partitions are
+            // disjoint, so a sort by beacon restores the global order a
+            // single node would have served.
+            Plan::Snapshot(mut merged) => {
+                merged.sort_by_key(|e| e.beacon);
+                Frame::Snapshot(merged)
+            }
+            Plan::Stats(total) => Frame::Stats(total),
+            Plan::Finish(total) => Frame::FinishAck(total),
         }
     }
-    Frame::FinishAck(total)
+
+    /// Answers a request the front serves itself.
+    fn local(&mut self, frame: Frame) -> Frame {
+        match frame {
+            Frame::MetricsQuery => {
+                Frame::MetricsReport(WireMetrics::from_snapshot(&self.obs.metrics()))
+            }
+            Frame::TraceQuery(id) => Frame::TraceReport(match id {
+                None => self.obs.traces(),
+                Some(id) => self.obs.trace_lookup(id).into_iter().collect(),
+            }),
+            Frame::ClusterQuery => Frame::ClusterReport(ClusterSummary {
+                node_id: 0,
+                role: NodeRole::Front,
+                map: self.router().to_map(),
+                owned_sessions: 0,
+                forwarded_batches: self.forwarded_batches,
+                forwarded_adverts: self.forwarded_adverts,
+                replicated_records: 0,
+            }),
+            Frame::Join(entry) => {
+                // Admit (or re-address) the node, bump the epoch,
+                // broadcast.
+                let mut map = self.router().to_map();
+                match map.nodes.iter_mut().find(|n| n.node_id == entry.node_id) {
+                    Some(existing) => existing.addr = entry.addr,
+                    None => map.nodes.push(entry),
+                }
+                map.epoch += 1;
+                self.install(&map);
+                self.obs.counter_add("front.joins", 1);
+                Frame::JoinAck(map)
+            }
+            Frame::PartitionMap(map) => {
+                // The failover driver's lever: install and re-broadcast,
+                // so every listed node reconciles its role against the
+                // new view (that broadcast is what promotes a follower).
+                let held = self.router().epoch();
+                if map.epoch < held {
+                    return Frame::error(
+                        ErrorCode::BadFrame,
+                        format!(
+                            "stale partition map: epoch {} < held epoch {held}",
+                            map.epoch
+                        ),
+                    );
+                }
+                let installed = self.install(&map);
+                self.obs.counter_add("front.map_installs", 1);
+                Frame::JoinAck(installed)
+            }
+            Frame::Forward { .. } | Frame::Replicate { .. } => Frame::error(
+                ErrorCode::BadFrame,
+                "the front owns no partition; send batches as AdvertBatch",
+            ),
+            Frame::ExportState | Frame::Handoff { .. } => Frame::error(
+                ErrorCode::BadFrame,
+                "the front holds no engine state; address owners directly",
+            ),
+            other => unreachable!("owner-bound or reply frame answered locally: {other:?}"),
+        }
+    }
+
+    /// Routes by `map` from now on and pushes it to every node it
+    /// lists, best-effort over fresh connections (a node being replaced
+    /// is typically unreachable — that must not block the install).
+    /// Returns the installed map.
+    fn install(&mut self, map: &WirePartitionMap) -> WirePartitionMap {
+        let router = ClusterRouter::new(map);
+        let installed = router.to_map();
+        *self.router.lock().expect("router mutex not poisoned") = Arc::new(router);
+        self.owners.clear();
+        for entry in &installed.nodes {
+            let pushed = Client::connect_with(entry.addr.as_str(), OWNER_TIMEOUT, OWNER_TIMEOUT)
+                .and_then(|mut client| client.install_map(installed.clone()));
+            if pushed.is_err() {
+                self.obs.counter_add("front.map_push_failures", 1);
+            }
+        }
+        installed
+    }
+}
+
+/// Where one owner's round starting at `start` ends: after
+/// [`ROUND_SUBS`] sub-requests, or right after a snapshot query.
+fn round_end(queue: &[Sub], start: usize) -> usize {
+    let end = (start + ROUND_SUBS).min(queue.len());
+    queue[start..end]
+        .iter()
+        .position(|sub| matches!(sub.frame, Frame::QuerySnapshot))
+        .map_or(end, |i| start + i + 1)
 }

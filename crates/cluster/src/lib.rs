@@ -8,10 +8,10 @@
 //!   ids. Ownership is a pure function of `(beacon, node-id set)`:
 //!   address-free, order-free, minimally disrupted by membership
 //!   change.
-//! - [`Front`] — a proxy clients talk to as if it were a standalone
-//!   server. It partitions each `AdvertBatch` with the router,
-//!   forwards the buckets to their owners, folds the acks, and fans
-//!   queries out (snapshots merge in beacon order, stats sum).
+//! - [`Front`] — a proxy on the `locble-net` reactor that clients use
+//!   like a standalone server. Each tick it partitions every batch with
+//!   the router, pipelines buckets and fanned-out queries to the owners,
+//!   and folds the replies (snapshots merge in beacon order, stats sum).
 //! - [`NodeSpec`] / [`serve_node`] — owner/follower bring-up: a
 //!   durable reactor server with a cluster attachment. Owners stream
 //!   their WAL to a follower ([`locble_store::WalTailer`] is the
@@ -35,7 +35,6 @@ mod router;
 
 pub use front::{Front, FrontConfig, FrontHandle};
 pub use node::{
-    format_map, parse_map, router_of, serve_node, serve_node_from_env, spec_from_env, spec_to_env,
-    NodeSpec,
+    format_map, parse_map, serve_node, serve_node_from_env, spec_from_env, spec_to_env, NodeSpec,
 };
 pub use router::ClusterRouter;

@@ -16,7 +16,6 @@
 //! binary, reads its spec from `LOCBLE_NODE_*`, binds, prints
 //! `listen <addr>` on stdout, and parks.
 
-use crate::router::ClusterRouter;
 use locble_core::{Estimator, EstimatorConfig};
 use locble_engine::EngineConfig;
 use locble_net::wire::{NodeEntry, NodeRole, WirePartitionMap};
@@ -59,10 +58,7 @@ impl NodeSpec {
         NodeSpec {
             node_id,
             role: NodeRole::Owner,
-            map: WirePartitionMap {
-                epoch: 0,
-                nodes: Vec::new(),
-            },
+            map: WirePartitionMap::default(),
             replica_addr: None,
             sync_replication: false,
             dir: dir.into(),
@@ -228,12 +224,6 @@ pub fn serve_node_from_env() -> Result<(), String> {
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
     }
-}
-
-/// Convenience for tools: the router over a spec's map (what this node
-/// believes the ownership is).
-pub fn router_of(spec: &NodeSpec) -> ClusterRouter {
-    ClusterRouter::new(&spec.map)
 }
 
 #[cfg(test)]

@@ -70,13 +70,21 @@ impl Client {
         Client::connect_with(addr, Duration::from_secs(5), Duration::from_secs(5))
     }
 
-    /// Connects with explicit timeouts.
+    /// Connects with explicit timeouts; the connect itself is bounded
+    /// by `write_timeout` (per resolved address).
     pub fn connect_with(
         addr: impl ToSocketAddrs,
         read_timeout: Duration,
         write_timeout: Duration,
     ) -> Result<Client, ClientError> {
-        let stream = TcpStream::connect(addr)?;
+        let mut stream = Err(std::io::ErrorKind::InvalidInput.into());
+        for addr in addr.to_socket_addrs()? {
+            stream = TcpStream::connect_timeout(&addr, write_timeout);
+            if stream.is_ok() {
+                break;
+            }
+        }
+        let stream = stream?;
         stream.set_read_timeout(Some(read_timeout))?;
         stream.set_write_timeout(Some(write_timeout))?;
         stream.set_nodelay(true)?;

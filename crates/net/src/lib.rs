@@ -18,24 +18,21 @@
 //!   [`FrameAssembler`] carries partial frames across readiness
 //!   events (any byte-boundary split decodes identically to one
 //!   contiguous feed), and a timer wheel drives slow-loris deadlines.
-//! * [`server`] — a single-threaded epoll reactor owning an
-//!   [`Engine`](locble_engine::Engine): nonblocking connections at 10k
-//!   scale, slow-loris timeouts via the timer wheel, typed error
-//!   replies for malformed frames, exact per-batch ingest accounting,
-//!   cross-connection ingest coalescing (one engine pass per tick
-//!   drains every client's queued batches), and an ordered graceful
-//!   shutdown that drains every queued shard before returning the
-//!   engine. (The original thread-per-connection server this reactor
-//!   replaced lives only in git history; the wire semantics are
-//!   unchanged and its whole test wall runs against the reactor.)
-//!   [`Server::bind_durable`] attaches a `locble-store`
-//!   [`SessionStore`](locble_store::SessionStore): every offered batch
-//!   is WAL-logged before ingest and snapshots are written on a record
-//!   cadence and at shutdown, so a crashed server recovers
+//! * [`server`] — the single-threaded epoll reactor, the one serving
+//!   model: nonblocking connections at 10k scale, slow-loris timeouts,
+//!   typed error replies, per-tick request coalescing, write
+//!   backpressure and an ordered graceful shutdown. A tick executes a
+//!   [`server::Service`]: [`Server::bind`] hosts a node owning an
+//!   [`Engine`](locble_engine::Engine) (exact per-batch accounting, one
+//!   engine pass per tick, every queued shard drained before shutdown
+//!   returns the engine); `locble-cluster` hosts its front through
+//!   [`Server::host`]. [`Server::bind_durable`] WAL-logs every offered
+//!   batch before ingest through a `locble-store`
+//!   [`SessionStore`](locble_store::SessionStore) and checkpoints on a
+//!   record cadence and at shutdown, so a crashed server recovers
 //!   bit-identically.
-//! * [`client`] — a blocking request/reply client used by the loadgen
-//!   binary, the bench harness's `serve` experiment, and the loopback
-//!   differential suite.
+//! * [`client`] — the blocking request/reply client (front, replication,
+//!   tools, tests).
 //!
 //! ```no_run
 //! use locble_core::{Estimator, EstimatorConfig};

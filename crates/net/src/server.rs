@@ -1,45 +1,42 @@
 //! The TCP ingest/query server — a single-threaded epoll reactor.
 //!
-//! One [`Server::bind`] call owns an [`Engine`] behind a mutex and
-//! serves the wire protocol to any number of connections from one
-//! readiness-driven event loop (no thread per connection):
+//! One readiness-driven event loop serves the wire protocol to any
+//! number of connections (no thread per connection). What it executes
+//! each tick is a [`Service`]: [`Server::bind`] hosts a node owning an
+//! [`Engine`]; `locble-cluster` hosts its front via [`Server::host`].
 //!
 //! * every connection is nonblocking; a [`crate::conn::FrameAssembler`]
 //!   carries partial frames across readiness events, and a *partial*
 //!   frame that stalls longer than the read timeout closes the
 //!   connection via the timer wheel (slow-loris defence), while an idle
 //!   connection between frames may wait indefinitely;
-//! * recoverable decode errors (bad tag, bad version, malformed body)
-//!   are answered with a typed [`Frame::Error`] and the connection
-//!   stays usable — only a lost framing (oversized length prefix) or a
+//! * recoverable decode errors and reply frames sent as requests are
+//!   answered with a typed [`Frame::Error`] and the connection stays
+//!   usable — only a lost framing (oversized length prefix) or a
 //!   transport error closes it;
-//! * requests decoded during a tick are *coalesced*: the reactor locks
-//!   the engine once at tick end, executes every connection's queued
-//!   requests in arrival order, then runs a single `Engine::process`
-//!   pass that drains what all of them enqueued — one engine pass
-//!   serves many clients;
-//! * engine admission outcomes are mapped to typed frames: per-advert
-//!   `AdmitError` rejections travel as exact counts in the
-//!   [`Frame::IngestAck`], and shard-queue `Backpressure` is drained
-//!   in-line by interleaving `Engine::process` (never by dropping the
-//!   connection);
-//! * replies queue into per-connection write buffers, written once per
-//!   connection per tick (before the coalesced pass) and flushed on
-//!   write readiness; a peer that never reads its acks trips write
-//!   backpressure, which pauses *reading* from that peer until the
-//!   buffer drains — the event loop itself never blocks;
-//! * [`ServerHandle::shutdown`] is graceful and ordered: stop
-//!   accepting, execute + ack every complete frame connections have
-//!   buffered (ingest is refused with `ShuttingDown`), flush within the
-//!   write-timeout grace, join the reactor, then drain every queued
-//!   shard before handing the [`Engine`] back to the caller.
+//! * requests decoded during a tick are *coalesced*: at tick end the
+//!   service executes every connection's requests in arrival order in
+//!   one call — a node ingests them all, then one `Engine::process`
+//!   pass drains what all of them enqueued;
+//! * per-advert `AdmitError` rejections travel as exact counts in the
+//!   [`Frame::IngestAck`]; shard-queue `Backpressure` is drained in-line
+//!   by interleaving `Engine::process`, never by dropping a connection;
+//! * replies are written once per connection per tick (before the
+//!   node's coalesced pass) and flushed on write readiness; a peer that
+//!   never reads its acks pauses *reading* from that peer until its
+//!   buffer drains — the event loop never blocks on a client;
+//! * shutdown is graceful and ordered: stop accepting, execute + ack
+//!   every complete buffered frame (ingest is refused with
+//!   `ShuttingDown`), flush within the write-timeout grace, join the
+//!   reactor; a node then drains every queued shard before
+//!   [`ReactorHandle::shutdown`] hands the [`Engine`] back.
 
 use crate::client::{Client, ClientError};
 use crate::conn::{Assembled, Conn, Flush, TimerWheel, WRITE_BACKPRESSURE_BYTES};
 use crate::poll::{Event, Interest, Poller};
 use crate::wire::{
     encode_frame, ClusterSummary, DecodeError, ErrorCode, FinishSummary, Frame, IngestSummary,
-    NodeRole, TracedAck, WireError, WireEstimate, WireMetrics, WirePartitionMap, WireStats,
+    NodeRole, TracedAck, WireEstimate, WireMetrics, WirePartitionMap, WireStats,
     DEFAULT_MAX_FRAME_LEN,
 };
 use locble_ble::BeaconId;
@@ -52,7 +49,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::os::unix::io::AsRawFd;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -60,7 +57,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Address to bind; port 0 picks a free one (see
-    /// [`ServerHandle::addr`]).
+    /// [`ReactorHandle::addr`]).
     pub addr: String,
     /// How long a *partial* frame may stall before the connection is
     /// closed. Also sets the timer wheel's granularity (1/32 of this).
@@ -127,7 +124,7 @@ pub struct ClusterConfig {
     /// owner's id, which is what keeps the partition assignment fixed.
     pub node_id: u64,
     /// Role at startup ([`NodeRole::Owner`] or [`NodeRole::Follower`];
-    /// the front role lives in `locble-cluster`, not in this reactor).
+    /// the front is a separate service in `locble-cluster`).
     pub role: NodeRole,
     /// Initial membership view.
     pub map: WirePartitionMap,
@@ -232,17 +229,51 @@ struct DurableStore {
     last_checkpoint: u64,
 }
 
+/// One request a tick executes.
+#[derive(Debug)]
+pub struct Request {
+    /// The decoded request frame (never a reply frame).
+    pub frame: Frame,
+    /// For a traced batch, when its decode finished (`Obs::now_us`):
+    /// the start of its coalesce lap. 0 otherwise.
+    pub decoded_us: u64,
+}
+
+/// What a reactor executes each tick — the one part that differs
+/// between a node and a cluster front. Accept, framing, timers, write
+/// backpressure, ordered shutdown and flight-recorder triggers belong
+/// to the reactor.
+pub trait Service: Send + 'static {
+    /// What the service hands back once the reactor has shut down.
+    type Output;
+
+    /// Executes one tick's requests (each connection's in arrival
+    /// order, connection after connection) and returns one reply per
+    /// request, in order. Once `draining`, ingest must be refused with
+    /// `ShuttingDown`.
+    fn execute(&mut self, requests: Vec<Request>, draining: bool) -> Vec<Frame>;
+
+    /// Runs after the tick's replies are written (a node's coalesced
+    /// engine pass).
+    fn settle(&mut self) {}
+
+    /// Runs once the reactor has joined; [`ReactorHandle::shutdown`]
+    /// returns the result.
+    fn finish(self) -> Self::Output;
+}
+
+/// A node ([`Server::bind`]): the engine plus its optional durability
+/// and cluster attachments, owned by the reactor thread — no locks, and
+/// WAL order equals offer order because requests execute one at a time.
+pub struct NodeService {
+    engine: Engine,
+    store: Option<DurableStore>,
+    cluster: Option<ClusterState>,
+    obs: Obs,
+}
+
 /// State shared by the reactor thread and the control handle.
 struct Shared {
-    engine: Mutex<Engine>,
-    /// Lock ordering: always `engine` first, then `store` — WAL order
-    /// must equal offer order, and both are serialized by the engine
-    /// lock.
-    store: Option<Mutex<DurableStore>>,
-    /// Cluster attachment; locked after `engine` (and never while
-    /// `store` is held — the replication stream reads the WAL *file*,
-    /// not the store).
-    cluster: Option<Mutex<ClusterState>>,
     obs: Obs,
     config: ServerConfig,
     shutdown: AtomicBool,
@@ -323,7 +354,7 @@ impl Server {
     }
 
     /// [`Server::bind`] with crash-safe durability attached: every
-    /// offered advert batch is WAL-logged (under the engine lock,
+    /// offered advert batch is WAL-logged (on the reactor thread,
     /// *before* ingest) through `store`, a snapshot is taken every
     /// `checkpoint_every` WAL records (0 = shutdown only), and shutdown
     /// writes a final checkpoint after the drain. Recover the session
@@ -342,18 +373,7 @@ impl Server {
         config: ServerConfig,
         obs: Obs,
     ) -> std::io::Result<ServerHandle> {
-        let last_checkpoint = store.wal_records();
-        Server::bind_inner(
-            engine,
-            Some(DurableStore {
-                store,
-                checkpoint_every,
-                last_checkpoint,
-            }),
-            None,
-            config,
-            obs,
-        )
+        Server::bind_inner(engine, Some((store, checkpoint_every)), None, config, obs)
     }
 
     /// [`Server::bind_durable`] with a cluster attachment: the node
@@ -379,14 +399,9 @@ impl Server {
         cluster: ClusterConfig,
         obs: Obs,
     ) -> std::io::Result<ServerHandle> {
-        let last_checkpoint = store.wal_records();
         Server::bind_inner(
             engine,
-            Some(DurableStore {
-                store,
-                checkpoint_every,
-                last_checkpoint,
-            }),
+            Some((store, checkpoint_every)),
             Some(cluster),
             config,
             obs,
@@ -395,40 +410,66 @@ impl Server {
 
     fn bind_inner(
         engine: Engine,
-        store: Option<DurableStore>,
+        store: Option<(SessionStore, u64)>,
         cluster: Option<ClusterConfig>,
         config: ServerConfig,
         obs: Obs,
     ) -> std::io::Result<ServerHandle> {
+        let store = store.map(|(store, checkpoint_every)| DurableStore {
+            last_checkpoint: store.wal_records(),
+            store,
+            checkpoint_every,
+        });
+        let node_obs = obs.clone();
+        Server::host(config, obs, move |addr| {
+            let cluster = match cluster {
+                None => None,
+                Some(cfg) => {
+                    let link = match (&cfg.replica_addr, &store) {
+                        (Some(replica), Some(durable)) => {
+                            let wal_path = durable.store.dir().join(WAL_FILE);
+                            Some(ReplicaLink::attach(replica, &wal_path)?)
+                        }
+                        (Some(_), None) => {
+                            return Err(std::io::Error::other(
+                                "a replica link requires a durability store \
+                                 (the WAL is the replication stream)",
+                            ));
+                        }
+                        (None, _) => None,
+                    };
+                    Some(ClusterState {
+                        node_id: cfg.node_id,
+                        role: cfg.role,
+                        map: cfg.map,
+                        listen_addr: addr.to_string(),
+                        replication: cfg.replication,
+                        link,
+                    })
+                }
+            };
+            Ok(NodeService {
+                engine,
+                store,
+                cluster,
+                obs: node_obs,
+            })
+        })
+    }
+
+    /// Binds a listener on `config.addr` and starts a reactor executing
+    /// the service `make` builds from the bound address. Connection and
+    /// frame counters (`net.*`) and the flight-recorder triggers go
+    /// through `obs`.
+    pub fn host<S: Service>(
+        config: ServerConfig,
+        obs: Obs,
+        make: impl FnOnce(SocketAddr) -> std::io::Result<S>,
+    ) -> std::io::Result<ReactorHandle<S>> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let cluster = match cluster {
-            None => None,
-            Some(cfg) => {
-                let link = match (&cfg.replica_addr, &store) {
-                    (Some(replica), Some(durable)) => {
-                        let wal_path = durable.store.dir().join(WAL_FILE);
-                        Some(ReplicaLink::attach(replica, &wal_path)?)
-                    }
-                    (Some(_), None) => {
-                        return Err(std::io::Error::other(
-                            "a replica link requires a durability store \
-                             (the WAL is the replication stream)",
-                        ));
-                    }
-                    (None, _) => None,
-                };
-                Some(ClusterState {
-                    node_id: cfg.node_id,
-                    role: cfg.role,
-                    map: cfg.map,
-                    listen_addr: addr.to_string(),
-                    replication: cfg.replication,
-                    link,
-                })
-            }
-        };
+        let service = make(addr)?;
         if config.dump_on_sigterm && config.flight_dump_path.is_some() {
             install_sigterm_handler();
         }
@@ -443,95 +484,75 @@ impl Server {
             }
         }
         let shared = Arc::new(Shared {
-            engine: Mutex::new(engine),
-            store: store.map(Mutex::new),
-            cluster: cluster.map(Mutex::new),
-            obs: obs.clone(),
+            obs,
             config,
             shutdown: AtomicBool::new(false),
             decode_errors: AtomicU64::new(0),
             dumped: AtomicBool::new(false),
         });
         let reactor_shared = Arc::clone(&shared);
-        let reactor = std::thread::spawn(move || reactor_loop(listener, reactor_shared));
-        Ok(ServerHandle {
+        let reactor = std::thread::spawn(move || reactor_loop(listener, reactor_shared, service));
+        Ok(ReactorHandle {
             addr,
-            obs,
-            inner: Some(HandleInner { shared, reactor }),
+            shared,
+            reactor: Some(reactor),
         })
     }
 }
 
-/// Control handle for a running server. Dropping it without calling
-/// [`ServerHandle::shutdown`] still shuts the server down (the drained
-/// engine is discarded).
-pub struct ServerHandle {
+/// Control handle for a running reactor. Dropping it without calling
+/// [`ReactorHandle::shutdown`] still shuts the reactor down (the
+/// service's output is discarded).
+pub struct ReactorHandle<S: Service> {
     addr: SocketAddr,
-    obs: Obs,
-    inner: Option<HandleInner>,
-}
-
-struct HandleInner {
     shared: Arc<Shared>,
-    reactor: JoinHandle<()>,
+    reactor: Option<JoinHandle<S>>,
 }
 
-impl ServerHandle {
+/// Control handle for a running node; [`ReactorHandle::shutdown`]
+/// returns its drained [`Engine`].
+pub type ServerHandle = ReactorHandle<NodeService>;
+
+impl<S: Service> ReactorHandle<S> {
     /// The bound address (with the real port when `addr` asked for 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// The server's observability handle.
+    /// The reactor's observability handle.
     pub fn obs(&self) -> &Obs {
-        &self.obs
+        &self.shared.obs
     }
 
     /// Graceful shutdown. Ordering guarantee: (1) stop accepting, (2)
     /// every connection's buffered complete frames are executed and
-    /// acked, (3) the reactor joins, (4) every still-queued shard
-    /// sample is processed — only then is the engine returned, so
-    /// nothing a client was ever acked for is lost.
-    pub fn shutdown(mut self) -> Engine {
-        self.shutdown_inner()
-            .expect("shutdown consumes the handle; inner state is present")
+    /// acked, (3) the reactor joins, (4) the service finishes — a node
+    /// processes every still-queued shard sample before its engine is
+    /// returned, so nothing a client was ever acked for is lost.
+    pub fn shutdown(mut self) -> S::Output {
+        self.stop().expect("the reactor thread exited cleanly")
     }
 
-    fn shutdown_inner(&mut self) -> Option<Engine> {
-        let inner = self.inner.take()?;
-        inner.shared.shutdown.store(true, Ordering::SeqCst);
-        let _ = inner.reactor.join();
-        let shared = Arc::try_unwrap(inner.shared)
-            .ok()
-            .expect("the reactor joined; no other handle owners remain");
-        let mut engine = shared
-            .engine
-            .into_inner()
-            .expect("engine mutex not poisoned");
-        engine.drain();
-        if let Some(store) = shared.store {
-            // Final checkpoint: the snapshot captures the fully drained
-            // state, so a restart recovers without replaying anything.
-            let mut durable = store.into_inner().expect("store mutex not poisoned");
-            if durable.store.checkpoint(&engine).is_err() {
-                self.obs.counter_add("net.checkpoint_failures", 1);
-            }
-        }
-        Some(engine)
+    /// `None` once stopped, or when the reactor thread panicked (so
+    /// `Drop` never panics).
+    fn stop(&mut self) -> Option<S::Output> {
+        let reactor = self.reactor.take()?;
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        reactor.join().ok().map(Service::finish)
     }
 }
 
-impl Drop for ServerHandle {
+impl<S: Service> Drop for ReactorHandle<S> {
     fn drop(&mut self) {
-        let _ = self.shutdown_inner();
+        let _ = self.stop();
     }
 }
 
-impl std::fmt::Debug for ServerHandle {
+impl<S: Service> std::fmt::Debug for ReactorHandle<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServerHandle")
+        f.debug_struct("ReactorHandle")
             .field("addr", &self.addr)
-            .field("running", &self.inner.is_some())
+            .field("running", &self.reactor.is_some())
             .finish()
     }
 }
@@ -539,41 +560,34 @@ impl std::fmt::Debug for ServerHandle {
 /// The listener's registration token; connections use their slab index.
 const LISTENER_TOKEN: u64 = u64::MAX;
 
-/// Epoll wait bound per tick, so the shutdown/SIGTERM flags and timer
-/// deadlines are polled on the same cadence the old accept loop used.
+/// Epoll wait bound per tick: the cadence at which the shutdown/SIGTERM
+/// flags and timer deadlines are polled.
 const TICK_MS: i32 = 2;
 
 /// Timer wheel slots: with granularity `read_timeout / 32` the horizon
 /// is two read timeouts, so a freshly armed deadline always fits.
 const WHEEL_SLOTS: usize = 64;
 
-/// One unit of work queued on a connection between its readiness event
-/// and the tick-end engine pass.
-enum Op {
-    /// A decoded request awaiting execution. `decoded_us` is nonzero
-    /// for traced batches: when decode finished, the start of the
-    /// coalesce lap.
-    Request { frame: Frame, decoded_us: u64 },
-    /// A preformed reply (recoverable decode error) that skips the
-    /// engine.
-    Reply(Frame),
-}
-
 /// One slab entry: the connection plus the reactor's per-tick state.
 struct Slot {
     conn: Conn,
-    /// Work decoded this tick, executed in arrival order at tick end.
-    ops: VecDeque<Op>,
+    /// This tick's replies in arrival order: a preformed reply (a
+    /// decode error or a misdirected reply frame), or `None` for the
+    /// next of the service's replies to `requests`.
+    ops: VecDeque<Option<Frame>>,
+    /// Requests decoded this tick, executed at tick end.
+    requests: Vec<Request>,
     /// Already on the tick's dirty list.
     dirty: bool,
     /// The interest currently registered with the poller.
     interest: Interest,
 }
 
-/// The event loop: owns the poller, the connection slab, and the timer
-/// wheel; shares the engine with the control handle.
-struct Reactor {
+/// The event loop: owns the poller, the connection slab, the timer
+/// wheel and the service.
+struct Reactor<S> {
     shared: Arc<Shared>,
+    service: S,
     poller: Poller,
     listener: TcpListener,
     slots: Vec<Option<Slot>>,
@@ -587,28 +601,30 @@ struct Reactor {
     dirty: Vec<usize>,
     wheel: TimerWheel,
     scratch: Vec<u8>,
-    /// Traced acks queued on the connection being executed, awaiting
-    /// the flush that closes their ack lap.
+    /// Traced acks queued on the connection being flushed, awaiting
+    /// the write that closes their ack lap.
     traced_acks: Vec<(u64, u64, Instant)>,
 }
 
-/// Runs the reactor until shutdown, then drains and closes everything.
-fn reactor_loop(listener: TcpListener, shared: Arc<Shared>) {
+/// Runs the reactor until shutdown, then drains and closes everything
+/// and hands the service back.
+fn reactor_loop<S: Service>(listener: TcpListener, shared: Arc<Shared>, service: S) -> S {
     let poller = match Poller::new() {
         Ok(p) => p,
         // Without a readiness source the loop cannot serve; exiting
         // leaves the handle's shutdown path fully functional.
-        Err(_) => return,
+        Err(_) => return service,
     };
     if poller
         .add(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)
         .is_err()
     {
-        return;
+        return service;
     }
     let wheel = TimerWheel::new(shared.config.read_timeout / 32, WHEEL_SLOTS, Instant::now());
     let mut reactor = Reactor {
         shared,
+        service,
         poller,
         listener,
         slots: Vec::new(),
@@ -620,9 +636,10 @@ fn reactor_loop(listener: TcpListener, shared: Arc<Shared>) {
         traced_acks: Vec::new(),
     };
     reactor.run();
+    reactor.service
 }
 
-impl Reactor {
+impl<S: Service> Reactor<S> {
     fn run(&mut self) {
         let mut events: Vec<Event> = Vec::with_capacity(1024);
         while !self.shared.shutdown.load(Ordering::SeqCst) {
@@ -677,6 +694,7 @@ impl Reactor {
                     self.slots[idx] = Some(Slot {
                         conn: Conn::new(stream, self.shared.config.max_frame_len),
                         ops: VecDeque::new(),
+                        requests: Vec::new(),
                         dirty: false,
                         interest: Interest::READ,
                     });
@@ -801,6 +819,13 @@ impl Reactor {
             match slot.conn.assembler.next_frame() {
                 Ok(Some(Assembled::Frame(frame))) => {
                     obs.counter_add("net.frames_rx", 1);
+                    if !frame.is_request() {
+                        slot.ops.push_back(Some(Frame::error(
+                            ErrorCode::BadFrame,
+                            "reply frame sent as a request",
+                        )));
+                        continue;
+                    }
                     let mut decoded_us = 0;
                     // A traced batch's decode lap: measured here, where
                     // the trace id first becomes known.
@@ -817,20 +842,21 @@ impl Reactor {
                         );
                         decoded_us = now_us;
                     }
-                    slot.ops.push_back(Op::Request { frame, decoded_us });
+                    slot.requests.push(Request { frame, decoded_us });
+                    slot.ops.push_back(None);
                 }
                 Ok(Some(Assembled::Skipped(e))) => {
                     // Recoverable by construction: the length prefix
                     // was accepted, so the frame was skippable.
                     obs.counter_add("net.frame_errors", 1);
                     note_decode_error(&shared);
-                    slot.ops.push_back(Op::Reply(Frame::Error(WireError {
-                        code: match e {
+                    slot.ops.push_back(Some(Frame::error(
+                        match e {
                             DecodeError::BadVersion { .. } => ErrorCode::UnsupportedVersion,
                             _ => ErrorCode::BadFrame,
                         },
-                        message: e.to_string(),
-                    })));
+                        e.to_string(),
+                    )));
                 }
                 Ok(None) => break,
                 Err(e) => {
@@ -838,10 +864,8 @@ impl Reactor {
                     // lost. Report once, then close after the reply
                     // flushes.
                     obs.counter_add("net.framing_lost", 1);
-                    slot.ops.push_back(Op::Reply(Frame::Error(WireError {
-                        code: ErrorCode::BadFrame,
-                        message: e.to_string(),
-                    })));
+                    slot.ops
+                        .push_back(Some(Frame::error(ErrorCode::BadFrame, e.to_string())));
                     slot.conn.close_after_flush = true;
                     break;
                 }
@@ -849,96 +873,85 @@ impl Reactor {
         }
     }
 
-    /// The tick-end engine pass: one lock, every dirty connection's ops
-    /// in order, then a single coalesced `process` that drains what all
-    /// of them enqueued.
+    /// The tick-end pass: the service executes every dirty
+    /// connection's requests in one call, each connection's replies are
+    /// written with one write, then the service settles (a node's
+    /// coalesced `process`).
     fn execute_dirty(&mut self) {
         if self.dirty.is_empty() {
             return;
         }
         let dirty = std::mem::take(&mut self.dirty);
+        let mut requests = Vec::new();
+        for &idx in &dirty {
+            if let Some(slot) = self.slots[idx].as_mut() {
+                slot.dirty = false;
+                requests.append(&mut slot.requests);
+            }
+        }
+        let draining = self.shared.shutdown.load(Ordering::SeqCst);
+        let mut replies = self.service.execute(requests, draining).into_iter();
         let shared = Arc::clone(&self.shared);
         let obs = &shared.obs;
-        let mut engine = shared.engine.lock().expect("engine mutex not poisoned");
         let mut executed: u64 = 0;
         for idx in dirty {
-            if self.slots[idx].is_none() {
+            let Some(slot) = self.slots[idx].as_mut() else {
                 continue;
-            }
+            };
             let mut close_now = false;
-            {
-                let slot = self.slots[idx].as_mut().expect("checked above");
-                slot.dirty = false;
-                while let Some(op) = slot.ops.pop_front() {
-                    let reply = match op {
-                        Op::Reply(frame) => frame,
-                        Op::Request { frame, decoded_us } => {
-                            if decoded_us > 0 {
-                                if let Frame::TracedAdvertBatch(ctx, _) = &frame {
-                                    // Coalesce lap: how long the decoded
-                                    // batch waited for this engine pass.
-                                    let now_us = obs.now_us();
-                                    obs.trace_stage(
-                                        ctx.trace_id,
-                                        Stage::Coalesce,
-                                        decoded_us,
-                                        now_us.saturating_sub(decoded_us),
-                                    );
-                                }
-                            }
-                            handle_frame(&shared, &mut engine, frame)
-                        }
-                    };
-                    executed += 1;
-                    // The ack lap covers encoding + handing the reply to
-                    // the transport; recorded after the connection's
-                    // flush, it lands in the trace table (served via
-                    // TraceQuery), not in the ack frame itself.
-                    if let Frame::TracedIngestAck(ack) = &reply {
-                        if obs.enabled() {
-                            self.traced_acks
-                                .push((ack.ctx.trace_id, obs.now_us(), Instant::now()));
-                        }
-                    }
-                    let bytes = encode_frame(&reply);
-                    slot.conn.queue(&bytes);
-                    obs.counter_add("net.frames_tx", 1);
-                    obs.counter_add("net.bytes_tx", bytes.len() as u64);
-                    // A burst whose replies outgrow the backpressure
-                    // bound writes early rather than buffering it all.
-                    if slot.conn.write_backlog() > WRITE_BACKPRESSURE_BYTES
-                        && slot.conn.flush().is_err()
-                    {
-                        close_now = true;
-                        break;
+            for op in slot.ops.drain(..) {
+                let reply = op.unwrap_or_else(|| replies.next().expect("one reply per request"));
+                executed += 1;
+                if close_now {
+                    continue;
+                }
+                // The ack lap covers encoding + handing the reply to
+                // the transport; recorded after the connection's
+                // flush, it lands in the trace table (served via
+                // TraceQuery), not in the ack frame itself.
+                if let Frame::TracedIngestAck(ack) = &reply {
+                    if obs.enabled() {
+                        self.traced_acks
+                            .push((ack.ctx.trace_id, obs.now_us(), Instant::now()));
                     }
                 }
-                // One write for the whole tick's replies.
-                if !close_now && slot.conn.flush().is_err() {
+                let bytes = encode_frame(&reply);
+                slot.conn.queue(&bytes);
+                obs.counter_add("net.frames_tx", 1);
+                obs.counter_add("net.bytes_tx", bytes.len() as u64);
+                // A burst whose replies outgrow the backpressure bound
+                // writes early rather than buffering it all.
+                if slot.conn.write_backlog() > WRITE_BACKPRESSURE_BYTES
+                    && slot.conn.flush().is_err()
+                {
                     close_now = true;
                 }
-                if close_now {
-                    self.traced_acks.clear();
+            }
+            // One write for the whole tick's replies.
+            if !close_now && slot.conn.flush().is_err() {
+                close_now = true;
+            }
+            if close_now {
+                self.traced_acks.clear();
+            }
+            for (trace_id, start_us, t0) in self.traced_acks.drain(..) {
+                obs.trace_stage(
+                    trace_id,
+                    Stage::Ack,
+                    start_us,
+                    t0.elapsed().as_micros() as u64,
+                );
+            }
+            if !close_now {
+                // A peer that never reads its acks: pause reading until
+                // write readiness drains the backlog.
+                let paused = slot.conn.write_backlog() > WRITE_BACKPRESSURE_BYTES;
+                if paused && !slot.conn.paused {
+                    obs.counter_add("net.backpressure_pauses", 1);
                 }
-                for (trace_id, start_us, t0) in self.traced_acks.drain(..) {
-                    obs.trace_stage(
-                        trace_id,
-                        Stage::Ack,
-                        start_us,
-                        t0.elapsed().as_micros() as u64,
-                    );
-                }
-                if !close_now {
-                    // A peer that never reads its acks: pause reading
-                    // until write readiness drains the backlog.
-                    let paused = slot.conn.write_backlog() > WRITE_BACKPRESSURE_BYTES;
-                    if paused && !slot.conn.paused {
-                        obs.counter_add("net.backpressure_pauses", 1);
-                    }
-                    slot.conn.paused = paused;
-                    if slot.conn.close_after_flush && slot.conn.write_backlog() == 0 {
-                        close_now = true;
-                    }
+                slot.conn.paused = paused;
+                if slot.conn.close_after_flush && slot.conn.write_backlog() == 0 {
+                    close_now = true;
                 }
             }
             if close_now {
@@ -950,28 +963,15 @@ impl Reactor {
             // queued must not outlive a peer that never drains them:
             // bound it by the write timeout. `close_after_flush` means
             // reads stopped, so the slow-loris deadline is free.
-            let arm = {
-                let slot = self.slots[idx].as_mut().expect("open");
-                if slot.conn.close_after_flush && slot.conn.deadline.is_none() {
-                    slot.conn.timer_gen += 1;
-                    let deadline = Instant::now() + self.shared.config.write_timeout;
-                    slot.conn.deadline = Some(deadline);
-                    Some((slot.conn.timer_gen, deadline))
-                } else {
-                    None
-                }
-            };
-            if let Some((gen, deadline)) = arm {
-                self.wheel.arm(idx, gen, deadline);
+            let slot = self.slots[idx].as_mut().expect("open");
+            if slot.conn.close_after_flush && slot.conn.deadline.is_none() {
+                slot.conn.timer_gen += 1;
+                let deadline = Instant::now() + self.shared.config.write_timeout;
+                slot.conn.deadline = Some(deadline);
+                self.wheel.arm(idx, slot.conn.timer_gen, deadline);
             }
         }
-        if engine.queued() > 0 {
-            // The coalesced drain: one pass serves every connection
-            // that ingested this tick.
-            obs.counter_add("net.reactor.coalesced_passes", 1);
-            engine.process();
-        }
-        drop(engine);
+        self.service.settle();
         obs.histogram_observe("net.reactor.ops_per_tick", executed as f64);
     }
 
@@ -1040,7 +1040,7 @@ impl Reactor {
     }
 
     /// Graceful shutdown: execute + ack every buffered complete frame
-    /// (ingest is refused with `ShuttingDown` by `handle_frame`), flush
+    /// (the service refuses ingest with `ShuttingDown`), flush
     /// within the write-timeout grace, close everything.
     fn shutdown_drain(&mut self) {
         let _ = self.poller.delete(self.listener.as_raw_fd());
@@ -1083,484 +1083,450 @@ impl Reactor {
     }
 }
 
-/// Executes one request frame against the (already locked) engine,
-/// producing the reply.
-fn handle_frame(shared: &Shared, engine: &mut Engine, frame: Frame) -> Frame {
-    match frame {
-        Frame::AdvertBatch(batch) => {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return Frame::Error(WireError {
-                    code: ErrorCode::ShuttingDown,
-                    message: "server is draining; ingest refused".to_string(),
-                });
-            }
-            if let Some(refusal) = follower_refusal(shared) {
-                return refusal;
-            }
-            ingest_batch(shared, engine, &batch, None)
-        }
-        Frame::TracedAdvertBatch(ctx, batch) => {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return Frame::Error(WireError {
-                    code: ErrorCode::ShuttingDown,
-                    message: "server is draining; ingest refused".to_string(),
-                });
-            }
-            if let Some(refusal) = follower_refusal(shared) {
-                return refusal;
-            }
-            ingest_batch(shared, engine, &batch, Some(ctx))
-        }
-        Frame::MetricsQuery => {
-            Frame::MetricsReport(WireMetrics::from_snapshot(&shared.obs.metrics()))
-        }
-        Frame::TraceQuery(id) => Frame::TraceReport(match id {
-            None => shared.obs.traces(),
-            Some(id) => shared.obs.trace_lookup(id).into_iter().collect(),
-        }),
-        Frame::QuerySnapshot => {
-            let mut span = shared.obs.span("net", "query_snapshot");
-            let estimates: Vec<WireEstimate> = engine
-                .snapshot()
-                .iter()
-                .map(|(b, e)| WireEstimate::from_estimate(*b, e))
-                .collect();
-            span.field("estimates", estimates.len());
-            Frame::Snapshot(estimates)
-        }
-        Frame::QueryBeacon(beacon) => Frame::BeaconReply(
-            engine
-                .estimate_of(BeaconId(beacon))
-                .map(|e| WireEstimate::from_estimate(BeaconId(beacon), &e)),
-        ),
-        Frame::QueryStats => Frame::Stats(WireStats::from_engine(engine.stats(), engine.queued())),
-        Frame::Finish => {
-            let mut span = shared.obs.span("net", "finish");
-            let report = engine.finish();
-            span.field("samples", report.samples_processed);
-            Frame::FinishAck(FinishSummary {
-                samples_processed: report.samples_processed as u64,
-                batches_pushed: report.batches_pushed as u64,
+impl Service for NodeService {
+    type Output = Engine;
+
+    fn execute(&mut self, requests: Vec<Request>, draining: bool) -> Vec<Frame> {
+        requests
+            .into_iter()
+            .map(|Request { frame, decoded_us }| {
+                if let (Frame::TracedAdvertBatch(ctx, _), true) = (&frame, decoded_us > 0) {
+                    // Coalesce lap: how long the decoded batch waited for
+                    // this engine pass.
+                    let now_us = self.obs.now_us();
+                    self.obs.trace_stage(
+                        ctx.trace_id,
+                        Stage::Coalesce,
+                        decoded_us,
+                        now_us.saturating_sub(decoded_us),
+                    );
+                }
+                self.handle_frame(frame, draining)
             })
+            .collect()
+    }
+
+    fn settle(&mut self) {
+        if self.engine.queued() > 0 {
+            // The coalesced drain: one pass serves every connection
+            // that ingested this tick.
+            self.obs.counter_add("net.reactor.coalesced_passes", 1);
+            self.engine.process();
         }
-        Frame::Join(_) => match &shared.cluster {
-            Some(cluster) => {
-                let c = cluster.lock().expect("cluster mutex not poisoned");
+    }
+
+    fn finish(self) -> Engine {
+        let mut engine = self.engine;
+        engine.drain();
+        if let Some(mut durable) = self.store {
+            // Final checkpoint: the snapshot captures the fully drained
+            // state, so a restart recovers without replaying anything.
+            if durable.store.checkpoint(&engine).is_err() {
+                self.obs.counter_add("net.checkpoint_failures", 1);
+            }
+        }
+        engine
+    }
+}
+
+impl NodeService {
+    /// Executes one request frame against the engine, producing the
+    /// reply.
+    fn handle_frame(&mut self, frame: Frame, draining: bool) -> Frame {
+        let ingest = matches!(
+            frame,
+            Frame::AdvertBatch(_) | Frame::TracedAdvertBatch(..) | Frame::Forward { .. }
+        );
+        if let Some(refusal) = ingest.then(|| self.ingest_refusal(draining)).flatten() {
+            return refusal;
+        }
+        match frame {
+            Frame::AdvertBatch(batch) => self.ingest_batch(&batch, None),
+            Frame::TracedAdvertBatch(ctx, batch) => self.ingest_batch(&batch, Some(ctx)),
+            Frame::MetricsQuery => {
+                Frame::MetricsReport(WireMetrics::from_snapshot(&self.obs.metrics()))
+            }
+            Frame::TraceQuery(id) => Frame::TraceReport(match id {
+                None => self.obs.traces(),
+                Some(id) => self.obs.trace_lookup(id).into_iter().collect(),
+            }),
+            Frame::QuerySnapshot => {
+                let mut span = self.obs.span("net", "query_snapshot");
+                let estimates: Vec<WireEstimate> = self
+                    .engine
+                    .snapshot()
+                    .iter()
+                    .map(|(b, e)| WireEstimate::from_estimate(*b, e))
+                    .collect();
+                span.field("estimates", estimates.len());
+                Frame::Snapshot(estimates)
+            }
+            Frame::QueryBeacon(beacon) => Frame::BeaconReply(
+                self.engine
+                    .estimate_of(BeaconId(beacon))
+                    .map(|e| WireEstimate::from_estimate(BeaconId(beacon), &e)),
+            ),
+            Frame::QueryStats => Frame::Stats(WireStats::from_engine(
+                self.engine.stats(),
+                self.engine.queued(),
+            )),
+            Frame::Finish => {
+                let mut span = self.obs.span("net", "finish");
+                let report = self.engine.finish();
+                span.field("samples", report.samples_processed);
+                Frame::FinishAck(FinishSummary {
+                    samples_processed: report.samples_processed as u64,
+                    batches_pushed: report.batches_pushed as u64,
+                })
+            }
+            Frame::Join(_) => match &self.cluster {
+                Some(c) => Frame::JoinAck(c.map.clone()),
+                None => not_clustered(),
+            },
+            Frame::PartitionMap(map) => {
+                let Some(c) = self.cluster.as_mut() else {
+                    return not_clustered();
+                };
+                if map.epoch < c.map.epoch {
+                    return Frame::error(
+                        ErrorCode::BadFrame,
+                        format!(
+                            "stale partition map: epoch {} < held epoch {}",
+                            map.epoch, c.map.epoch
+                        ),
+                    );
+                }
+                c.map = map;
+                // Role reconciliation: the map says who serves each node
+                // id. Listing this node's own address under its id makes
+                // it the owner; anything else makes it a follower.
+                let mine = c
+                    .map
+                    .nodes
+                    .iter()
+                    .find(|n| n.node_id == c.node_id)
+                    .map(|n| n.addr.clone());
+                match mine {
+                    Some(addr) if addr == c.listen_addr => {
+                        if c.role == NodeRole::Follower {
+                            // Promotion. The replicated stream already
+                            // warmed this engine; drain whatever it still
+                            // has queued so the first served query sees
+                            // the full replicated history.
+                            self.engine.drain();
+                            c.role = NodeRole::Owner;
+                            self.obs.counter_add("net.cluster.promotions", 1);
+                        }
+                    }
+                    _ => {
+                        if c.role == NodeRole::Owner {
+                            c.role = NodeRole::Follower;
+                            c.link = None;
+                            self.obs.counter_add("net.cluster.demotions", 1);
+                        }
+                    }
+                }
                 Frame::JoinAck(c.map.clone())
             }
-            None => not_clustered(),
-        },
-        Frame::PartitionMap(map) => {
-            let Some(cluster) = &shared.cluster else {
-                return not_clustered();
-            };
-            let mut c = cluster.lock().expect("cluster mutex not poisoned");
-            if map.epoch < c.map.epoch {
-                return Frame::Error(WireError {
-                    code: ErrorCode::BadFrame,
-                    message: format!(
-                        "stale partition map: epoch {} < held epoch {}",
-                        map.epoch, c.map.epoch
-                    ),
-                });
-            }
-            c.map = map;
-            // Role reconciliation: the map says who serves each node id.
-            // Listing this node's own address under its id makes it the
-            // owner; anything else makes it a follower.
-            let mine = c
-                .map
-                .nodes
-                .iter()
-                .find(|n| n.node_id == c.node_id)
-                .map(|n| n.addr.clone());
-            match mine {
-                Some(addr) if addr == c.listen_addr => {
-                    if c.role == NodeRole::Follower {
-                        // Promotion. The replicated stream already
-                        // warmed this engine; drain whatever it still
-                        // has queued so the first served query sees the
-                        // full replicated history.
-                        engine.drain();
-                        c.role = NodeRole::Owner;
-                        shared.obs.counter_add("net.cluster.promotions", 1);
-                    }
-                }
-                _ => {
-                    if c.role == NodeRole::Owner {
-                        c.role = NodeRole::Follower;
-                        c.link = None;
-                        shared.obs.counter_add("net.cluster.demotions", 1);
-                    }
+            Frame::Forward { seq, ctx, adverts } => {
+                let ctx = (ctx.trace_id != 0).then_some(ctx);
+                let summary = match self.ingest_batch(&adverts, ctx) {
+                    Frame::IngestAck(s) => s,
+                    Frame::TracedIngestAck(ack) => ack.summary,
+                    err => return err,
+                };
+                let replica_durable = self
+                    .cluster
+                    .as_ref()
+                    .and_then(|c| c.link.as_ref().map(|l| l.durable))
+                    .unwrap_or(0);
+                Frame::ForwardAck {
+                    seq,
+                    summary,
+                    replica_durable,
                 }
             }
-            Frame::JoinAck(c.map.clone())
-        }
-        Frame::Forward { seq, ctx, adverts } => {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return Frame::Error(WireError {
-                    code: ErrorCode::ShuttingDown,
-                    message: "server is draining; ingest refused".to_string(),
-                });
-            }
-            if let Some(refusal) = follower_refusal(shared) {
-                return refusal;
-            }
-            let ctx = (ctx.trace_id != 0).then_some(ctx);
-            let summary = match ingest_batch(shared, engine, &adverts, ctx) {
-                Frame::IngestAck(s) => s,
-                Frame::TracedIngestAck(ack) => ack.summary,
-                err => return err,
-            };
-            let replica_durable = shared
-                .cluster
-                .as_ref()
-                .and_then(|cluster| {
-                    let c = cluster.lock().expect("cluster mutex not poisoned");
-                    c.link.as_ref().map(|l| l.durable)
-                })
-                .unwrap_or(0);
-            Frame::ForwardAck {
-                seq,
-                summary,
-                replica_durable,
-            }
-        }
-        Frame::Replicate { seq, base, adverts } => {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return Frame::Error(WireError {
-                    code: ErrorCode::ShuttingDown,
-                    message: "server is draining; replication refused".to_string(),
-                });
-            }
-            let is_follower = shared.cluster.as_ref().is_some_and(|cluster| {
-                cluster.lock().expect("cluster mutex not poisoned").role == NodeRole::Follower
-            });
-            if !is_follower {
-                return Frame::Error(WireError {
-                    code: ErrorCode::BadFrame,
-                    message: "only a follower absorbs Replicate".to_string(),
-                });
-            }
-            let Some(store) = &shared.store else {
-                return Frame::Error(WireError {
-                    code: ErrorCode::Internal,
-                    message: "follower has no durability store".to_string(),
-                });
-            };
-            let held = {
-                let durable = store.lock().expect("store mutex not poisoned");
-                durable.store.wal_records()
-            };
-            if base != held {
-                // A gap or a replay: refusing keeps the follower's WAL a
-                // byte prefix of the owner's instead of silently
-                // diverging. The owner treats this as a dead link.
-                return Frame::Error(WireError {
-                    code: ErrorCode::Internal,
-                    message: format!("replication gap: owner base {base}, follower holds {held}"),
-                });
-            }
-            match ingest_batch(shared, engine, &adverts, None) {
-                Frame::IngestAck(_) => {
-                    let durable = {
-                        let durable = store.lock().expect("store mutex not poisoned");
-                        durable.store.wal_records()
-                    };
-                    Frame::ReplicateAck { seq, durable }
+            Frame::Replicate { seq, base, adverts } => {
+                if draining {
+                    return Frame::error(
+                        ErrorCode::ShuttingDown,
+                        "server is draining; replication refused",
+                    );
                 }
-                err => err,
+                let is_follower = self
+                    .cluster
+                    .as_ref()
+                    .is_some_and(|c| c.role == NodeRole::Follower);
+                if !is_follower {
+                    return Frame::error(ErrorCode::BadFrame, "only a follower absorbs Replicate");
+                }
+                let Some(held) = self.store.as_ref().map(|d| d.store.wal_records()) else {
+                    return Frame::error(ErrorCode::Internal, "follower has no durability store");
+                };
+                if base != held {
+                    // A gap or a replay: refusing keeps the follower's
+                    // WAL a byte prefix of the owner's instead of
+                    // silently diverging. The owner treats this as a
+                    // dead link.
+                    return Frame::error(
+                        ErrorCode::Internal,
+                        format!("replication gap: owner base {base}, follower holds {held}"),
+                    );
+                }
+                match self.ingest_batch(&adverts, None) {
+                    Frame::IngestAck(_) => Frame::ReplicateAck {
+                        seq,
+                        durable: self.store.as_ref().map_or(0, |d| d.store.wal_records()),
+                    },
+                    err => err,
+                }
             }
-        }
-        Frame::ClusterQuery => {
-            let wal_records = shared
-                .store
-                .as_ref()
-                .map(|s| {
-                    s.lock()
-                        .expect("store mutex not poisoned")
-                        .store
-                        .wal_records()
-                })
-                .unwrap_or(0);
-            let owned_sessions = engine.stats().sessions_live as u64;
-            let summary = match &shared.cluster {
-                Some(cluster) => {
-                    let c = cluster.lock().expect("cluster mutex not poisoned");
-                    ClusterSummary {
-                        node_id: c.node_id,
-                        role: c.role,
-                        map: c.map.clone(),
-                        owned_sessions,
-                        forwarded_batches: 0,
-                        forwarded_adverts: 0,
-                        replicated_records: match c.role {
+            Frame::ClusterQuery => {
+                // A standalone server answers too (node id 0, empty map),
+                // so tooling can probe any node uniformly.
+                let (node_id, role, map, replicated_records) = match &self.cluster {
+                    None => (0, NodeRole::Owner, WirePartitionMap::default(), 0),
+                    Some(c) => (
+                        c.node_id,
+                        c.role,
+                        c.map.clone(),
+                        match c.role {
                             // What the follower acked durable.
-                            NodeRole::Owner => c.link.as_ref().map(|l| l.durable).unwrap_or(0),
+                            NodeRole::Owner => c.link.as_ref().map_or(0, |l| l.durable),
                             // What this node absorbed — its whole WAL,
                             // which is what a re-attaching owner skips.
-                            NodeRole::Follower => wal_records,
+                            NodeRole::Follower => {
+                                self.store.as_ref().map_or(0, |d| d.store.wal_records())
+                            }
                             NodeRole::Front => 0,
                         },
-                    }
-                }
-                // A standalone server answers too (node id 0, empty
-                // map), so tooling can probe any node uniformly.
-                None => ClusterSummary {
-                    node_id: 0,
-                    role: NodeRole::Owner,
-                    map: WirePartitionMap {
-                        epoch: 0,
-                        nodes: Vec::new(),
-                    },
-                    owned_sessions,
+                    ),
+                };
+                Frame::ClusterReport(ClusterSummary {
+                    node_id,
+                    role,
+                    map,
+                    owned_sessions: self.engine.stats().sessions_live as u64,
                     forwarded_batches: 0,
                     forwarded_adverts: 0,
-                    replicated_records: 0,
-                },
-            };
-            Frame::ClusterReport(summary)
-        }
-        Frame::ExportState => {
-            let mut span = shared.obs.span("net", "export_state");
-            let state = engine.export_state();
-            let sessions = state.sessions.len() as u64;
-            span.field("sessions", sessions);
-            let mut bytes = Vec::new();
-            locble_store::codec::put_engine_state(&mut bytes, &state);
-            Frame::StateExport {
-                sessions,
-                state: bytes,
+                    replicated_records,
+                })
             }
-        }
-        Frame::Handoff { epoch, state } => {
-            if engine.stats().sessions_live > 0 || engine.queued() > 0 {
-                return Frame::Error(WireError {
-                    code: ErrorCode::Internal,
-                    message: "handoff refused: receiving engine is not empty".to_string(),
-                });
-            }
-            let mut reader = locble_store::codec::Reader::new(&state);
-            let decoded = reader
-                .engine_state()
-                .ok()
-                .filter(|_| reader.remaining() == 0);
-            let Some(decoded) = decoded else {
-                return Frame::Error(WireError {
-                    code: ErrorCode::BadFrame,
-                    message: "handoff state did not decode".to_string(),
-                });
-            };
-            let sessions = decoded.sessions.len() as u64;
-            match Engine::restore(
-                engine.config().clone(),
-                engine.prototype().clone(),
-                shared.obs.clone(),
-                decoded,
-                &[],
-            ) {
-                Ok((restored, _)) => {
-                    *engine = restored;
-                    shared.obs.counter_add("net.cluster.handoffs", 1);
-                    Frame::HandoffAck { epoch, sessions }
+            Frame::ExportState => {
+                let mut span = self.obs.span("net", "export_state");
+                let state = self.engine.export_state();
+                let sessions = state.sessions.len() as u64;
+                span.field("sessions", sessions);
+                let mut bytes = Vec::new();
+                locble_store::codec::put_engine_state(&mut bytes, &state);
+                Frame::StateExport {
+                    sessions,
+                    state: bytes,
                 }
-                Err(e) => Frame::Error(WireError {
-                    code: ErrorCode::Internal,
-                    message: format!("handoff restore failed: {e:?}"),
-                }),
+            }
+            Frame::Handoff { epoch, state } => {
+                if self.engine.stats().sessions_live > 0 || self.engine.queued() > 0 {
+                    return Frame::error(
+                        ErrorCode::Internal,
+                        "handoff refused: receiving engine is not empty",
+                    );
+                }
+                let mut reader = locble_store::codec::Reader::new(&state);
+                let decoded = reader
+                    .engine_state()
+                    .ok()
+                    .filter(|_| reader.remaining() == 0);
+                let Some(decoded) = decoded else {
+                    return Frame::error(ErrorCode::BadFrame, "handoff state did not decode");
+                };
+                let sessions = decoded.sessions.len() as u64;
+                match Engine::restore(
+                    self.engine.config().clone(),
+                    self.engine.prototype().clone(),
+                    self.obs.clone(),
+                    decoded,
+                    &[],
+                ) {
+                    Ok((restored, _)) => {
+                        self.engine = restored;
+                        self.obs.counter_add("net.cluster.handoffs", 1);
+                        Frame::HandoffAck { epoch, sessions }
+                    }
+                    Err(e) => Frame::error(
+                        ErrorCode::Internal,
+                        format!("handoff restore failed: {e:?}"),
+                    ),
+                }
+            }
+            reply => unreachable!("the reactor answers reply frames itself: {reply:?}"),
+        }
+    }
+
+    /// `Some(refusal)` when this node may not ingest: it is draining
+    /// for shutdown, or it is a follower — only its owner's `Replicate`
+    /// stream may feed a follower's engine, the divergence guard that
+    /// makes promotion lossless.
+    fn ingest_refusal(&self, draining: bool) -> Option<Frame> {
+        if draining {
+            return Some(Frame::error(
+                ErrorCode::ShuttingDown,
+                "server is draining; ingest refused",
+            ));
+        }
+        let c = self.cluster.as_ref()?;
+        (c.role == NodeRole::Follower).then(|| {
+            Frame::error(
+                ErrorCode::BadFrame,
+                "node is a follower; it accepts only its owner's Replicate stream",
+            )
+        })
+    }
+
+    /// Ingests one batch, draining shard-queue backpressure in-line so
+    /// the whole batch is always consumed (mirrors `Engine::ingest_all`,
+    /// with per-drain instrumentation). With a trace context the batch's
+    /// WAL, route, shard-queue and refit laps are recorded and the reply
+    /// is a [`Frame::TracedIngestAck`] carrying the laps closed so far —
+    /// the estimates themselves are identical either way (telemetry
+    /// never feeds the math).
+    fn ingest_batch(&mut self, batch: &[crate::wire::WireAdvert], ctx: Option<TraceCtx>) -> Frame {
+        let adverts: Vec<Advert> = batch.iter().map(|a| Advert::from(*a)).collect();
+        let obs = &self.obs;
+        let mut span = obs.span("net", "ingest_batch");
+        span.field("adverts", adverts.len());
+        if let Some(durable) = self.store.as_mut() {
+            // Write-ahead: the batch must be durable before the engine
+            // can see it, in offer order.
+            let wal_t0 = ctx.and_then(|_| obs.enabled().then(Instant::now));
+            if let Err(e) = durable.store.append(&adverts) {
+                obs.counter_add("net.wal_failures", 1);
+                span.field("wal_failed", true);
+                return Frame::error(
+                    ErrorCode::Internal,
+                    format!("durability append failed; batch refused: {e}"),
+                );
+            }
+            if let (Some(ctx), Some(t0)) = (ctx, wal_t0) {
+                let duration_us = t0.elapsed().as_micros() as u64;
+                obs.trace_stage(
+                    ctx.trace_id,
+                    Stage::Wal,
+                    obs.now_us().saturating_sub(duration_us),
+                    duration_us,
+                );
             }
         }
-        Frame::IngestAck(_)
-        | Frame::TracedIngestAck(_)
-        | Frame::MetricsReport(_)
-        | Frame::TraceReport(_)
-        | Frame::Snapshot(_)
-        | Frame::BeaconReply(_)
-        | Frame::Stats(_)
-        | Frame::FinishAck(_)
-        | Frame::JoinAck(_)
-        | Frame::ForwardAck { .. }
-        | Frame::ReplicateAck { .. }
-        | Frame::ClusterReport(_)
-        | Frame::HandoffAck { .. }
-        | Frame::StateExport { .. }
-        | Frame::Error(_) => Frame::Error(WireError {
-            code: ErrorCode::BadFrame,
-            message: "reply frame sent as a request".to_string(),
-        }),
+        if let Some(c) = self.cluster.as_mut() {
+            // Replicate before ingest, mirroring the WAL-before-ingest
+            // rule: under SyncAck a batch the follower never acked is
+            // refused before the engine sees it. The tailer reads the
+            // WAL file the append above just extended, so the stream is
+            // exactly the durable log, in order.
+            if let (NodeRole::Owner, Some(link)) = (c.role, c.link.as_mut()) {
+                let rep_t0 = ctx.and_then(|_| obs.enabled().then(Instant::now));
+                let pumped = link.pump();
+                if let (Some(ctx), Some(t0)) = (ctx, rep_t0) {
+                    let duration_us = t0.elapsed().as_micros() as u64;
+                    obs.trace_stage(
+                        ctx.trace_id,
+                        Stage::Replicate,
+                        obs.now_us().saturating_sub(duration_us),
+                        duration_us,
+                    );
+                }
+                match pumped {
+                    Ok(durable) => span.field("replica_durable", durable),
+                    Err(e) => {
+                        obs.counter_add("net.replication_failures", 1);
+                        span.field("replication_failed", true);
+                        c.link = None;
+                        if c.replication == ReplicationPolicy::SyncAck {
+                            return Frame::error(
+                                ErrorCode::Internal,
+                                format!("replication failed; batch refused: {e}"),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        let engine = &mut self.engine;
+        let mut total = IngestReport::default();
+        let mut offset = 0;
+        while offset < adverts.len() {
+            let report = match ctx {
+                Some(ctx) => engine.ingest_traced(&adverts[offset..], ctx, obs),
+                None => engine.ingest(&adverts[offset..]),
+            };
+            offset += report.consumed;
+            total.absorb(report);
+            if offset < adverts.len() {
+                // Backpressure: a shard queue is full. Drain and re-offer
+                // instead of surfacing an error or dropping the
+                // connection.
+                obs.counter_add("net.backpressure_drains", 1);
+                engine.process();
+                if report.consumed == 0 && engine.queued() > 0 {
+                    // Defensive: draining freed nothing, so no progress
+                    // is possible. Unreachable with the current engine,
+                    // but a stuck loop must never wedge the reactor.
+                    span.field("stalled", true);
+                    return Frame::error(
+                        ErrorCode::Backpressure,
+                        format!(
+                            "ingest stalled with {} samples queued after a drain",
+                            engine.queued()
+                        ),
+                    );
+                }
+            }
+        }
+        if let Some(durable) = self.store.as_mut() {
+            // Checkpoint after ingest, so the snapshot's WAL position and
+            // the engine state agree (a snapshot taken between append and
+            // ingest would skip records the state doesn't contain).
+            let records = durable.store.wal_records();
+            if durable.checkpoint_every > 0
+                && records - durable.last_checkpoint >= durable.checkpoint_every
+            {
+                match durable.store.checkpoint(engine) {
+                    Ok(_) => durable.last_checkpoint = records,
+                    Err(_) => obs.counter_add("net.checkpoint_failures", 1),
+                }
+            }
+        }
+        if ctx.is_some() {
+            // Close the batch's pending trace marks (shard-queue wait +
+            // refit laps) before acking, so the ack can carry them. Extra
+            // process calls are safe: they never perturb estimates.
+            engine.process();
+        }
+        let summary = IngestSummary::from(total);
+        span.field("routed", summary.routed);
+        span.field("rejected", summary.rejected());
+        obs.counter_add("net.adverts_rx", summary.consumed);
+        obs.counter_add("net.adverts_routed", summary.routed);
+        if summary.rejected() > 0 {
+            obs.counter_add("net.adverts_rejected", summary.rejected());
+        }
+        match ctx {
+            Some(ctx) => {
+                // Laps closed so far travel in the ack; the ack lap
+                // itself is recorded after the write and lands only in
+                // the server's trace table (fetch it with a TraceQuery).
+                let (ctx, laps) = match obs.trace_lookup(ctx.trace_id) {
+                    Some(record) => (record.ctx, record.laps),
+                    None => (ctx, Vec::new()),
+                };
+                Frame::TracedIngestAck(TracedAck { summary, ctx, laps })
+            }
+            None => Frame::IngestAck(summary),
+        }
     }
 }
 
 /// The reply for a cluster frame sent to a server with no cluster
 /// attachment.
 fn not_clustered() -> Frame {
-    Frame::Error(WireError {
-        code: ErrorCode::BadFrame,
-        message: "server has no cluster attachment".to_string(),
-    })
-}
-
-/// `Some(refusal)` when this node is a follower: only its owner's
-/// `Replicate` stream may feed a follower's engine — the divergence
-/// guard that makes promotion lossless.
-fn follower_refusal(shared: &Shared) -> Option<Frame> {
-    let cluster = shared.cluster.as_ref()?;
-    let c = cluster.lock().expect("cluster mutex not poisoned");
-    (c.role == NodeRole::Follower).then(|| {
-        Frame::Error(WireError {
-            code: ErrorCode::BadFrame,
-            message: "node is a follower; it accepts only its owner's Replicate stream".to_string(),
-        })
-    })
-}
-
-/// Ingests one batch, draining shard-queue backpressure in-line so the
-/// whole batch is always consumed (mirrors `Engine::ingest_all`, with
-/// per-drain instrumentation). With a trace context the batch's WAL,
-/// route, shard-queue and refit laps are recorded and the reply is a
-/// [`Frame::TracedIngestAck`] carrying the laps closed so far — the
-/// estimates themselves are identical either way (telemetry never
-/// feeds the math).
-fn ingest_batch(
-    shared: &Shared,
-    engine: &mut Engine,
-    batch: &[crate::wire::WireAdvert],
-    ctx: Option<TraceCtx>,
-) -> Frame {
-    let adverts: Vec<Advert> = batch.iter().map(|a| Advert::from(*a)).collect();
-    let mut span = shared.obs.span("net", "ingest_batch");
-    span.field("adverts", adverts.len());
-    if let Some(store) = &shared.store {
-        // Write-ahead: the batch must be durable before the engine can
-        // see it, in offer order (both serialized by the engine lock,
-        // which the reactor holds for the whole tick-end pass).
-        let mut durable = store.lock().expect("store mutex not poisoned");
-        let wal_t0 = ctx.and_then(|_| shared.obs.enabled().then(Instant::now));
-        if let Err(e) = durable.store.append(&adverts) {
-            shared.obs.counter_add("net.wal_failures", 1);
-            span.field("wal_failed", true);
-            return Frame::Error(WireError {
-                code: ErrorCode::Internal,
-                message: format!("durability append failed; batch refused: {e}"),
-            });
-        }
-        if let (Some(ctx), Some(t0)) = (ctx, wal_t0) {
-            let duration_us = t0.elapsed().as_micros() as u64;
-            shared.obs.trace_stage(
-                ctx.trace_id,
-                Stage::Wal,
-                shared.obs.now_us().saturating_sub(duration_us),
-                duration_us,
-            );
-        }
-    }
-    if let Some(cluster) = &shared.cluster {
-        // Replicate before ingest, mirroring the WAL-before-ingest rule:
-        // under SyncAck a batch the follower never acked is refused
-        // before the engine sees it. The tailer reads the WAL file the
-        // append above just extended, so the stream is exactly the
-        // durable log, in order.
-        let mut c = cluster.lock().expect("cluster mutex not poisoned");
-        if c.role == NodeRole::Owner && c.link.is_some() {
-            let rep_t0 = ctx.and_then(|_| shared.obs.enabled().then(Instant::now));
-            let sync = c.replication == ReplicationPolicy::SyncAck;
-            let pumped = c.link.as_mut().expect("checked above").pump();
-            if let (Some(ctx), Some(t0)) = (ctx, rep_t0) {
-                let duration_us = t0.elapsed().as_micros() as u64;
-                shared.obs.trace_stage(
-                    ctx.trace_id,
-                    Stage::Replicate,
-                    shared.obs.now_us().saturating_sub(duration_us),
-                    duration_us,
-                );
-            }
-            match pumped {
-                Ok(durable) => span.field("replica_durable", durable),
-                Err(e) => {
-                    shared.obs.counter_add("net.replication_failures", 1);
-                    span.field("replication_failed", true);
-                    c.link = None;
-                    if sync {
-                        return Frame::Error(WireError {
-                            code: ErrorCode::Internal,
-                            message: format!("replication failed; batch refused: {e}"),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    let mut total = IngestReport::default();
-    let mut offset = 0;
-    while offset < adverts.len() {
-        let report = match ctx {
-            Some(ctx) => engine.ingest_traced(&adverts[offset..], ctx, &shared.obs),
-            None => engine.ingest(&adverts[offset..]),
-        };
-        offset += report.consumed;
-        total.absorb(report);
-        if offset < adverts.len() {
-            // Backpressure: a shard queue is full. Drain and re-offer
-            // instead of surfacing an error or dropping the connection.
-            shared.obs.counter_add("net.backpressure_drains", 1);
-            engine.process();
-            if report.consumed == 0 && engine.queued() > 0 {
-                // Defensive: draining freed nothing, so no progress is
-                // possible. Unreachable with the current engine, but a
-                // stuck loop must never hold the engine lock forever.
-                span.field("stalled", true);
-                return Frame::Error(WireError {
-                    code: ErrorCode::Backpressure,
-                    message: format!(
-                        "ingest stalled with {} samples queued after a drain",
-                        engine.queued()
-                    ),
-                });
-            }
-        }
-    }
-    if let Some(store) = &shared.store {
-        // Checkpoint after ingest, so the snapshot's WAL position and
-        // the engine state agree (a snapshot taken between append and
-        // ingest would skip records the state doesn't contain).
-        let mut durable = store.lock().expect("store mutex not poisoned");
-        let records = durable.store.wal_records();
-        if durable.checkpoint_every > 0
-            && records - durable.last_checkpoint >= durable.checkpoint_every
-        {
-            match durable.store.checkpoint(engine) {
-                Ok(_) => durable.last_checkpoint = records,
-                Err(_) => shared.obs.counter_add("net.checkpoint_failures", 1),
-            }
-        }
-    }
-    if ctx.is_some() {
-        // Close the batch's pending trace marks (shard-queue wait +
-        // refit laps) before acking, so the ack can carry them. Extra
-        // process calls are safe: they never perturb estimates.
-        engine.process();
-    }
-    let summary = IngestSummary::from(total);
-    span.field("routed", summary.routed);
-    span.field("rejected", summary.rejected());
-    shared.obs.counter_add("net.adverts_rx", summary.consumed);
-    shared.obs.counter_add("net.adverts_routed", summary.routed);
-    if summary.rejected() > 0 {
-        shared
-            .obs
-            .counter_add("net.adverts_rejected", summary.rejected());
-    }
-    match ctx {
-        Some(ctx) => {
-            // Laps closed so far travel in the ack; the ack lap itself
-            // is recorded after the write and lands only in the server's
-            // trace table (fetch it with a TraceQuery).
-            let (ctx, laps) = match shared.obs.trace_lookup(ctx.trace_id) {
-                Some(record) => (record.ctx, record.laps),
-                None => (ctx, Vec::new()),
-            };
-            Frame::TracedIngestAck(TracedAck { summary, ctx, laps })
-        }
-        None => Frame::IngestAck(summary),
-    }
+    Frame::error(ErrorCode::BadFrame, "server has no cluster attachment")
 }

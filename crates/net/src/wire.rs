@@ -424,7 +424,7 @@ impl NodeRole {
 /// An epoch-stamped membership view: the owner set the rendezvous hash
 /// partitions beacons over. Epochs are totally ordered; a node installs
 /// a map only if its epoch exceeds the one it holds.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WirePartitionMap {
     /// Monotonic membership epoch.
     pub epoch: u64,
@@ -642,6 +642,39 @@ pub enum Frame {
         /// Store-codec-encoded engine state.
         state: Vec<u8>,
     },
+}
+
+impl Frame {
+    /// A typed error reply.
+    pub fn error(code: ErrorCode, message: impl Into<String>) -> Frame {
+        Frame::Error(WireError {
+            code,
+            message: message.into(),
+        })
+    }
+
+    /// Whether a peer may send this frame as a request. The reactor
+    /// answers any other frame with a typed `BadFrame`.
+    pub fn is_request(&self) -> bool {
+        matches!(
+            self,
+            Frame::AdvertBatch(_)
+                | Frame::TracedAdvertBatch(..)
+                | Frame::QuerySnapshot
+                | Frame::QueryBeacon(_)
+                | Frame::QueryStats
+                | Frame::Finish
+                | Frame::MetricsQuery
+                | Frame::TraceQuery(_)
+                | Frame::Join(_)
+                | Frame::PartitionMap(_)
+                | Frame::Forward { .. }
+                | Frame::Replicate { .. }
+                | Frame::ClusterQuery
+                | Frame::Handoff { .. }
+                | Frame::ExportState
+        )
+    }
 }
 
 const TAG_ADVERT_BATCH: u8 = 1;

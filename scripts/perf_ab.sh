@@ -5,18 +5,23 @@
 #
 #   scripts/perf_ab.sh <rev> <workload> <pairs>
 #
-# Builds <rev> and the working tree (tracked changes plus untracked,
-# non-ignored files) in separate git worktrees under a temp dir, then
-# runs perfbench on <workload> <pairs> times per build, alternating
-# parent, change, parent, ... For each end-to-end metric it prints the
-# median over the parent's runs, over the change's runs, and the
-# change/parent ratio. A run that fails its correctness gate aborts the
+# Exports <rev> and the working tree (tracked changes plus untracked,
+# non-ignored files) into a temp dir with `git archive`, builds both,
+# then runs perfbench on <workload> <pairs> times per build. Pairs
+# alternate which side runs first (parent first on odd pairs, change
+# first on even ones), so neither side always runs on a warmer machine.
+# For each end-to-end metric it prints the parent's and the change's
+# median, their ratio, how many pairs the change won, the parent's
+# interquartile range (IQR), and whether the change is a gain by the
+# rule: it won at least 9/10 of the pairs and the medians differ, in
+# its favour, by more than the parent's IQR. Each run's JSON result
+# goes to stderr; a run that fails its correctness gate aborts the
 # comparison. PERF_AB_SECONDS sets the run length (default 30, as in
 # BENCHMARK.json); PERF_AB_SEED the workload seed (default 1).
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
-  grep '^#' "$0" | sed -n '2,16p' | sed 's/^# \{0,1\}//'
+  grep '^#' "$0" | sed -n '2,20p' | sed 's/^# \{0,1\}//'
   exit 2
 fi
 rev="$1"
@@ -30,18 +35,14 @@ cd "$repo"
 parent_commit="$(git rev-parse --verify "$rev^{commit}")"
 
 tmp="$(mktemp -d)"
-cleanup() {
-  git -C "$repo" worktree remove --force "$tmp/parent" >/dev/null 2>&1 || true
-  git -C "$repo" worktree remove --force "$tmp/change" >/dev/null 2>&1 || true
-  rm -rf "$tmp"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 
-git worktree add --quiet --detach "$tmp/parent" "$parent_commit"
+mkdir "$tmp/parent" "$tmp/change"
+git archive "$parent_commit" | tar -x -C "$tmp/parent"
 # `git stash create` snapshots tracked changes without touching the
 # working tree; it prints nothing when there are none.
 snapshot="$(git stash create)"
-git worktree add --quiet --detach "$tmp/change" "${snapshot:-HEAD}"
+git archive "${snapshot:-HEAD}" | tar -x -C "$tmp/change"
 git ls-files --others --exclude-standard -z |
   (cd "$repo" && xargs -0 -r cp --parents -t "$tmp/change")
 
@@ -52,7 +53,9 @@ for side in parent change; do
 done
 
 for ((i = 1; i <= pairs; i++)); do
-  for side in parent change; do
+  order="parent change"
+  if ((i % 2 == 0)); then order="change parent"; fi
+  for side in $order; do
     echo "==> pair $i/$pairs: $side" >&2
     if ! "$tmp/$side/perfbench/target/release/perfbench" --workload "$workload" \
       --seed "$seed" --seconds "$seconds" 2>"$tmp/$side-$i.log" |
@@ -61,6 +64,7 @@ for ((i = 1; i <= pairs; i++)); do
       cat "$tmp/$side-$i.log" >&2
       exit 1
     fi
+    cat "$tmp/$side-$i.json" >&2
   done
 done
 
@@ -76,11 +80,19 @@ for side, results in runs.items():
     for i, r in enumerate(results, 1):
         if not r.get("correct") or r.get("failed"):
             sys.exit(f"perf_ab: {side} run {i} is not correct: {r}")
-print(f"{'metric':<20} {'better':>6} {'parent':>12} {'change':>12} {'ratio':>7}")
+print(f"{'metric':<20} {'better':>6} {'parent':>12} {'change':>12} {'ratio':>7} "
+      f"{'won':>7} {'parent_iqr':>12} {'gain':>5}")
 for metric in json.load(open(bench))["end_to_end"]:
     name = metric["name"]
-    parent = statistics.median(r["metrics"][name]["value"] for r in runs["parent"])
-    change = statistics.median(r["metrics"][name]["value"] for r in runs["change"])
+    sign = 1 if metric["better"] == "higher" else -1
+    parent_runs = [r["metrics"][name]["value"] for r in runs["parent"]]
+    change_runs = [r["metrics"][name]["value"] for r in runs["change"]]
+    parent = statistics.median(parent_runs)
+    change = statistics.median(change_runs)
     ratio = change / parent if parent else float("nan")
-    print(f"{name:<20} {metric['better']:>6} {parent:>12.4g} {change:>12.4g} {ratio:>7.3f}")
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent_runs, change_runs))
+    q1, _, q3 = statistics.quantiles(parent_runs, n=4) if pairs > 1 else (parent,) * 3
+    gain = 10 * won >= 9 * pairs and sign * (change - parent) > q3 - q1
+    print(f"{name:<20} {metric['better']:>6} {parent:>12.4g} {change:>12.4g} {ratio:>7.3f} "
+          f"{won:>3}/{pairs:<3} {q3 - q1:>12.4g} {'yes' if gain else 'no':>5}")
 EOF
