@@ -17,41 +17,25 @@
 //! latency histograms), so a CI job can archive pipeline health next to
 //! the experiment reports.
 //!
-//! With `--refit-json <path>`, the harness writes the streaming-refit
-//! benchmark numbers (per-batch latency, solves/sec, speedup of the
-//! shared-factorization search over the naive refit — see DESIGN.md
-//! §12) as a JSON artifact; `scripts/check.sh` archives it as
-//! `BENCH_refit.json`.
+//! With `--backends-json <path>`, the harness writes the
+//! estimation-backend shootout (per-backend median/p90 error across the
+//! Table-1 grid, plus the boxed-default bit-identity and reconciliation
+//! gates — see DESIGN.md §16) as a JSON artifact, from the same
+//! measurement `harness backends` reports; `scripts/check.sh` archives
+//! it as `BENCH_backends.json`. The harness exits 1 when any of those
+//! gates is false.
 //!
-//! With `--backends-json <path>`, the harness runs the estimation-backend
-//! shootout (per-backend median/p90 error and per-batch cost across the
-//! Table-1 grid, plus the boxed-default bit-identity and overhead gates
-//! — see DESIGN.md §16) and writes it as a JSON artifact;
-//! `scripts/check.sh` archives it as `BENCH_backends.json`.
-//!
-//! With `--hotpath-json <path>`, the harness prices the vectorized hot
-//! loops against their preserved scalar references and the warm
-//! backends' allocation budget (see DESIGN.md §17) and writes it as a
-//! JSON artifact; `scripts/check.sh` archives it as
-//! `BENCH_hotpath.json`.
+//! Exit codes: 0 ok, 1 unknown experiment id, failed write or failed
+//! gate, 2 usage.
 
 use locble_bench::{run_experiment, ALL_EXPERIMENTS};
 use serde::{Serialize, Value};
 use std::time::Instant;
 
-/// Counting allocator: lets the `hotpath` experiment (and its
-/// `BENCH_hotpath.json` artifact) report real allocs-per-batch numbers
-/// instead of zeros. Counting is one thread-local increment per alloc —
-/// noise for every other experiment.
-#[global_allocator]
-static ALLOC: locble_bench::util::CountingAlloc = locble_bench::util::CountingAlloc;
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let metrics_path = take_flag_value(&mut args, "--metrics");
-    let refit_json_path = take_flag_value(&mut args, "--refit-json");
     let backends_json_path = take_flag_value(&mut args, "--backends-json");
-    let hotpath_json_path = take_flag_value(&mut args, "--hotpath-json");
     if let Some(threads) = take_flag_value(&mut args, "--threads") {
         match threads.parse::<usize>() {
             Ok(n) if n > 0 => locble_bench::util::set_harness_threads(n),
@@ -63,7 +47,7 @@ fn main() {
     }
     if args.is_empty() || args[0] == "help" || args[0] == "--help" {
         eprintln!(
-            "usage: harness <exp-id>... | all | list  [--metrics <path>] [--refit-json <path>] [--backends-json <path>] [--hotpath-json <path>] [--threads <n>]"
+            "usage: harness <exp-id>... | all | list  [--metrics <path>] [--backends-json <path>] [--threads <n>]"
         );
         eprintln!("experiments: {}", ALL_EXPERIMENTS.join(", "));
         std::process::exit(2);
@@ -95,31 +79,18 @@ fn main() {
             }
         }
     }
-    if let Some(path) = refit_json_path {
-        match std::fs::write(&path, locble_bench::experiments::refit::json_report()) {
-            Ok(()) => eprintln!("refit benchmark JSON written to {path}"),
-            Err(e) => {
-                eprintln!("failed to write refit benchmark JSON to {path}: {e}");
-                failed = true;
-            }
-        }
-    }
     if let Some(path) = backends_json_path {
-        match std::fs::write(&path, locble_bench::experiments::backends::json_report()) {
+        let (json, failed_gates) = locble_bench::experiments::backends::json_report();
+        match std::fs::write(&path, json) {
             Ok(()) => eprintln!("backend shootout JSON written to {path}"),
             Err(e) => {
                 eprintln!("failed to write backend shootout JSON to {path}: {e}");
                 failed = true;
             }
         }
-    }
-    if let Some(path) = hotpath_json_path {
-        match std::fs::write(&path, locble_bench::experiments::hotpath::json_report()) {
-            Ok(()) => eprintln!("hotpath benchmark JSON written to {path}"),
-            Err(e) => {
-                eprintln!("failed to write hotpath benchmark JSON to {path}: {e}");
-                failed = true;
-            }
+        if !failed_gates.is_empty() {
+            eprintln!("backend shootout gates failed: {}", failed_gates.join(", "));
+            failed = true;
         }
     }
     if let Some(path) = metrics_path {

@@ -1,18 +1,14 @@
-//! Backend shootout: accuracy vs cost for every estimation backend.
+//! Backend shootout: accuracy of every estimation backend.
 //!
-//! Not a paper figure — this prices the pluggable-backend layer
+//! Not a paper figure — this compares the pluggable-backend layer
 //! (DESIGN.md §16). Every backend streams the same Table-1 sessions,
 //! sliced into the §5.3 2.2 s batches, through its `Box<dyn Estimator>`
-//! surface; the report compares median/p90 localization error and
-//! per-batch cost across backends, and gates the refactor's two
-//! promises:
+//! surface; the report compares median/p90 localization error across
+//! backends and gates:
 //!
 //! * **default_bit_identical** — the streaming default driven through
 //!   the trait object produces bit-for-bit the estimates of the concrete
 //!   [`StreamingEstimator`], on every batch of every session.
-//! * **default_overhead_ok** — boxing costs essentially nothing: the
-//!   boxed per-batch wall time stays within 1.5x of the concrete path
-//!   (the refit work dominates; dispatch is one vtable hop per batch).
 //!
 //! The alternative backends are gated on *reconciliation*, not speed:
 //! their median error across the grid must land within the generous
@@ -23,6 +19,10 @@
 //! #8, 3-9 m, 40 runs each) through every backend, with the paper's
 //! `estimate_moving` (which also knows the target's own motion) as a
 //! reference row. These are report rows only: no gate, not in the JSON.
+//!
+//! Per-batch cost is not measured here: the boxed-vs-concrete overhead
+//! is a ratio test in `locble-core`'s `backend_props.rs`, and absolute
+//! throughput and latency belong to the serving benchmark (`perfbench/`).
 
 use crate::stats::{mean, median, percentile};
 use crate::util::{default_estimator, header, parallel_map, StationaryRun};
@@ -38,16 +38,11 @@ use locble_scenario::runner::track_observer;
 use locble_scenario::world::{simulate_session, MovingSession};
 use locble_scenario::{environment_by_index, plan_l_walk, BeaconSpec, SessionConfig};
 use serde::Value;
-use std::time::Instant;
+use std::sync::OnceLock;
 
 /// Streaming batch window, seconds (§5.3: "a new data batch every 2-3
 /// seconds").
 const STREAM_BATCH_S: f64 = 2.2;
-
-/// Boxed-vs-concrete per-batch wall-time tolerance for the default
-/// backend (release-mode acceptance; one vtable hop per batch must
-/// drown in the refit work).
-const OVERHEAD_TOLERANCE: f64 = 1.5;
 
 /// One Table-1 session ready to stream: pre-sliced batches, the
 /// observer's motion, and the scoring truth.
@@ -118,10 +113,6 @@ struct Arm {
     attempted: usize,
     /// Mirror-aware localization errors, metres, one per successful run.
     errors: Vec<f64>,
-    /// Total wall time spent inside `push_batch`/`refit_now`, seconds.
-    wall_s: f64,
-    /// Batches streamed (successful sessions only).
-    batches: usize,
 }
 
 impl Arm {
@@ -140,14 +131,6 @@ impl Arm {
             percentile(&self.errors, 90.0)
         }
     }
-
-    fn mean_batch_us(&self) -> f64 {
-        self.wall_s / (self.batches.max(1)) as f64 * 1e6
-    }
-
-    fn batches_per_s(&self) -> f64 {
-        self.batches as f64 / self.wall_s.max(1e-12)
-    }
 }
 
 /// Mirror-aware error of a final estimate against the session truth.
@@ -164,8 +147,6 @@ struct Shootout {
     environments: usize,
     seeds_per_env: usize,
     arms: Vec<Arm>,
-    /// Concrete (unboxed) streaming reference for the overhead gate.
-    concrete_batch_us: f64,
     /// Boxed default ≡ concrete, bit for bit, on every batch.
     default_bit_identical: bool,
 }
@@ -178,10 +159,6 @@ impl Shootout {
             .expect("arm exists")
     }
 
-    fn default_overhead_ok(&self) -> bool {
-        self.arm("streaming").mean_batch_us() <= self.concrete_batch_us * OVERHEAD_TOLERANCE
-    }
-
     /// An alternative backend reconciles when it heard enough sessions
     /// and its median error sits in a plausible band for its family:
     /// within `factor`x of the default's median (or an absolute 6 m
@@ -191,6 +168,27 @@ impl Shootout {
         let alt = self.arm(name);
         let band = (streaming.median_error_m() * factor).max(6.0);
         alt.runs * 10 >= alt.attempted * 9 && alt.median_error_m() <= band
+    }
+
+    /// Every gate as `(JSON key, report label, verdict)`.
+    fn gates(&self) -> [(&'static str, &'static str, bool); 3] {
+        [
+            (
+                "default_bit_identical",
+                "default backend bit-identical",
+                self.default_bit_identical,
+            ),
+            (
+                "particle_reconciles",
+                "particle reconciles",
+                self.reconciles("particle", 4.0),
+            ),
+            (
+                "fingerprint_reconciles",
+                "fingerprint reconciles",
+                self.reconciles("fingerprint", 4.0),
+            ),
+        ]
     }
 }
 
@@ -218,21 +216,16 @@ fn measure(envs: &[usize], seeds_per_env: usize) -> Shootout {
     .flatten()
     .collect();
 
-    // Concrete streaming reference: the timing baseline for the
-    // overhead gate and the bit-identity oracle for the boxed default.
-    let mut concrete_wall = 0.0f64;
-    let mut concrete_batches = 0usize;
+    // Concrete streaming reference: the bit-identity oracle for the
+    // boxed default.
     let mut concrete_estimates: Vec<Vec<Option<u64>>> = Vec::with_capacity(sessions.len());
     for s in &sessions {
         let mut est = StreamingEstimator::new(prototype.clone());
         let mut bits = Vec::with_capacity(s.batches.len() + 1);
-        let t0 = Instant::now();
         for b in &s.batches {
             bits.push(est.push_batch(b, &s.motion).map(|e| e.position.x.to_bits()));
         }
         bits.push(est.refit_now(&s.motion).map(|e| e.position.x.to_bits()));
-        concrete_wall += t0.elapsed().as_secs_f64();
-        concrete_batches += s.batches.len();
         concrete_estimates.push(bits);
     }
 
@@ -245,13 +238,10 @@ fn measure(envs: &[usize], seeds_per_env: usize) -> Shootout {
                 runs: 0,
                 attempted: sessions.len(),
                 errors: Vec::new(),
-                wall_s: 0.0,
-                batches: 0,
             };
             for (si, s) in sessions.iter().enumerate() {
                 let mut backend = spec.build(&prototype, 1);
                 let mut bits = Vec::with_capacity(s.batches.len() + 1);
-                let t0 = Instant::now();
                 for b in &s.batches {
                     bits.push(
                         backend
@@ -260,8 +250,6 @@ fn measure(envs: &[usize], seeds_per_env: usize) -> Shootout {
                     );
                 }
                 bits.push(backend.refit_now(&s.motion).map(|e| e.position.x.to_bits()));
-                arm.wall_s += t0.elapsed().as_secs_f64();
-                arm.batches += s.batches.len();
                 if name == "streaming" && bits != concrete_estimates[si] {
                     default_bit_identical = false;
                 }
@@ -278,7 +266,6 @@ fn measure(envs: &[usize], seeds_per_env: usize) -> Shootout {
         environments: envs.len(),
         seeds_per_env,
         arms,
-        concrete_batch_us: concrete_wall / concrete_batches.max(1) as f64 * 1e6,
         default_bit_identical,
     }
 }
@@ -331,71 +318,66 @@ fn moving_rows(runs_per_distance: usize) -> String {
 
 const FULL_ENVS: [usize; 9] = [1, 2, 3, 4, 5, 6, 7, 8, 9];
 
-/// Runs the experiment at acceptance scale: all nine environments, six
-/// seeds each, then fig11b's 80 moving-target sessions.
+/// The acceptance-scale grid (all nine environments, six seeds each),
+/// streamed once per process: `harness backends --backends-json` builds
+/// its report and its JSON from this one measurement.
+fn full_grid() -> &'static Shootout {
+    static FULL: OnceLock<Shootout> = OnceLock::new();
+    FULL.get_or_init(|| measure(&FULL_ENVS, 6))
+}
+
+/// Runs the experiment at acceptance scale: the full grid, then
+/// fig11b's 80 moving-target sessions.
 pub fn run() -> String {
-    let mut out = run_scaled(&FULL_ENVS, 6);
+    let mut out = report(full_grid());
     out.push_str(&moving_rows(super::fig11b::RUNS_PER_DISTANCE));
     out
 }
 
-/// The report body, parameterized so the in-crate test can run a small
-/// grid while `harness backends` runs the full one.
-pub(crate) fn run_scaled(envs: &[usize], seeds_per_env: usize) -> String {
-    let s = measure(envs, seeds_per_env);
+/// The grid report: accuracy per backend, then every gate.
+fn report(s: &Shootout) -> String {
     let mut out = header(
         "backends",
-        "estimation-backend shootout: accuracy vs per-batch cost",
-        "beyond the paper: prices the pluggable Estimator backends of DESIGN.md \u{a7}16",
+        "estimation-backend shootout: accuracy per backend",
+        "beyond the paper: compares the pluggable Estimator backends of DESIGN.md \u{a7}16",
     );
     out.push_str(&format!(
         "  grid: {} environments x {} seeds\n",
         s.environments, s.seeds_per_env
     ));
-    out.push_str("  backend        runs   median (m)   p90 (m)   us/batch\n");
+    out.push_str("  backend        runs   median (m)   p90 (m)\n");
     for arm in &s.arms {
         out.push_str(&format!(
-            "  {:<12} {:>3}/{:<3}   {:>7.2}   {:>7.2}   {:>8.1}\n",
+            "  {:<12} {:>3}/{:<3}   {:>7.2}   {:>7.2}\n",
             arm.name,
             arm.runs,
             arm.attempted,
             arm.median_error_m(),
             arm.p90_error_m(),
-            arm.mean_batch_us(),
         ));
     }
-    out.push_str(&format!(
-        "  concrete streaming us/batch            {:.1}\n",
-        s.concrete_batch_us
-    ));
-    out.push_str(&crate::util::row(
-        "default backend bit-identical",
-        s.default_bit_identical,
-    ));
-    out.push_str(&crate::util::row(
-        "default overhead within 1.5x",
-        s.default_overhead_ok(),
-    ));
-    out.push_str(&crate::util::row(
-        "particle reconciles",
-        s.reconciles("particle", 4.0),
-    ));
-    out.push_str(&crate::util::row(
-        "fingerprint reconciles",
-        s.reconciles("fingerprint", 4.0),
-    ));
+    for (_, label, verdict) in s.gates() {
+        out.push_str(&crate::util::row(label, verdict));
+    }
     out
 }
 
 /// The JSON artifact `scripts/check.sh` archives as
-/// `BENCH_backends.json`.
-pub fn json_report() -> String {
-    json_scaled(&FULL_ENVS, 6)
+/// `BENCH_backends.json`, with the JSON keys of the gates that failed
+/// (the harness exits non-zero when there are any).
+pub fn json_report() -> (String, Vec<&'static str>) {
+    let s = full_grid();
+    let failed = s
+        .gates()
+        .into_iter()
+        .filter(|&(_, _, verdict)| !verdict)
+        .map(|(key, _, _)| key)
+        .collect();
+    (json(s), failed)
 }
 
-/// JSON body at a chosen scale (the in-crate test uses a small grid).
-pub(crate) fn json_scaled(envs: &[usize], seeds_per_env: usize) -> String {
-    let s = measure(envs, seeds_per_env);
+/// The JSON body: accuracy rows plus every gate.
+fn json(s: &Shootout) -> String {
     let arms = s
         .arms
         .iter()
@@ -417,15 +399,10 @@ pub(crate) fn json_scaled(envs: &[usize], seeds_per_env: usize) -> String {
                         mean(&arm.errors)
                     }),
                 ),
-                ("mean_batch_us".to_string(), Value::F64(arm.mean_batch_us())),
-                (
-                    "batches_per_second".to_string(),
-                    Value::F64(arm.batches_per_s()),
-                ),
             ])
         })
         .collect();
-    let value = Value::Map(vec![
+    let mut fields = vec![
         ("experiment".to_string(), Value::Str("backends".to_string())),
         (
             "environments".to_string(),
@@ -436,43 +413,19 @@ pub(crate) fn json_scaled(envs: &[usize], seeds_per_env: usize) -> String {
             Value::U64(s.seeds_per_env as u64),
         ),
         ("backends".to_string(), Value::Seq(arms)),
-        (
-            "concrete_batch_us".to_string(),
-            Value::F64(s.concrete_batch_us),
-        ),
-        (
-            "streaming_batches_per_second".to_string(),
-            Value::F64(s.arm("streaming").batches_per_s()),
-        ),
-        (
-            "default_bit_identical".to_string(),
-            Value::Bool(s.default_bit_identical),
-        ),
-        (
-            "default_overhead_ok".to_string(),
-            Value::Bool(s.default_overhead_ok()),
-        ),
-        (
-            "particle_reconciles".to_string(),
-            Value::Bool(s.reconciles("particle", 4.0)),
-        ),
-        (
-            "fingerprint_reconciles".to_string(),
-            Value::Bool(s.reconciles("fingerprint", 4.0)),
-        ),
-    ]);
-    serde::json::to_string(&value)
+    ];
+    for (key, _, verdict) in s.gates() {
+        fields.push((key.to_string(), Value::Bool(verdict)));
+    }
+    serde::json::to_string(&Value::Map(fields))
 }
 
 #[cfg(test)]
 mod tests {
-    /// Correctness gates on a small grid: bit-identity is exact in any
-    /// build profile; the wall-clock overhead gate is release-mode
-    /// acceptance (`harness backends` via scripts/check.sh), not a
-    /// debug-build assertion.
+    /// Bit-identity holds in any build profile, on a small grid.
     #[test]
     fn default_backend_is_bit_identical_on_a_small_grid() {
-        let report = super::run_scaled(&[1, 9], 2);
+        let report = super::report(&super::measure(&[1, 9], 2));
         assert!(
             crate::util::flag_is_true(&report, "default backend bit-identical"),
             "{report}"
@@ -481,7 +434,7 @@ mod tests {
 
     #[test]
     fn alternative_backends_reconcile_on_a_small_grid() {
-        let report = super::run_scaled(&[1, 9], 2);
+        let report = super::report(&super::measure(&[1, 9], 2));
         assert!(
             crate::util::flag_is_true(&report, "particle reconciles"),
             "{report}"
@@ -500,12 +453,18 @@ mod tests {
         }
     }
 
+    /// The artifact carries the accuracy rows and the three gates, and
+    /// no host-speed figure.
     #[test]
     fn json_report_is_well_formed() {
-        let json = super::json_scaled(&[1], 1);
+        let json = super::json(&super::measure(&[1], 1));
         assert!(json.contains("\"experiment\":\"backends\""), "{json}");
-        assert!(json.contains("\"streaming_batches_per_second\""), "{json}");
         assert!(json.contains("\"default_bit_identical\":true"), "{json}");
+        for key in ["particle_reconciles", "fingerprint_reconciles"] {
+            assert!(json.contains(&format!("\"{key}\":")), "{json}");
+        }
+        assert!(!json.contains("_us"), "{json}");
+        assert!(!json.contains("per_second"), "{json}");
         for backend in ["streaming", "particle", "fingerprint"] {
             assert!(
                 json.contains(&format!("\"backend\":\"{backend}\"")),

@@ -16,10 +16,8 @@ pub mod fig4;
 pub mod fig5;
 pub mod fig8;
 pub mod fig9;
-pub mod hotpath;
 pub mod obs;
 pub mod recover;
-pub mod refit;
 pub mod sec4_1;
 pub mod sec7_8;
 pub mod table1;

@@ -31,8 +31,6 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "fig14",
     "fig15",
     "sec7_8",
-    "hotpath",
-    "refit",
     "obs",
     "recover",
     "backends",
@@ -60,8 +58,6 @@ pub fn run_experiment(id: &str) -> Option<String> {
         "fig14" => fig14::run(),
         "fig15" => fig15::run(),
         "sec7_8" => sec7_8::run(),
-        "hotpath" => hotpath::run(),
-        "refit" => refit::run(),
         "obs" => obs::run(),
         "recover" => recover::run(),
         "backends" => backends::run(),

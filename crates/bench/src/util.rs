@@ -33,8 +33,8 @@ fn count_alloc() {
 /// A [`GlobalAlloc`] wrapper around [`System`] that counts every
 /// allocation (and reallocating resize), per thread and process-wide.
 /// Install it per binary with `#[global_allocator]`; the zero-alloc
-/// regression tests and the `hotpath` experiment read a counter around
-/// a steady-state section to prove the hot paths stay off the heap.
+/// regression tests (`tests/alloc_steady.rs`) read a counter around a
+/// steady-state section to prove the hot paths stay off the heap.
 /// Frees are deliberately not counted: a steady-state loop that
 /// allocates and frees per batch still churns the allocator.
 pub struct CountingAlloc;

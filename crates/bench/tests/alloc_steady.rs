@@ -13,7 +13,8 @@
 use locble_bench::util::{alloc_count, process_alloc_count, CountingAlloc};
 use locble_ble::BeaconId;
 use locble_core::{
-    Estimator, EstimatorConfig, ParticleBackend, ParticleConfig, RssBatch, StreamingEstimator,
+    Estimator, EstimatorConfig, FingerprintBackend, FingerprintConfig, ParticleBackend,
+    ParticleConfig, RssBatch, StreamingEstimator,
 };
 use locble_engine::{shard_of, Advert, Engine, EngineConfig};
 use locble_geom::{Trajectory, Vec2};
@@ -146,6 +147,33 @@ fn warm_particle_session_processes_batches_without_allocating() {
         allocs,
         0,
         "warm particle push_batch allocated {allocs} times over {} batches",
+        measured.len()
+    );
+}
+
+#[test]
+fn warm_fingerprint_session_processes_batches_without_allocating() {
+    let _serial = serial();
+    let (batches, track) = walk_fixture(400, 20);
+    let (warm, measured) = batches.split_at(batches.len() / 2);
+    let measured_samples: usize = measured.iter().map(RssBatch::len).sum();
+
+    let mut backend = FingerprintBackend::new(FingerprintConfig::default());
+    for b in warm {
+        backend.push_batch(b, &track);
+    }
+    backend.reserve(measured_samples);
+
+    let before = alloc_count();
+    for b in measured {
+        backend.push_batch(b, &track);
+    }
+    let allocs = alloc_count() - before;
+    assert!(backend.current().is_some(), "warm backend must estimate");
+    assert_eq!(
+        allocs,
+        0,
+        "warm fingerprint push_batch allocated {allocs} times over {} batches",
         measured.len()
     );
 }

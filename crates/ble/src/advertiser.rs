@@ -146,7 +146,7 @@ mod tests {
     fn three_channels_per_event_in_order() {
         let mut a = adv(1);
         let events = a.events_until(1.0);
-        assert!(events.len() % 3 == 0);
+        assert!(events.len().is_multiple_of(3));
         for chunk in events.chunks(3) {
             assert_eq!(chunk[0].channel, 37);
             assert_eq!(chunk[1].channel, 38);

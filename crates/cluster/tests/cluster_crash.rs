@@ -130,27 +130,29 @@ fn child_node() {
 
 fn spawn_node(spec: &NodeSpec) -> NodeProc {
     let exe = std::env::current_exe().expect("test binary path");
-    let mut child = Command::new(exe)
-        .args(["--exact", "child_node", "--nocapture"])
-        .envs(spec_to_env(spec))
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("spawn node process");
-    let reader = BufReader::new(child.stdout.take().expect("child stdout"));
+    // Owned by a `NodeProc` from the start, so every panic below kills
+    // and reaps the child on drop.
+    let mut node = NodeProc {
+        child: Command::new(exe)
+            .args(["--exact", "child_node", "--nocapture"])
+            .envs(spec_to_env(spec))
+            .stdout(Stdio::piped())
+            .stderr(Stdio::inherit())
+            .spawn()
+            .expect("spawn node process"),
+        addr: String::new(),
+    };
+    let reader = BufReader::new(node.child.stdout.take().expect("child stdout"));
     for line in reader.lines() {
         let line = line.expect("child stdout line");
         // The harness prints `test child_node ... ` without a newline,
         // so the announce may share its line — match the marker
         // anywhere.
         if let Some(pos) = line.find("listen ") {
-            return NodeProc {
-                child,
-                addr: line[pos + "listen ".len()..].trim().to_string(),
-            };
+            node.addr = line[pos + "listen ".len()..].trim().to_string();
+            return node;
         }
     }
-    let _ = child.kill();
     panic!("child exited before announcing its listen address");
 }
 

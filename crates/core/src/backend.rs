@@ -367,7 +367,7 @@ pub(crate) mod tests {
                 if from.kind() == into.kind() {
                     assert!(result.is_ok());
                 } else {
-                    let err = result.err().expect("mismatch must be refused");
+                    let err = result.expect_err("mismatch must be refused");
                     assert_eq!(err.expected, into.kind());
                     assert_eq!(err.found, from.kind());
                     assert!(err.to_string().contains(from.kind().name()));

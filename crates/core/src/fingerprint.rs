@@ -437,6 +437,7 @@ impl crate::backend::Estimator for FingerprintBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use locble_ml::StandardScaler;
 
     fn l_walk(target: Vec2) -> (Vec<RssBatch>, MotionTrack) {
         crate::backend::tests::l_walk(target)
@@ -503,91 +504,95 @@ mod tests {
         assert_eq!(strided.refit_now(&track).copied(), Some(forced));
     }
 
-    /// Differential suite for the scratch-based scorer: re-implements
-    /// the original allocating path (per-candidate `Vec<Vec<f64>>`
-    /// feature matrix, `StandardScaler::fit`/`transform`, scalar kernel
-    /// loop) and compares candidate by candidate. The fit recovery
+    /// The original allocating scorer, kept as the differential and
+    /// timing reference for [`FingerprintBackend::score_candidate`]:
+    /// per-candidate `Vec<Vec<f64>>` feature matrix,
+    /// `StandardScaler::fit`/`transform`, scalar kernel loop.
+    fn reference_score(
+        backend: &FingerprintBackend,
+        pos: Vec2,
+        observers: &[Vec2],
+        rss: &[f64],
+    ) -> Option<Scored> {
+        let features: Vec<Vec<f64>> = observers
+            .iter()
+            .map(|o| vec![pos.distance(*o).max(MIN_RANGE_M).log10()])
+            .collect();
+        let scaler = StandardScaler::fit(&features);
+        let mut solver: GramSolver<2> = GramSolver::new();
+        let mut rhs = [0.0f64; 2];
+        for (f, &v) in features.iter().zip(rss) {
+            let z = scaler.transform(f)[0];
+            solver.accumulate(&[1.0, z]);
+            rhs[0] += v;
+            rhs[1] += v * z;
+        }
+        if !solver.factorize(backend.config.ridge) {
+            return None;
+        }
+        let [a, b] = solver.solve(rhs)?;
+        let n = features.len() as f64;
+        let mu = features.iter().map(|f| f[0]).sum::<f64>() / n;
+        let var = features
+            .iter()
+            .map(|f| (f[0] - mu) * (f[0] - mu))
+            .sum::<f64>()
+            / n;
+        let sigma = var.sqrt();
+        if sigma <= 0.0 {
+            return None;
+        }
+        let exponent = -b / (10.0 * sigma);
+        if !(0.3..=8.0).contains(&exponent) {
+            return None;
+        }
+        let gamma_dbm = a - b * mu / sigma;
+        let inv_two_bw_sq = 1.0 / (2.0 * backend.config.kernel_bw_db * backend.config.kernel_bw_db);
+        let mut kernel_sum = 0.0;
+        let mut sq = 0.0;
+        for (f, &v) in features.iter().zip(rss) {
+            let r = v - (gamma_dbm - 10.0 * exponent * f[0]);
+            kernel_sum += (-r * r * inv_two_bw_sq).exp();
+            sq += r * r;
+        }
+        Some(Scored {
+            pos,
+            score: kernel_sum / n,
+            gamma_dbm,
+            exponent,
+            residual_db: (sq / n).sqrt(),
+        })
+    }
+
+    fn rel_close(a: f64, b: f64) -> bool {
+        (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1.0)
+    }
+
+    /// The L-walk fixture as one series: per-sample observer positions
+    /// and RSS readings.
+    fn walk_series() -> (Vec<Vec2>, Vec<f64>) {
+        let (batches, track) = l_walk(Vec2::new(4.0, 3.5));
+        let (mut t, mut v) = (Vec::new(), Vec::new());
+        for b in &batches {
+            t.extend_from_slice(&b.t);
+            v.extend_from_slice(&b.v);
+        }
+        let observers = t
+            .iter()
+            .map(|&ti| track.displacement_at(ti).unwrap_or(Vec2::ZERO))
+            .collect();
+        (observers, v)
+    }
+
+    /// Differential suite for the scratch-based scorer: compares it with
+    /// [`reference_score`] candidate by candidate. The fit recovery
     /// (Γ, n) follows the identical accumulation order and must match
     /// bitwise; the 4-lane kernel/residual sums are reordered and are
     /// held to 1e-12 relative.
     #[test]
     fn scratch_scoring_matches_the_allocating_reference() {
-        use locble_ml::StandardScaler;
-
-        fn reference_score(
-            backend: &FingerprintBackend,
-            pos: Vec2,
-            observers: &[Vec2],
-            rss: &[f64],
-        ) -> Option<Scored> {
-            let features: Vec<Vec<f64>> = observers
-                .iter()
-                .map(|o| vec![pos.distance(*o).max(MIN_RANGE_M).log10()])
-                .collect();
-            let scaler = StandardScaler::fit(&features);
-            let mut solver: GramSolver<2> = GramSolver::new();
-            let mut rhs = [0.0f64; 2];
-            for (f, &v) in features.iter().zip(rss) {
-                let z = scaler.transform(f)[0];
-                solver.accumulate(&[1.0, z]);
-                rhs[0] += v;
-                rhs[1] += v * z;
-            }
-            if !solver.factorize(backend.config.ridge) {
-                return None;
-            }
-            let [a, b] = solver.solve(rhs)?;
-            let n = features.len() as f64;
-            let mu = features.iter().map(|f| f[0]).sum::<f64>() / n;
-            let var = features
-                .iter()
-                .map(|f| (f[0] - mu) * (f[0] - mu))
-                .sum::<f64>()
-                / n;
-            let sigma = var.sqrt();
-            if sigma <= 0.0 {
-                return None;
-            }
-            let exponent = -b / (10.0 * sigma);
-            if !(0.3..=8.0).contains(&exponent) {
-                return None;
-            }
-            let gamma_dbm = a - b * mu / sigma;
-            let inv_two_bw_sq =
-                1.0 / (2.0 * backend.config.kernel_bw_db * backend.config.kernel_bw_db);
-            let mut kernel_sum = 0.0;
-            let mut sq = 0.0;
-            for (f, &v) in features.iter().zip(rss) {
-                let r = v - (gamma_dbm - 10.0 * exponent * f[0]);
-                kernel_sum += (-r * r * inv_two_bw_sq).exp();
-                sq += r * r;
-            }
-            Some(Scored {
-                pos,
-                score: kernel_sum / n,
-                gamma_dbm,
-                exponent,
-                residual_db: (sq / n).sqrt(),
-            })
-        }
-
-        fn rel_close(a: f64, b: f64) -> bool {
-            (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1.0)
-        }
-
-        let target = Vec2::new(4.0, 3.5);
-        let (batches, track) = l_walk(target);
+        let (observers, v) = walk_series();
         let backend = FingerprintBackend::new(FingerprintConfig::default());
-        let mut t = Vec::new();
-        let mut v = Vec::new();
-        for b in &batches {
-            t.extend_from_slice(&b.t);
-            v.extend_from_slice(&b.v);
-        }
-        let observers: Vec<Vec2> = t
-            .iter()
-            .map(|&ti| track.displacement_at(ti).unwrap_or(Vec2::ZERO))
-            .collect();
         let mut feats = Vec::new();
         let mut scored = 0usize;
         // Candidates: a coarse grid around the walk, plus odd tail
@@ -623,6 +628,43 @@ mod tests {
             }
         }
         assert!(scored > 50, "only {scored} candidates actually scored");
+    }
+
+    /// `score_candidate` must stay at least 1.5x faster than
+    /// [`reference_score`] over a 13x13 candidate grid. The arms
+    /// alternate and each keeps its fastest of 7 runs, so a preempted
+    /// run on a loaded machine does not decide the ratio.
+    #[test]
+    fn scratch_scoring_is_at_least_1_5x_the_allocating_reference() {
+        use std::hint::black_box;
+        use std::time::Instant;
+        let (observers, v) = walk_series();
+        let backend = FingerprintBackend::new(FingerprintConfig::default());
+        let grid: Vec<Vec2> = (-6..=6)
+            .flat_map(|iy| (-6..=6).map(move |ix| Vec2::new(ix as f64 * 1.7, iy as f64 * 1.7)))
+            .collect();
+        let mut feats = Vec::new();
+        let time = |score: &mut dyn FnMut(Vec2) -> Option<f64>| {
+            let t0 = Instant::now();
+            for &pos in &grid {
+                black_box(score(black_box(pos)));
+            }
+            t0.elapsed().as_secs_f64()
+        };
+        let (mut reference, mut production) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..7 {
+            reference = reference.min(time(&mut |pos| {
+                reference_score(&backend, pos, &observers, &v).map(|s| s.score)
+            }));
+            production = production.min(time(&mut |pos| {
+                backend
+                    .score_candidate(pos, &observers, &v, &mut feats)
+                    .map(|s| s.score)
+            }));
+        }
+        let speedup = reference / production;
+        println!("score_candidate speedup over reference_score: {speedup:.2}x");
+        assert!(speedup >= 1.5, "score_candidate only {speedup:.2}x");
     }
 
     #[test]

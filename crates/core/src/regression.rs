@@ -400,7 +400,7 @@ impl CircularFit {
     /// Pre-optimization baseline: the original per-call implementation
     /// (row-matrix allocation + full `Matrix::least_squares` + per-point
     /// `powf`). Kept as the ground truth for the differential suite and
-    /// the before/after benchmark; not used by the production path.
+    /// the warm-search ratio test; not used by the production path.
     pub fn solve_reference(points: &[RssPoint], exponent: f64) -> Option<CircularFit> {
         if points.len() < Self::MIN_SAMPLES || exponent <= 0.0 {
             return None;

@@ -12,10 +12,10 @@
 //!    to backend B always fails with [`BackendMismatch`] naming both
 //!    sides, and never mutates the receiving session.
 //!
-//! Plus the tentpole's differential: the default backend driven through
-//! `Box<dyn Estimator>` stays bit-identical to the concrete
+//! Plus the default backend's differential: driven through
+//! `Box<dyn Estimator>` it stays bit-identical to the concrete
 //! [`StreamingEstimator`] under every slicing, not just the one the
-//! unit test happens to use.
+//! unit test happens to use, and costs at most 1.5x the concrete path.
 
 use locble_core::{
     BackendSpec, Estimator, EstimatorConfig, FingerprintConfig, LocationEstimate, ParticleConfig,
@@ -25,6 +25,8 @@ use locble_geom::{Trajectory, Vec2};
 use locble_motion::{MotionTrack, StepResult};
 use locble_rf::LogDistanceModel;
 use proptest::prelude::*;
+use std::hint::black_box;
+use std::time::Instant;
 
 /// A deterministic noisy L-walk: `n` samples at `dt` spacing, first 60 %
 /// along +x then the rest along +y, RSS from the log-distance model plus
@@ -119,6 +121,47 @@ fn assert_bits_equal(a: Option<&LocationEstimate>, b: Option<&LocationEstimate>,
     }
 }
 
+/// Streaming a session through the boxed default must cost at most
+/// 1.5x the concrete [`StreamingEstimator`]: dispatch is one vtable hop
+/// per batch and the refit dominates. The two sessions advance in
+/// lockstep, alternating which arm goes first, and each batch keeps its
+/// fastest of 7 sessions per arm: a batch is short enough to run
+/// unpreempted on a loaded machine, a whole session is not.
+#[test]
+fn boxed_streaming_costs_at_most_1_5x_concrete() {
+    fn timed<T>(f: impl FnOnce() -> T) -> f64 {
+        let t0 = Instant::now();
+        black_box(f());
+        t0.elapsed().as_secs_f64()
+    }
+    let (batches, track) = walk(Vec2::new(3.5, 2.5), 200, 1.0, 20);
+    let prototype = Estimator::new(EstimatorConfig::default());
+    let mut concrete_min = vec![f64::INFINITY; batches.len()];
+    let mut boxed_min = vec![f64::INFINITY; batches.len()];
+    for run in 0..7 {
+        let mut concrete = StreamingEstimator::new(prototype.clone());
+        let mut boxed = BackendSpec::Streaming.build(&prototype, 1);
+        for (k, b) in batches.iter().enumerate() {
+            let b = black_box(b);
+            let mut concrete_push =
+                || timed(|| StreamingEstimator::push_batch(&mut concrete, b, &track).copied());
+            let mut boxed_push = || timed(|| boxed.push_batch(b, &track).copied());
+            let (c, d) = if run % 2 == 0 {
+                let c = concrete_push();
+                (c, boxed_push())
+            } else {
+                let d = boxed_push();
+                (concrete_push(), d)
+            };
+            concrete_min[k] = concrete_min[k].min(c);
+            boxed_min[k] = boxed_min[k].min(d);
+        }
+    }
+    let ratio = boxed_min.iter().sum::<f64>() / concrete_min.iter().sum::<f64>();
+    println!("boxed streaming costs {ratio:.2}x concrete");
+    assert!(ratio <= 1.5, "boxed streaming costs {ratio:.2}x concrete");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -197,8 +240,7 @@ proptest! {
         // And the factory path refuses identically.
         let err2 = into
             .restore(&prototype, 1, exporter.export_state())
-            .err()
-            .expect("factory restore must be refused too");
+            .expect_err("factory restore must be refused too");
         prop_assert_eq!(err, err2);
         prop_assert_eq!(receiver.export_state(), before);
     }

@@ -309,6 +309,32 @@ impl Butterworth {
 mod tests {
     use super::*;
 
+    /// The ANF runs the allocation-free forms (`filter_into` forward,
+    /// `filter_in_place` backward); both must reproduce the allocating
+    /// `filter` bit for bit, including after a reset.
+    #[test]
+    fn filter_into_and_in_place_match_filter_bitwise() {
+        let signal: Vec<f64> = (0..301)
+            .map(|i| {
+                let t = i as f64 * 0.1;
+                -65.0 + 6.0 * (t * 0.9).sin() + 2.0 * (t * 7.3).sin() + ((i % 5) as f64 - 2.0)
+            })
+            .collect();
+        let mut bf = Butterworth::paper_default(10.0).design();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let expected = bits(&bf.filter(&signal));
+        let mut out = vec![0.0; 7];
+        for _ in 0..2 {
+            bf.reset();
+            bf.filter_into(&signal, &mut out);
+            assert_eq!(bits(&out), expected, "filter_into");
+            bf.reset();
+            let mut buf = signal.clone();
+            bf.filter_in_place(&mut buf);
+            assert_eq!(bits(&buf), expected, "filter_in_place");
+        }
+    }
+
     #[test]
     fn sixth_order_has_three_sections() {
         let f = Butterworth {

@@ -245,9 +245,8 @@ impl Envelope {
     }
 
     /// The per-window fold formulation of [`new`](Self::new): scans the
-    /// full window for every slot. Kept as the differential reference
-    /// for the O(n) deque implementation (and as its benchmark
-    /// baseline).
+    /// full window for every slot. Kept as the differential and timing
+    /// reference for the O(n) deque implementation.
     pub fn new_reference(reference: &[f64], radius: usize) -> Envelope {
         let n = reference.len();
         let mut upper = Vec::with_capacity(n);
@@ -448,6 +447,36 @@ mod tests {
                 assert_eq!(fast, slow, "len {} radius {radius}", r.len());
             }
         }
+    }
+
+    /// The deque envelope must stay at least 1.5x faster than the
+    /// window-scan reference on a 4096-sample trace at radius 24. The
+    /// arms alternate and each keeps its fastest of 7 runs, so a
+    /// preempted run on a loaded machine does not decide the ratio.
+    #[test]
+    fn deque_envelope_is_at_least_1_5x_the_fold_reference() {
+        use std::hint::black_box;
+        use std::time::Instant;
+        let signal: Vec<f64> = (0..4096)
+            .map(|i| {
+                let t = i as f64 * 0.05;
+                -60.0 + 6.0 * (t * 0.9).sin() + 2.0 * (t * 7.3).sin()
+            })
+            .collect();
+        let radius = 24;
+        let time = |f: &dyn Fn(&[f64], usize) -> Envelope| {
+            let t0 = Instant::now();
+            black_box(f(black_box(&signal), radius));
+            t0.elapsed().as_secs_f64()
+        };
+        let (mut reference, mut production) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..7 {
+            reference = reference.min(time(&Envelope::new_reference));
+            production = production.min(time(&Envelope::new));
+        }
+        let speedup = reference / production;
+        println!("Envelope::new speedup over new_reference: {speedup:.2}x");
+        assert!(speedup >= 1.5, "Envelope::new only {speedup:.2}x");
     }
 
     #[test]

@@ -138,12 +138,14 @@ mod tests {
         // The same walk with two very different phone postures must give
         // nearly identical vertical/turn signals.
         let plan = WalkPlan::l_shape(Pose2::IDENTITY, 4.0, 3.0);
-        let mut c1 = GaitConfig::default();
-        c1.accel_noise = 0.0;
-        c1.gyro_noise = 0.0;
-        c1.amplitude_jitter = 0.0;
+        let c1 = GaitConfig {
+            accel_noise: 0.0,
+            gyro_noise: 0.0,
+            amplitude_jitter: 0.0,
+            phone_ypr: [0.0, 0.0, 0.0],
+            ..GaitConfig::default()
+        };
         let mut c2 = c1;
-        c1.phone_ypr = [0.0, 0.0, 0.0];
         c2.phone_ypr = [1.2, -0.9, 0.6];
         let a1 = align(&simulate_walk(&plan, &c1, 5).imu);
         let a2 = align(&simulate_walk(&plan, &c2, 5).imu);

@@ -168,8 +168,10 @@ mod tests {
     fn stationary_imu_has_no_steps() {
         // Standing still: gravity + noise only.
         let plan = WalkPlan::straight(Pose2::IDENTITY, 3.0);
-        let mut cfg = GaitConfig::default();
-        cfg.step_amplitude = 0.0; // no gait bursts
+        let cfg = GaitConfig {
+            step_amplitude: 0.0, // no gait bursts
+            ..GaitConfig::default()
+        };
         let sim = simulate_walk(&plan, &cfg, 6);
         let result = detect_steps(&align(&sim.imu), &StepsConfig::default());
         assert!(

@@ -189,7 +189,7 @@ fn concurrent_reactor_clients_match_sequential_ingest_bit_for_bit() {
     let engine = server.shutdown();
     assert_bit_identical("engine after concurrent run", &engine.snapshot(), &want);
     assert_eq!(engine.queued(), 0);
-    assert_eq!(engine.stats().samples_routed as u64, accepted);
+    assert_eq!(engine.stats().samples_routed, accepted);
 }
 
 #[test]

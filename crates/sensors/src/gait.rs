@@ -398,8 +398,8 @@ mod tests {
         let sim = l_walk(5);
         let n = sim.imu.len() as f64;
         let mean: [f64; 3] = sim.imu.iter().fold([0.0; 3], |mut acc, s| {
-            for k in 0..3 {
-                acc[k] += s.accel[k] / n;
+            for (a, x) in acc.iter_mut().zip(s.accel) {
+                *a += x / n;
             }
             acc
         });

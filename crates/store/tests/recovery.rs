@@ -447,8 +447,7 @@ fn mismatched_backend_is_rejected_not_garbled() {
     // Recover with the default (streaming) backend: the tagged session
     // states must be refused with the typed mismatch, not misread.
     let err = SessionStore::recover(&dir, FsyncPolicy::Never, config(), estimator(), Obs::noop())
-        .err()
-        .expect("backend mismatch must fail");
+        .expect_err("backend mismatch must fail");
     assert!(
         matches!(
             err,
@@ -480,8 +479,7 @@ fn mismatched_shard_count_is_rejected_not_garbled() {
         ..config()
     };
     let err = SessionStore::recover(&dir, FsyncPolicy::Never, wrong, estimator(), Obs::noop())
-        .err()
-        .expect("shard mismatch must fail");
+        .expect_err("shard mismatch must fail");
     assert!(
         matches!(err, locble_store::RecoverError::Restore(_)),
         "unexpected error: {err}"

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Full local gate: everything CI would run, in one shot. Every step is
-# an exit code; the BENCH_*.json verdicts (boolean gates and headline
-# ratchets) are judged once, by scripts/bench_compare.sh at the end.
+# an exit code: each fact has one gate, and no step compares a number
+# measured on this host against a committed one. Absolute throughput
+# and latency are judged only by alternating perfbench runs
+# (scripts/perf_ab.sh), not here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,14 +19,8 @@ cargo run --release -q -p locble-bench --bin loadgen -- --connections 10000
 echo "==> recovery smoke (release crashtest: SIGKILL mid-stream, recover, diff)"
 cargo run --release -q -p locble-bench --bin crashtest
 
-echo "==> refit bench (release harness + BENCH_refit.json)"
-cargo run --release -q -p locble-bench --bin harness -- refit --refit-json BENCH_refit.json
-
-echo "==> backend shootout (release harness + BENCH_backends.json)"
+echo "==> backend shootout (release harness + BENCH_backends.json; exits 1 on a false gate)"
 cargo run --release -q -p locble-bench --bin harness -- backends --backends-json BENCH_backends.json
-
-echo "==> hotpath bench (release harness + BENCH_hotpath.json)"
-cargo run --release -q -p locble-bench --bin harness -- hotpath --hotpath-json BENCH_hotpath.json
 
 echo "==> obs smoke (release obsctl: traced batch, introspection scrape, flight dump + BENCH_obs.json)"
 cargo run --release -q -p locble-bench --bin obsctl -- smoke --json BENCH_obs.json
@@ -39,11 +35,8 @@ for workload in fleet trickle cluster; do
     || { echo "perfbench $workload failed"; exit 1; }
 done
 
-echo "==> bench compare (boolean gates + perf ratchet vs bench/baselines)"
-scripts/bench_compare.sh
-
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
