@@ -240,3 +240,26 @@ fn warm_engine_tick_processes_pending_batches_without_allocating() {
         );
     }
 }
+
+#[test]
+fn warm_metrics_update_existing_names_without_allocating() {
+    let _serial = serial();
+    let obs = Obs::ring(16);
+    obs.counter_add("net.adverts_rx", 1);
+    obs.gauge_set("engine.queued", 1.0);
+    obs.histogram_observe("net.ingest_batch.us", 1.0);
+
+    let before = alloc_count();
+    for i in 0..100 {
+        obs.counter_add("net.adverts_rx", 8);
+        obs.gauge_set("engine.queued", f64::from(i));
+        obs.histogram_observe("net.ingest_batch.us", f64::from(i));
+    }
+    let allocs = alloc_count() - before;
+    let metrics = obs.metrics();
+    assert_eq!(metrics.counters["net.adverts_rx"], 801);
+    assert_eq!(
+        allocs, 0,
+        "warm counter/gauge/histogram updates allocated {allocs} times"
+    );
+}

@@ -16,8 +16,12 @@
 //!   transport error closes it;
 //! * requests decoded during a tick are *coalesced*: at tick end the
 //!   service executes every connection's requests in arrival order in
-//!   one call — a node ingests them all, then one `Engine::process`
-//!   pass drains what all of them enqueued;
+//!   one call. A node runs them as a *group commit*: it appends every
+//!   batch to the WAL, waits on one replication barrier (an owner's
+//!   single follower round trip), ingests and answers every request in
+//!   order, writes the replies, then one `Engine::process` pass drains
+//!   what all of them enqueued. A `PartitionMap` can flip the node's
+//!   role, so it ends the group before it and runs in its own;
 //! * per-advert `AdmitError` rejections travel as exact counts in the
 //!   [`Frame::IngestAck`]; shard-queue `Backpressure` is drained in-line
 //!   by interleaving `Engine::process`, never by dropping a connection;
@@ -36,7 +40,7 @@ use crate::conn::{Assembled, Conn, Flush, TimerWheel, WRITE_BACKPRESSURE_BYTES};
 use crate::poll::{Event, Interest, Poller};
 use crate::wire::{
     encode_frame, ClusterSummary, DecodeError, ErrorCode, FinishSummary, Frame, IngestSummary,
-    NodeRole, TracedAck, WireEstimate, WireMetrics, WirePartitionMap, WireStats,
+    NodeRole, TracedAck, WireAdvert, WireEstimate, WireMetrics, WirePartitionMap, WireStats,
     DEFAULT_MAX_FRAME_LEN,
 };
 use locble_ble::BeaconId;
@@ -107,11 +111,13 @@ pub enum ReplicationPolicy {
     /// is dropped, and the node keeps serving unreplicated.
     LocalOnly,
     /// Ack only after the follower has acked the batch's records
-    /// durable. A replication failure refuses the batch with a typed
-    /// `Internal` error (the local WAL keeps the records — recovery
-    /// trusts the log, as with a failed append) and then degrades the
-    /// node to unreplicated serving, so a dead follower cannot wedge
-    /// the owner.
+    /// durable. The records of a whole group (a tick's batches up to
+    /// the next `PartitionMap`) replicate in one barrier, so a
+    /// replication failure refuses every batch of the group with the
+    /// same typed `Internal` error (the local WAL keeps the records —
+    /// recovery trusts the log, as with a failed append) and then
+    /// degrades the node to unreplicated serving, so a dead follower
+    /// cannot wedge the owner.
     SyncAck,
 }
 
@@ -415,45 +421,9 @@ impl Server {
         config: ServerConfig,
         obs: Obs,
     ) -> std::io::Result<ServerHandle> {
-        let store = store.map(|(store, checkpoint_every)| DurableStore {
-            last_checkpoint: store.wal_records(),
-            store,
-            checkpoint_every,
-        });
         let node_obs = obs.clone();
         Server::host(config, obs, move |addr| {
-            let cluster = match cluster {
-                None => None,
-                Some(cfg) => {
-                    let link = match (&cfg.replica_addr, &store) {
-                        (Some(replica), Some(durable)) => {
-                            let wal_path = durable.store.dir().join(WAL_FILE);
-                            Some(ReplicaLink::attach(replica, &wal_path)?)
-                        }
-                        (Some(_), None) => {
-                            return Err(std::io::Error::other(
-                                "a replica link requires a durability store \
-                                 (the WAL is the replication stream)",
-                            ));
-                        }
-                        (None, _) => None,
-                    };
-                    Some(ClusterState {
-                        node_id: cfg.node_id,
-                        role: cfg.role,
-                        map: cfg.map,
-                        listen_addr: addr.to_string(),
-                        replication: cfg.replication,
-                        link,
-                    })
-                }
-            };
-            Ok(NodeService {
-                engine,
-                store,
-                cluster,
-                obs: node_obs,
-            })
+            NodeService::new(engine, store, cluster, addr, node_obs)
         })
     }
 
@@ -1086,24 +1056,23 @@ impl<S: Service> Reactor<S> {
 impl Service for NodeService {
     type Output = Engine;
 
-    fn execute(&mut self, requests: Vec<Request>, draining: bool) -> Vec<Frame> {
-        requests
-            .into_iter()
-            .map(|Request { frame, decoded_us }| {
-                if let (Frame::TracedAdvertBatch(ctx, _), true) = (&frame, decoded_us > 0) {
-                    // Coalesce lap: how long the decoded batch waited for
-                    // this engine pass.
-                    let now_us = self.obs.now_us();
-                    self.obs.trace_stage(
-                        ctx.trace_id,
-                        Stage::Coalesce,
-                        decoded_us,
-                        now_us.saturating_sub(decoded_us),
-                    );
-                }
-                self.handle_frame(frame, draining)
-            })
-            .collect()
+    fn execute(&mut self, mut requests: Vec<Request>, draining: bool) -> Vec<Frame> {
+        let mut replies = Vec::with_capacity(requests.len());
+        while !requests.is_empty() {
+            // A group ends before the next `PartitionMap`, which runs in
+            // a group of its own: only that frame can flip the role that
+            // decides ingest refusal, so a group's batches share one.
+            let len = match requests
+                .iter()
+                .position(|r| matches!(r.frame, Frame::PartitionMap(_)))
+            {
+                Some(0) => 1,
+                Some(end) => end,
+                None => requests.len(),
+            };
+            self.execute_group(requests.drain(..len), draining, &mut replies);
+        }
+        replies
     }
 
     fn settle(&mut self) {
@@ -1130,19 +1099,113 @@ impl Service for NodeService {
 }
 
 impl NodeService {
-    /// Executes one request frame against the engine, producing the
-    /// reply.
-    fn handle_frame(&mut self, frame: Frame, draining: bool) -> Frame {
-        let ingest = matches!(
-            frame,
-            Frame::AdvertBatch(_) | Frame::TracedAdvertBatch(..) | Frame::Forward { .. }
-        );
-        if let Some(refusal) = ingest.then(|| self.ingest_refusal(draining)).flatten() {
-            return refusal;
+    /// A node listening at `addr`; an owner with a `replica_addr`
+    /// attaches its replication link here.
+    fn new(
+        engine: Engine,
+        store: Option<(SessionStore, u64)>,
+        cluster: Option<ClusterConfig>,
+        addr: SocketAddr,
+        obs: Obs,
+    ) -> std::io::Result<NodeService> {
+        let store = store.map(|(store, checkpoint_every)| DurableStore {
+            last_checkpoint: store.wal_records(),
+            store,
+            checkpoint_every,
+        });
+        let cluster = match cluster {
+            None => None,
+            Some(cfg) => {
+                let link = match (&cfg.replica_addr, &store) {
+                    (Some(replica), Some(durable)) => {
+                        let wal_path = durable.store.dir().join(WAL_FILE);
+                        Some(ReplicaLink::attach(replica, &wal_path)?)
+                    }
+                    (Some(_), None) => {
+                        return Err(std::io::Error::other(
+                            "a replica link requires a durability store \
+                             (the WAL is the replication stream)",
+                        ));
+                    }
+                    (None, _) => None,
+                };
+                Some(ClusterState {
+                    node_id: cfg.node_id,
+                    role: cfg.role,
+                    map: cfg.map,
+                    listen_addr: addr.to_string(),
+                    replication: cfg.replication,
+                    link,
+                })
+            }
+        };
+        Ok(NodeService {
+            engine,
+            store,
+            cluster,
+            obs,
+        })
+    }
+
+    /// Executes one group as a group commit, so its batches share one
+    /// follower round trip:
+    /// 1. append every ingest batch to the WAL, in offer order;
+    /// 2. one replication barrier ([`NodeService::replicate`]);
+    /// 3. ingest and answer every request, in order;
+    /// 4. checkpoint, now that the WAL and the engine agree.
+    fn execute_group(
+        &mut self,
+        group: impl Iterator<Item = Request>,
+        draining: bool,
+        replies: &mut Vec<Frame>,
+    ) {
+        let mut staged: Vec<(Frame, Option<Commit>)> = Vec::new();
+        for Request { frame, decoded_us } in group {
+            let commit = ingest_payload(&frame).map(|(batch, ctx)| {
+                if let (Some(ctx), true) = (ctx, decoded_us > 0) {
+                    // Coalesce lap: how long the decoded batch waited for
+                    // this tick's commit.
+                    let now_us = self.obs.now_us();
+                    self.obs.trace_stage(
+                        ctx.trace_id,
+                        Stage::Coalesce,
+                        decoded_us,
+                        now_us.saturating_sub(decoded_us),
+                    );
+                }
+                if let Some(refusal) = self.ingest_refusal(draining) {
+                    return Err(refusal);
+                }
+                let adverts: Vec<Advert> = batch.iter().map(|a| Advert::from(*a)).collect();
+                self.append(&adverts, ctx).map(|()| adverts)
+            });
+            staged.push((frame, commit));
         }
+        if let Err(refusal) = self.replicate(&staged) {
+            for (_, commit) in &mut staged {
+                if let Some(commit @ Ok(_)) = commit {
+                    *commit = Err(refusal.clone());
+                }
+            }
+        }
+        for (frame, commit) in staged {
+            replies.push(self.handle_frame(frame, commit, draining));
+        }
+        self.maybe_checkpoint();
+    }
+
+    /// Executes one request frame against the engine, producing the
+    /// reply. `commit` is `Some` exactly for the ingest frames: their
+    /// group's append-and-barrier outcome.
+    fn handle_frame(&mut self, frame: Frame, commit: Option<Commit>, draining: bool) -> Frame {
+        let adverts = match commit {
+            Some(Err(refusal)) => return refusal,
+            Some(Ok(adverts)) => adverts,
+            None => Vec::new(),
+        };
         match frame {
-            Frame::AdvertBatch(batch) => self.ingest_batch(&batch, None),
-            Frame::TracedAdvertBatch(ctx, batch) => self.ingest_batch(&batch, Some(ctx)),
+            Frame::AdvertBatch(_) => self.ingest_batch(&adverts, None),
+            Frame::TracedAdvertBatch(ctx, _) => self.ingest_batch(&adverts, Some(ctx)),
             Frame::MetricsQuery => {
                 Frame::MetricsReport(WireMetrics::from_snapshot(&self.obs.metrics()))
             }
@@ -1228,7 +1291,7 @@ impl NodeService {
                 }
                 Frame::JoinAck(c.map.clone())
             }
-            Frame::Forward { seq, ctx, adverts } => {
+            Frame::Forward { seq, ctx, .. } => {
                 let ctx = (ctx.trace_id != 0).then_some(ctx);
                 let summary = match self.ingest_batch(&adverts, ctx) {
                     Frame::IngestAck(s) => s,
@@ -1272,6 +1335,12 @@ impl NodeService {
                         ErrorCode::Internal,
                         format!("replication gap: owner base {base}, follower holds {held}"),
                     );
+                }
+                // A follower commits inline: append, then ingest. Its
+                // owner's barrier is the round trip this reply ends.
+                let adverts: Vec<Advert> = adverts.iter().map(|a| Advert::from(*a)).collect();
+                if let Err(refusal) = self.append(&adverts, None) {
+                    return refusal;
                 }
                 match self.ingest_batch(&adverts, None) {
                     Frame::IngestAck(_) => Frame::ReplicateAck {
@@ -1382,74 +1451,100 @@ impl NodeService {
         })
     }
 
-    /// Ingests one batch, draining shard-queue backpressure in-line so
-    /// the whole batch is always consumed (mirrors `Engine::ingest_all`,
-    /// with per-drain instrumentation). With a trace context the batch's
-    /// WAL, route, shard-queue and refit laps are recorded and the reply
-    /// is a [`Frame::TracedIngestAck`] carrying the laps closed so far —
-    /// the estimates themselves are identical either way (telemetry
-    /// never feeds the math).
-    fn ingest_batch(&mut self, batch: &[crate::wire::WireAdvert], ctx: Option<TraceCtx>) -> Frame {
-        let adverts: Vec<Advert> = batch.iter().map(|a| Advert::from(*a)).collect();
+    /// Write-ahead: logs one batch before the engine may see it, in
+    /// offer order. An `Err` is the batch's reply: a failed append
+    /// refuses the batch with a typed `Internal` error.
+    fn append(&mut self, adverts: &[Advert], ctx: Option<TraceCtx>) -> Result<(), Frame> {
+        let Some(durable) = self.store.as_mut() else {
+            return Ok(());
+        };
+        let obs = &self.obs;
+        let wal_t0 = ctx.and_then(|_| obs.enabled().then(Instant::now));
+        if let Err(e) = durable.store.append(adverts) {
+            obs.counter_add("net.wal_failures", 1);
+            return Err(Frame::error(
+                ErrorCode::Internal,
+                format!("durability append failed; batch refused: {e}"),
+            ));
+        }
+        if let (Some(ctx), Some(t0)) = (ctx, wal_t0) {
+            let duration_us = t0.elapsed().as_micros() as u64;
+            obs.trace_stage(
+                ctx.trace_id,
+                Stage::Wal,
+                obs.now_us().saturating_sub(duration_us),
+                duration_us,
+            );
+        }
+        Ok(())
+    }
+
+    /// The group's replication barrier: on an owner with a live link,
+    /// one [`ReplicaLink::pump`] streams every record the group appended
+    /// and waits for the follower's durable ack. The tailer reads the
+    /// WAL file the appends just extended, so the stream is exactly the
+    /// durable log, in order. Each traced batch gets the barrier as its
+    /// `Replicate` lap. A failure is counted and drops the link; under
+    /// `SyncAck` the `Err` is the refusal every batch of the group gets,
+    /// before the engine sees any of them.
+    fn replicate(&mut self, staged: &[(Frame, Option<Commit>)]) -> Result<(), Frame> {
+        let Some(c) = self.cluster.as_mut() else {
+            return Ok(());
+        };
+        let (NodeRole::Owner, Some(link)) = (c.role, c.link.as_mut()) else {
+            return Ok(());
+        };
+        let committed = || {
+            staged
+                .iter()
+                .filter(|(_, commit)| matches!(commit, Some(Ok(_))))
+                .map(|(frame, _)| frame)
+        };
+        if committed().next().is_none() {
+            return Ok(());
+        }
+        let obs = &self.obs;
+        let mut span = obs.span("net", "replicate");
+        let t0 = obs.enabled().then(Instant::now);
+        let pumped = link.pump();
+        if let Some(t0) = t0 {
+            let duration_us = t0.elapsed().as_micros() as u64;
+            let start_us = obs.now_us().saturating_sub(duration_us);
+            for ctx in committed().filter_map(|f| ingest_payload(f).and_then(|(_, ctx)| ctx)) {
+                obs.trace_stage(ctx.trace_id, Stage::Replicate, start_us, duration_us);
+            }
+        }
+        match pumped {
+            Ok(durable) => {
+                span.field("replica_durable", durable);
+                Ok(())
+            }
+            Err(e) => {
+                obs.counter_add("net.replication_failures", 1);
+                span.field("replication_failed", true);
+                c.link = None;
+                match c.replication {
+                    ReplicationPolicy::SyncAck => Err(Frame::error(
+                        ErrorCode::Internal,
+                        format!("replication failed; every batch of the group refused: {e}"),
+                    )),
+                    ReplicationPolicy::LocalOnly => Ok(()),
+                }
+            }
+        }
+    }
+
+    /// Ingests one committed batch, draining shard-queue backpressure
+    /// in-line so the whole batch is always consumed (mirrors
+    /// `Engine::ingest_all`, with per-drain instrumentation). With a
+    /// trace context the batch's route, shard-queue and refit laps are
+    /// recorded and the reply is a [`Frame::TracedIngestAck`] carrying
+    /// the laps closed so far — the estimates themselves are identical
+    /// either way (telemetry never feeds the math).
+    fn ingest_batch(&mut self, adverts: &[Advert], ctx: Option<TraceCtx>) -> Frame {
         let obs = &self.obs;
         let mut span = obs.span("net", "ingest_batch");
         span.field("adverts", adverts.len());
-        if let Some(durable) = self.store.as_mut() {
-            // Write-ahead: the batch must be durable before the engine
-            // can see it, in offer order.
-            let wal_t0 = ctx.and_then(|_| obs.enabled().then(Instant::now));
-            if let Err(e) = durable.store.append(&adverts) {
-                obs.counter_add("net.wal_failures", 1);
-                span.field("wal_failed", true);
-                return Frame::error(
-                    ErrorCode::Internal,
-                    format!("durability append failed; batch refused: {e}"),
-                );
-            }
-            if let (Some(ctx), Some(t0)) = (ctx, wal_t0) {
-                let duration_us = t0.elapsed().as_micros() as u64;
-                obs.trace_stage(
-                    ctx.trace_id,
-                    Stage::Wal,
-                    obs.now_us().saturating_sub(duration_us),
-                    duration_us,
-                );
-            }
-        }
-        if let Some(c) = self.cluster.as_mut() {
-            // Replicate before ingest, mirroring the WAL-before-ingest
-            // rule: under SyncAck a batch the follower never acked is
-            // refused before the engine sees it. The tailer reads the
-            // WAL file the append above just extended, so the stream is
-            // exactly the durable log, in order.
-            if let (NodeRole::Owner, Some(link)) = (c.role, c.link.as_mut()) {
-                let rep_t0 = ctx.and_then(|_| obs.enabled().then(Instant::now));
-                let pumped = link.pump();
-                if let (Some(ctx), Some(t0)) = (ctx, rep_t0) {
-                    let duration_us = t0.elapsed().as_micros() as u64;
-                    obs.trace_stage(
-                        ctx.trace_id,
-                        Stage::Replicate,
-                        obs.now_us().saturating_sub(duration_us),
-                        duration_us,
-                    );
-                }
-                match pumped {
-                    Ok(durable) => span.field("replica_durable", durable),
-                    Err(e) => {
-                        obs.counter_add("net.replication_failures", 1);
-                        span.field("replication_failed", true);
-                        c.link = None;
-                        if c.replication == ReplicationPolicy::SyncAck {
-                            return Frame::error(
-                                ErrorCode::Internal,
-                                format!("replication failed; batch refused: {e}"),
-                            );
-                        }
-                    }
-                }
-            }
-        }
         let engine = &mut self.engine;
         let mut total = IngestReport::default();
         let mut offset = 0;
@@ -1481,20 +1576,6 @@ impl NodeService {
                 }
             }
         }
-        if let Some(durable) = self.store.as_mut() {
-            // Checkpoint after ingest, so the snapshot's WAL position and
-            // the engine state agree (a snapshot taken between append and
-            // ingest would skip records the state doesn't contain).
-            let records = durable.store.wal_records();
-            if durable.checkpoint_every > 0
-                && records - durable.last_checkpoint >= durable.checkpoint_every
-            {
-                match durable.store.checkpoint(engine) {
-                    Ok(_) => durable.last_checkpoint = records,
-                    Err(_) => obs.counter_add("net.checkpoint_failures", 1),
-                }
-            }
-        }
         if ctx.is_some() {
             // Close the batch's pending trace marks (shard-queue wait +
             // refit laps) before acking, so the ack can carry them. Extra
@@ -1523,10 +1604,361 @@ impl NodeService {
             None => Frame::IngestAck(summary),
         }
     }
+
+    /// Checkpoints once `checkpoint_every` WAL records have accumulated
+    /// since the last snapshot. It runs at the end of a group, where the
+    /// WAL and the engine agree: a snapshot taken between a batch's
+    /// append and its ingest would record a WAL position ahead of the
+    /// engine state, and recovery would skip records the state lacks.
+    fn maybe_checkpoint(&mut self) {
+        let Some(durable) = self.store.as_mut() else {
+            return;
+        };
+        let records = durable.store.wal_records();
+        if durable.checkpoint_every > 0
+            && records - durable.last_checkpoint >= durable.checkpoint_every
+        {
+            match durable.store.checkpoint(&self.engine) {
+                Ok(_) => durable.last_checkpoint = records,
+                Err(_) => self.obs.counter_add("net.checkpoint_failures", 1),
+            }
+        }
+    }
+}
+
+/// An ingest batch's fate once its group has been appended and
+/// replicated: the adverts to ingest, or the reply that refuses them.
+type Commit = Result<Vec<Advert>, Frame>;
+
+/// The batch and trace context of an ingest frame (`AdvertBatch`,
+/// `TracedAdvertBatch` or `Forward`); `None` for every other frame.
+fn ingest_payload(frame: &Frame) -> Option<(&[WireAdvert], Option<TraceCtx>)> {
+    match frame {
+        Frame::AdvertBatch(batch) => Some((batch, None)),
+        Frame::TracedAdvertBatch(ctx, batch) => Some((batch, Some(*ctx))),
+        Frame::Forward { ctx, adverts, .. } => Some((adverts, (ctx.trace_id != 0).then_some(*ctx))),
+        _ => None,
+    }
 }
 
 /// The reply for a cluster frame sent to a server with no cluster
 /// attachment.
 fn not_clustered() -> Frame {
     Frame::error(ErrorCode::BadFrame, "server has no cluster attachment")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{NodeEntry, WireError};
+    use locble_core::{Estimator, EstimatorConfig};
+    use locble_engine::EngineConfig;
+    use locble_scenario::fleet_session;
+    use locble_scenario::runner::track_observer;
+    use locble_store::FsyncPolicy;
+
+    const BEACONS: usize = 10;
+    const SEED: u64 = 47;
+
+    fn adverts() -> Vec<Advert> {
+        fleet_session(BEACONS, SEED)
+            .interleaved_rss()
+            .into_iter()
+            .map(Advert::from)
+            .collect()
+    }
+
+    fn engine() -> Engine {
+        let mut engine = Engine::new(
+            EngineConfig::default(),
+            Estimator::new(EstimatorConfig::default()),
+            Obs::noop(),
+        );
+        engine.set_motion(track_observer(&fleet_session(BEACONS, SEED)));
+        engine
+    }
+
+    fn fresh_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("locble-group-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn store(dir: &Path) -> SessionStore {
+        SessionStore::open(dir, FsyncPolicy::Never, Obs::noop()).expect("open store")
+    }
+
+    fn cluster(
+        role: NodeRole,
+        replica: Option<SocketAddr>,
+        replication: ReplicationPolicy,
+    ) -> ClusterConfig {
+        ClusterConfig {
+            node_id: 1,
+            role,
+            map: WirePartitionMap::default(),
+            replica_addr: replica.map(|a| a.to_string()),
+            replication,
+        }
+    }
+
+    fn follower(dir: &Path) -> ServerHandle {
+        let config = cluster(NodeRole::Follower, None, ReplicationPolicy::SyncAck);
+        Server::bind_cluster(
+            engine(),
+            store(dir),
+            0,
+            ServerConfig::default(),
+            config,
+            Obs::noop(),
+        )
+        .expect("bind follower")
+    }
+
+    /// An owner driven tick by tick through [`Service::execute`], linked
+    /// to the follower at `replica` when there is one.
+    fn owner(
+        dir: &Path,
+        replica: Option<SocketAddr>,
+        replication: ReplicationPolicy,
+        checkpoint_every: u64,
+        obs: Obs,
+    ) -> NodeService {
+        NodeService::new(
+            engine(),
+            Some((store(dir), checkpoint_every)),
+            Some(cluster(NodeRole::Owner, replica, replication)),
+            "127.0.0.1:1".parse().expect("addr"),
+            obs,
+        )
+        .expect("owner")
+    }
+
+    fn wire(adverts: &[Advert]) -> Vec<WireAdvert> {
+        adverts.iter().map(|a| WireAdvert::from(*a)).collect()
+    }
+
+    fn request(frame: Frame) -> Request {
+        Request {
+            frame,
+            decoded_us: 0,
+        }
+    }
+
+    /// One tick of `AdvertBatch` requests, one per chunk.
+    fn batches<'a>(chunks: impl Iterator<Item = &'a [Advert]>) -> Vec<Request> {
+        chunks
+            .map(|c| request(Frame::AdvertBatch(wire(c))))
+            .collect()
+    }
+
+    fn wal_records(node: &NodeService) -> u64 {
+        node.store.as_ref().map_or(0, |d| d.store.wal_records())
+    }
+
+    fn link(node: &NodeService) -> Option<&ReplicaLink> {
+        node.cluster.as_ref().and_then(|c| c.link.as_ref())
+    }
+
+    fn consumed(reply: &Frame) -> u64 {
+        match reply {
+            Frame::IngestAck(summary) => summary.consumed,
+            other => panic!("expected an ingest ack, got {other:?}"),
+        }
+    }
+
+    fn error_code(reply: &Frame) -> ErrorCode {
+        match reply {
+            Frame::Error(WireError { code, .. }) => *code,
+            other => panic!("expected a typed error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_tick_of_batches_costs_one_follower_round_trip() {
+        let (follower_dir, owner_dir) = (fresh_dir("rt-follower"), fresh_dir("rt-owner"));
+        let follower = follower(&follower_dir);
+        let obs = Obs::ring(64);
+        let mut node = owner(
+            &owner_dir,
+            Some(follower.addr()),
+            ReplicationPolicy::SyncAck,
+            0,
+            obs.clone(),
+        );
+        let adverts = adverts();
+        let requests = adverts[..8 * 64]
+            .chunks(64)
+            .enumerate()
+            .map(|(i, chunk)| {
+                request(Frame::Forward {
+                    seq: i as u64,
+                    ctx: TraceCtx::mint(100 + i as u64),
+                    adverts: wire(chunk),
+                })
+            })
+            .collect();
+
+        let replies = node.execute(requests, false);
+        let wal = wal_records(&node);
+        assert_eq!(wal, 8 * 64);
+        assert_eq!(replies.len(), 8);
+        for (i, reply) in replies.iter().enumerate() {
+            match reply {
+                Frame::ForwardAck {
+                    seq,
+                    summary,
+                    replica_durable,
+                } => {
+                    assert_eq!(*seq, i as u64);
+                    assert_eq!(summary.consumed, 64);
+                    assert_eq!(*replica_durable, wal, "acked after the barrier");
+                }
+                other => panic!("batch {i}: expected a forward ack, got {other:?}"),
+            }
+        }
+        let link = link(&node).expect("link survives a healthy barrier");
+        assert_eq!(link.seq, 1, "one Replicate frame carries the whole tick");
+        let mut client = Client::connect(follower.addr()).expect("connect follower");
+        let held = client.cluster().expect("cluster query").replicated_records;
+        assert_eq!(
+            held, wal,
+            "the follower holds every record the owner logged"
+        );
+
+        // Every traced batch keeps its own WAL lap and shares the
+        // barrier as its Replicate lap.
+        let replicate_laps: Vec<(u64, u64)> = (0..8)
+            .map(|i| {
+                let record = obs.trace_lookup(100 + i).expect("trace recorded");
+                assert!(
+                    record.lap(Stage::Wal).is_some(),
+                    "batch {i} lost its WAL lap"
+                );
+                let lap = record.lap(Stage::Replicate).expect("replicate lap");
+                (lap.start_us, lap.duration_us)
+            })
+            .collect();
+        assert!(replicate_laps.iter().all(|lap| *lap == replicate_laps[0]));
+
+        drop(client);
+        follower.shutdown();
+        let _ = std::fs::remove_dir_all(&follower_dir);
+        let _ = std::fs::remove_dir_all(&owner_dir);
+    }
+
+    /// Runs a 4-batch tick against an owner whose follower has stopped;
+    /// returns the owner and the tick's replies.
+    fn tick_with_dead_follower(
+        tag: &str,
+        replication: ReplicationPolicy,
+        obs: Obs,
+    ) -> (NodeService, Vec<Frame>) {
+        let (follower_dir, owner_dir) = (fresh_dir(&format!("{tag}-f")), fresh_dir(tag));
+        let follower = follower(&follower_dir);
+        let mut node = owner(&owner_dir, Some(follower.addr()), replication, 0, obs);
+        follower.shutdown();
+        let adverts = adverts();
+        let replies = node.execute(batches(adverts[..4 * 50].chunks(50)), false);
+        assert_eq!(wal_records(&node), 4 * 50, "the WAL keeps every batch");
+        assert!(link(&node).is_none(), "a failed barrier drops the link");
+        let _ = std::fs::remove_dir_all(&follower_dir);
+        let _ = std::fs::remove_dir_all(&owner_dir);
+        (node, replies)
+    }
+
+    #[test]
+    fn sync_ack_refuses_the_whole_group_when_the_barrier_fails() {
+        let (mut node, replies) =
+            tick_with_dead_follower("sync", ReplicationPolicy::SyncAck, Obs::noop());
+        assert_eq!(replies.len(), 4);
+        for reply in &replies {
+            assert_eq!(error_code(reply), ErrorCode::Internal);
+            assert_eq!(reply, &replies[0], "one refusal for the whole group");
+        }
+        let stats = node.engine.stats();
+        assert_eq!(stats.samples_routed + stats.samples_rejected, 0);
+
+        // Degraded: the next tick is acked unreplicated.
+        let adverts = adverts();
+        let replies = node.execute(batches(adverts[200..300].chunks(50)), false);
+        assert_eq!(replies.iter().map(consumed).sum::<u64>(), 100);
+        assert_eq!(wal_records(&node), 300);
+    }
+
+    #[test]
+    fn local_only_acks_the_group_and_counts_one_failure() {
+        let obs = Obs::ring(64);
+        let (node, replies) =
+            tick_with_dead_follower("local", ReplicationPolicy::LocalOnly, obs.clone());
+        assert_eq!(replies.iter().map(consumed).sum::<u64>(), 200);
+        assert_eq!(node.engine.stats().samples_routed, 200);
+        assert_eq!(obs.metrics().counters["net.replication_failures"], 1);
+    }
+
+    #[test]
+    fn a_partition_map_ends_the_group_before_it() {
+        let dir = fresh_dir("demote");
+        let mut node = owner(&dir, None, ReplicationPolicy::SyncAck, 0, Obs::noop());
+        let adverts = adverts();
+        // Epoch 1 lists node 1 at another address: this node is demoted.
+        let demote = WirePartitionMap {
+            epoch: 1,
+            nodes: vec![NodeEntry {
+                node_id: 1,
+                addr: "127.0.0.1:2".to_string(),
+            }],
+        };
+        let requests = vec![
+            request(Frame::AdvertBatch(wire(&adverts[..40]))),
+            request(Frame::PartitionMap(demote)),
+            request(Frame::AdvertBatch(wire(&adverts[40..80]))),
+        ];
+        let replies = node.execute(requests, false);
+        assert_eq!(consumed(&replies[0]), 40);
+        assert!(matches!(replies[1], Frame::JoinAck(_)), "{:?}", replies[1]);
+        assert_eq!(error_code(&replies[2]), ErrorCode::BadFrame);
+        assert_eq!(
+            wal_records(&node),
+            40,
+            "the refused batch never reaches the WAL"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoints_at_group_boundaries_recover_bit_identically() {
+        let dir = fresh_dir("checkpoint");
+        let mut node = owner(&dir, None, ReplicationPolicy::SyncAck, 1, Obs::noop());
+        let adverts = adverts();
+        let mut ticks = 0;
+        for tick in adverts.chunks(4 * 25) {
+            let replies = node.execute(batches(tick.chunks(25)), false);
+            assert_eq!(replies.iter().map(consumed).sum::<u64>(), tick.len() as u64);
+            node.settle();
+            ticks += 1;
+        }
+        assert!(ticks >= 3, "the stream must span several multi-batch ticks");
+
+        let config = node.engine.config().clone();
+        let prototype = node.engine.prototype().clone();
+        let (_, mut recovered, report) =
+            SessionStore::recover(&dir, FsyncPolicy::Never, config, prototype, Obs::noop())
+                .expect("recover");
+        assert_eq!(report.wal_records, adverts.len() as u64);
+        assert_eq!(
+            report.replayed, 0,
+            "the last group's checkpoint covers the WAL"
+        );
+
+        let mut live = node.engine;
+        live.finish();
+        recovered.finish();
+        let (got, want) = (recovered.snapshot(), live.snapshot());
+        assert!(want.len() >= 6, "the live engine localized too few beacons");
+        // Debug prints every f64 in its shortest round-trip form, so equal
+        // text means bit-identical estimates, every field included.
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -2,7 +2,8 @@
 //!
 //! All state lives behind one `Mutex` per metric kind; the hot path is
 //! a map lookup plus an integer add, far below the cost of the pipeline
-//! work being measured. Names are free-form dotted strings.
+//! work being measured, and only a name's first use allocates. Names
+//! are free-form dotted strings.
 
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
@@ -41,13 +42,24 @@ impl MetricsRegistry {
     /// Adds to a monotonic counter, creating it at zero on first use.
     pub fn counter_add(&self, name: &str, n: u64) {
         let mut counters = self.counters.lock().expect("counters not poisoned");
-        *counters.entry(name.to_string()).or_insert(0) += n;
+        // Look up before inserting: only a new name allocates its key.
+        match counters.get_mut(name) {
+            Some(count) => *count += n,
+            None => {
+                counters.insert(name.to_string(), n);
+            }
+        }
     }
 
     /// Sets a gauge to its latest value.
     pub fn gauge_set(&self, name: &str, v: f64) {
         let mut gauges = self.gauges.lock().expect("gauges not poisoned");
-        gauges.insert(name.to_string(), v);
+        match gauges.get_mut(name) {
+            Some(gauge) => *gauge = v,
+            None => {
+                gauges.insert(name.to_string(), v);
+            }
+        }
     }
 
     /// Registers a histogram with explicit ascending bucket bounds
@@ -63,10 +75,14 @@ impl MetricsRegistry {
     /// buckets on first use.
     pub fn histogram_observe(&self, name: &str, v: f64) {
         let mut hists = self.histograms.lock().expect("histograms not poisoned");
-        hists
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(&DEFAULT_BOUNDS))
-            .observe(v);
+        match hists.get_mut(name) {
+            Some(hist) => hist.observe(v),
+            None => {
+                let mut hist = Histogram::new(&DEFAULT_BOUNDS);
+                hist.observe(v);
+                hists.insert(name.to_string(), hist);
+            }
+        }
     }
 
     /// Like [`histogram_observe`](Self::histogram_observe) for

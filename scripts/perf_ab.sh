@@ -3,29 +3,33 @@
 # way perfbench/README.md prescribes: alternating runs of the two
 # builds, made close together.
 #
-#   scripts/perf_ab.sh <rev> <workload> <pairs>
+#   scripts/perf_ab.sh <rev> <workloads> <pairs>
 #
-# Exports <rev> and the working tree (tracked changes plus untracked,
-# non-ignored files) into a temp dir with `git archive`, builds both,
-# then runs perfbench on <workload> <pairs> times per build. Pairs
-# alternate which side runs first (parent first on odd pairs, change
-# first on even ones), so neither side always runs on a warmer machine.
-# For each end-to-end metric it prints the parent's and the change's
-# median, their ratio, how many pairs the change won, the parent's
+# <workloads> is one workload or a comma-separated list
+# (`fleet,trickle,cluster`). Exports <rev> and the working tree
+# (tracked changes plus untracked, non-ignored files) into a temp dir
+# with `git archive` and builds both once. Pair i then runs every
+# workload in turn on both builds, and pairs alternate which side runs
+# first (parent first on odd pairs, change first on even ones), so
+# neither side always runs on a warmer machine. For each workload and
+# end-to-end metric it prints the parent's and the change's median,
+# their ratio, how many pairs the change won, the parent's
 # interquartile range (IQR), and whether the change is a gain by the
 # rule: it won at least 9/10 of the pairs and the medians differ, in
-# its favour, by more than the parent's IQR. Each run's JSON result
+# its favour, by more than the parent's IQR. With both fleet and
+# cluster listed it also prints each side's fleet/cluster gap: median
+# fleet adverts/s over median cluster adverts/s. Each run's JSON result
 # goes to stderr; a run that fails its correctness gate aborts the
 # comparison. PERF_AB_SECONDS sets the run length (default 30, as in
 # BENCHMARK.json); PERF_AB_SEED the workload seed (default 1).
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
-  grep '^#' "$0" | sed -n '2,20p' | sed 's/^# \{0,1\}//'
+  grep '^#' "$0" | sed -n '2,24p' | sed 's/^# \{0,1\}//'
   exit 2
 fi
 rev="$1"
-workload="$2"
+IFS=, read -r -a workloads <<<"$2"
 pairs="$3"
 seconds="${PERF_AB_SECONDS:-30}"
 seed="${PERF_AB_SEED:-1}"
@@ -55,44 +59,61 @@ done
 for ((i = 1; i <= pairs; i++)); do
   order="parent change"
   if ((i % 2 == 0)); then order="change parent"; fi
-  for side in $order; do
-    echo "==> pair $i/$pairs: $side" >&2
-    if ! "$tmp/$side/perfbench/target/release/perfbench" --workload "$workload" \
-      --seed "$seed" --seconds "$seconds" 2>"$tmp/$side-$i.log" |
-      tail -n 1 >"$tmp/$side-$i.json"; then
-      echo "perf_ab: $side run $i failed" >&2
-      cat "$tmp/$side-$i.log" >&2
-      exit 1
-    fi
-    cat "$tmp/$side-$i.json" >&2
+  for workload in "${workloads[@]}"; do
+    for side in $order; do
+      echo "==> pair $i/$pairs: $workload $side" >&2
+      out="$tmp/$side-$workload-$i"
+      if ! "$tmp/$side/perfbench/target/release/perfbench" --workload "$workload" \
+        --seed "$seed" --seconds "$seconds" 2>"$out.log" | tail -n 1 >"$out.json"; then
+        echo "perf_ab: $side $workload run $i failed" >&2
+        cat "$out.log" >&2
+        exit 1
+      fi
+      cat "$out.json" >&2
+    done
   done
 done
 
-python3 - "$tmp" "$pairs" "$repo/BENCHMARK.json" <<'EOF'
+python3 - "$tmp" "$pairs" "$repo/BENCHMARK.json" "${workloads[@]}" <<'EOF'
 import json, statistics, sys
 
-tmp, pairs, bench = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+tmp, pairs, bench, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4:]
+sides = ("parent", "change")
 runs = {
-    side: [json.load(open(f"{tmp}/{side}-{i}.json")) for i in range(1, pairs + 1)]
-    for side in ("parent", "change")
+    (side, w): [json.load(open(f"{tmp}/{side}-{w}-{i}.json")) for i in range(1, pairs + 1)]
+    for side in sides
+    for w in workloads
 }
-for side, results in runs.items():
+for (side, w), results in runs.items():
     for i, r in enumerate(results, 1):
         if not r.get("correct") or r.get("failed"):
-            sys.exit(f"perf_ab: {side} run {i} is not correct: {r}")
-print(f"{'metric':<20} {'better':>6} {'parent':>12} {'change':>12} {'ratio':>7} "
-      f"{'won':>7} {'parent_iqr':>12} {'gain':>5}")
-for metric in json.load(open(bench))["end_to_end"]:
-    name = metric["name"]
-    sign = 1 if metric["better"] == "higher" else -1
-    parent_runs = [r["metrics"][name]["value"] for r in runs["parent"]]
-    change_runs = [r["metrics"][name]["value"] for r in runs["change"]]
-    parent = statistics.median(parent_runs)
-    change = statistics.median(change_runs)
-    ratio = change / parent if parent else float("nan")
-    won = sum(sign * (c - p) > 0 for p, c in zip(parent_runs, change_runs))
-    q1, _, q3 = statistics.quantiles(parent_runs, n=4) if pairs > 1 else (parent,) * 3
-    gain = 10 * won >= 9 * pairs and sign * (change - parent) > q3 - q1
-    print(f"{name:<20} {metric['better']:>6} {parent:>12.4g} {change:>12.4g} {ratio:>7.3f} "
-          f"{won:>3}/{pairs:<3} {q3 - q1:>12.4g} {'yes' if gain else 'no':>5}")
+            sys.exit(f"perf_ab: {side} {w} run {i} is not correct: {r}")
+
+
+def values(side, w, name):
+    return [r["metrics"][name]["value"] for r in runs[(side, w)]]
+
+
+for w in workloads:
+    print(f"== {w}")
+    print(f"{'metric':<20} {'better':>6} {'parent':>12} {'change':>12} {'ratio':>7} "
+          f"{'won':>7} {'parent_iqr':>12} {'gain':>5}")
+    for metric in json.load(open(bench))["end_to_end"]:
+        name = metric["name"]
+        sign = 1 if metric["better"] == "higher" else -1
+        parent_runs, change_runs = values("parent", w, name), values("change", w, name)
+        parent = statistics.median(parent_runs)
+        change = statistics.median(change_runs)
+        ratio = change / parent if parent else float("nan")
+        won = sum(sign * (c - p) > 0 for p, c in zip(parent_runs, change_runs))
+        q1, _, q3 = statistics.quantiles(parent_runs, n=4) if pairs > 1 else (parent,) * 3
+        gain = 10 * won >= 9 * pairs and sign * (change - parent) > q3 - q1
+        print(f"{name:<20} {metric['better']:>6} {parent:>12.4g} {change:>12.4g} {ratio:>7.3f} "
+              f"{won:>3}/{pairs:<3} {q3 - q1:>12.4g} {'yes' if gain else 'no':>5}")
+if "fleet" in workloads and "cluster" in workloads:
+    for side in sides:
+        fleet = statistics.median(values(side, "fleet", "adverts_per_s"))
+        cluster = statistics.median(values(side, "cluster", "adverts_per_s"))
+        print(f"fleet/cluster adverts_per_s gap, {side}: {fleet:.4g} / {cluster:.4g} "
+              f"= {fleet / cluster:.3f}x")
 EOF
