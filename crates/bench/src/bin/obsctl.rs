@@ -222,8 +222,8 @@ fn smoke(json: Option<PathBuf>, dump: Option<PathBuf>) {
     });
     let _ = std::fs::remove_file(&dump);
 
-    // A recording loopback server with every dump trigger armed.
-    let obs = Obs::flight(4, 8192);
+    // A recording loopback server with the decode-storm dump armed.
+    let obs = Obs::ring(8192);
     let config = ServerConfig {
         flight_dump_path: Some(dump.clone()),
         decode_storm_threshold: 5,

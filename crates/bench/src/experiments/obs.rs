@@ -86,7 +86,7 @@ fn replay(workload: &Workload, arm: Arm) -> f64 {
     };
     let obs = match arm {
         Arm::Noop => Obs::noop(),
-        Arm::Instrumented | Arm::Traced => Obs::flight(4, 8192),
+        Arm::Instrumented | Arm::Traced => Obs::ring(8192),
     };
     let mut engine = Engine::new(
         config,

@@ -21,10 +21,9 @@
 //! [`OWNER_TIMEOUT`]. An owner failure fails every request of the tick
 //! with a part on that owner and evicts its connection.
 //!
-//! Membership lives here: a `Join` admits (or re-addresses) a node and
-//! broadcasts the bumped map; an installed `PartitionMap` — the
-//! failover driver's lever — is re-broadcast to every node it lists,
-//! which is what promotes a follower.
+//! Membership lives here: an installed `PartitionMap` — the failover
+//! driver's lever — is re-broadcast to every node it lists, which is
+//! what promotes a follower.
 
 use crate::router::ClusterRouter;
 use locble_ble::BeaconId;
@@ -48,7 +47,7 @@ pub struct FrontConfig {
     /// Address to bind; port 0 picks a free one.
     pub addr: String,
     /// Initial membership view (may be empty; install one later via
-    /// `PartitionMap` or grow it with `Join`).
+    /// `PartitionMap`).
     pub map: WirePartitionMap,
 }
 
@@ -481,19 +480,6 @@ impl FrontService {
                 forwarded_adverts: self.forwarded_adverts,
                 replicated_records: 0,
             }),
-            Frame::Join(entry) => {
-                // Admit (or re-address) the node, bump the epoch,
-                // broadcast.
-                let mut map = self.router().to_map();
-                match map.nodes.iter_mut().find(|n| n.node_id == entry.node_id) {
-                    Some(existing) => existing.addr = entry.addr,
-                    None => map.nodes.push(entry),
-                }
-                map.epoch += 1;
-                self.install(&map);
-                self.obs.counter_add("front.joins", 1);
-                Frame::JoinAck(map)
-            }
             Frame::PartitionMap(map) => {
                 // The failover driver's lever: install and re-broadcast,
                 // so every listed node reconciles its role against the

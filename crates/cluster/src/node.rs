@@ -39,9 +39,9 @@ pub struct NodeSpec {
     /// Where an owner streams its WAL (a follower's listen address);
     /// `None` disables replication.
     pub replica_addr: Option<String>,
-    /// `true` acks client batches only after the follower confirmed
-    /// durability ([`ReplicationPolicy::SyncAck`]).
-    pub sync_replication: bool,
+    /// When the owner may ack a client batch relative to its
+    /// follower's durability.
+    pub replication: ReplicationPolicy,
     /// Durability directory (created on demand, replayed if populated).
     pub dir: PathBuf,
     /// Listen address; port 0 picks a free one.
@@ -52,15 +52,15 @@ pub struct NodeSpec {
 
 impl NodeSpec {
     /// A spec with everything defaulted except identity and directory:
-    /// owner role, empty epoch-0 map, no replica, async replication,
-    /// free port, checkpoints off.
+    /// owner role, empty epoch-0 map, no replica,
+    /// [`ReplicationPolicy::LocalOnly`], free port, checkpoints off.
     pub fn new(node_id: u64, dir: impl Into<PathBuf>) -> NodeSpec {
         NodeSpec {
             node_id,
             role: NodeRole::Owner,
             map: WirePartitionMap::default(),
             replica_addr: None,
-            sync_replication: false,
+            replication: ReplicationPolicy::LocalOnly,
             dir: dir.into(),
             addr: "127.0.0.1:0".to_string(),
             checkpoint_every: 0,
@@ -94,11 +94,7 @@ pub fn serve_node(spec: &NodeSpec, obs: Obs) -> std::io::Result<ServerHandle> {
             role: spec.role,
             map: spec.map.clone(),
             replica_addr: spec.replica_addr.clone(),
-            replication: if spec.sync_replication {
-                ReplicationPolicy::SyncAck
-            } else {
-                ReplicationPolicy::LocalOnly
-            },
+            replication: spec.replication,
         },
         obs,
     )
@@ -143,7 +139,7 @@ const ENV_NODE_ID: &str = "LOCBLE_NODE_ID";
 const ENV_ROLE: &str = "LOCBLE_NODE_ROLE";
 const ENV_MAP: &str = "LOCBLE_NODE_MAP";
 const ENV_REPLICA: &str = "LOCBLE_NODE_REPLICA";
-const ENV_SYNC: &str = "LOCBLE_NODE_SYNC";
+const ENV_REPLICATION: &str = "LOCBLE_NODE_REPLICATION";
 const ENV_DIR: &str = "LOCBLE_NODE_DIR";
 const ENV_ADDR: &str = "LOCBLE_NODE_ADDR";
 const ENV_CHECKPOINT: &str = "LOCBLE_NODE_CHECKPOINT_EVERY";
@@ -164,8 +160,12 @@ pub fn spec_to_env(spec: &NodeSpec) -> Vec<(String, String)> {
         ),
         (ENV_MAP.to_string(), format_map(&spec.map)),
         (
-            ENV_SYNC.to_string(),
-            if spec.sync_replication { "1" } else { "0" }.to_string(),
+            ENV_REPLICATION.to_string(),
+            match spec.replication {
+                ReplicationPolicy::LocalOnly => "local_only",
+                ReplicationPolicy::SyncAck => "sync_ack",
+            }
+            .to_string(),
         ),
         (ENV_DIR.to_string(), spec.dir.display().to_string()),
         (ENV_ADDR.to_string(), spec.addr.clone()),
@@ -193,7 +193,11 @@ pub fn spec_from_env() -> Result<NodeSpec, String> {
         other => return Err(format!("{ENV_ROLE}: unknown role {other:?}")),
     };
     let map = parse_map(&var(ENV_MAP)?)?;
-    let sync_replication = var(ENV_SYNC)? == "1";
+    let replication = match var(ENV_REPLICATION)?.as_str() {
+        "local_only" => ReplicationPolicy::LocalOnly,
+        "sync_ack" => ReplicationPolicy::SyncAck,
+        other => return Err(format!("{ENV_REPLICATION}: unknown policy {other:?}")),
+    };
     let dir = PathBuf::from(var(ENV_DIR)?);
     let addr = var(ENV_ADDR)?;
     let checkpoint_every: u64 = var(ENV_CHECKPOINT)?
@@ -205,7 +209,7 @@ pub fn spec_from_env() -> Result<NodeSpec, String> {
         role,
         map,
         replica_addr,
-        sync_replication,
+        replication,
         dir,
         addr,
         checkpoint_every,
@@ -261,7 +265,7 @@ mod tests {
         let mut spec = NodeSpec::new(9, "/tmp/locble-node-9");
         spec.role = NodeRole::Follower;
         spec.replica_addr = Some("127.0.0.1:4444".to_string());
-        spec.sync_replication = true;
+        spec.replication = ReplicationPolicy::SyncAck;
         spec.map = WirePartitionMap {
             epoch: 3,
             nodes: vec![NodeEntry {
@@ -277,7 +281,7 @@ mod tests {
         assert_eq!(rebuilt.role, spec.role);
         assert_eq!(rebuilt.map, spec.map);
         assert_eq!(rebuilt.replica_addr, spec.replica_addr);
-        assert_eq!(rebuilt.sync_replication, spec.sync_replication);
+        assert_eq!(rebuilt.replication, spec.replication);
         assert_eq!(rebuilt.dir, spec.dir);
         assert_eq!(rebuilt.addr, spec.addr);
         assert_eq!(rebuilt.checkpoint_every, spec.checkpoint_every);

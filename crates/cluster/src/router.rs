@@ -20,16 +20,8 @@
 //! exactly its partition.
 
 use locble_ble::BeaconId;
+use locble_engine::router::splitmix64;
 use locble_net::wire::{NodeEntry, WirePartitionMap};
-
-/// SplitMix64 finalizer — the same integer hash the engine's shard
-/// router uses (`u64` arithmetic only, identical on every platform).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// The rendezvous weight of one (node, beacon) pair. Mixing the
 /// already-diffused beacon hash with the node id before the second

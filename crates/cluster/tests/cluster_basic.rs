@@ -14,7 +14,7 @@ use locble_cluster::{serve_node, Front, FrontConfig, NodeSpec};
 use locble_core::{Estimator, EstimatorConfig, LocationEstimate};
 use locble_engine::{Advert, Engine, EngineConfig};
 use locble_net::wire::{NodeEntry, NodeRole, WirePartitionMap};
-use locble_net::Client;
+use locble_net::{Client, ReplicationPolicy};
 use locble_obs::{trace_id, Obs, Stage, TraceCtx};
 use locble_scenario::fleet_session;
 use locble_scenario::runner::track_observer;
@@ -249,7 +249,7 @@ fn sync_replication_keeps_the_follower_warm_and_promotion_serves_identically() {
 
     let mut owner_spec = NodeSpec::new(1, &owner_dir);
     owner_spec.replica_addr = Some(follower.addr().to_string());
-    owner_spec.sync_replication = true;
+    owner_spec.replication = ReplicationPolicy::SyncAck;
     let owner = serve_node(&owner_spec, Obs::ring(64)).expect("bind owner");
 
     // A follower refuses direct batches — only its owner's Replicate

@@ -20,7 +20,7 @@ use locble_cluster::{
 use locble_core::{Estimator, EstimatorConfig, LocationEstimate};
 use locble_engine::{Advert, Engine, EngineConfig};
 use locble_net::wire::{NodeEntry, NodeRole, WirePartitionMap};
-use locble_net::Client;
+use locble_net::{Client, ReplicationPolicy};
 use locble_obs::Obs;
 use locble_scenario::fleet_session;
 use locble_scenario::runner::track_observer;
@@ -218,7 +218,7 @@ fn killed_owner_fails_over_to_its_follower_with_zero_acked_loss() {
         let owner_dir = node_dir(&format!("owner-{node_id}"));
         let mut owner_spec = NodeSpec::new(node_id, &owner_dir);
         owner_spec.replica_addr = Some(follower.addr.clone());
-        owner_spec.sync_replication = true;
+        owner_spec.replication = ReplicationPolicy::SyncAck;
         let owner = spawn_node(&owner_spec);
 
         dirs.push(follower_dir);

@@ -34,8 +34,10 @@ impl From<(BeaconId, f64, f64)> for Advert {
 }
 
 /// SplitMix64 finalizer: a strong, dependency-free integer hash with
-/// identical output on every platform (`u64` arithmetic only).
-fn splitmix64(mut x: u64) -> u64 {
+/// identical output on every platform (`u64` arithmetic only). The
+/// engine's shard router and the cluster's rendezvous router both hash
+/// with it.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

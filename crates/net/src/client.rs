@@ -9,8 +9,8 @@
 
 use crate::wire::{
     decode_frame_with_limit, encode_frame, ClusterSummary, DecodeError, FinishSummary, Frame,
-    IngestSummary, NodeEntry, TracedAck, WireAdvert, WireError, WireMetrics, WirePartitionMap,
-    WireStats, DEFAULT_MAX_FRAME_LEN,
+    IngestSummary, TracedAck, WireAdvert, WireError, WireMetrics, WirePartitionMap, WireStats,
+    DEFAULT_MAX_FRAME_LEN,
 };
 use locble_ble::BeaconId;
 use locble_core::LocationEstimate;
@@ -208,15 +208,6 @@ impl Client {
         match self.request(&Frame::Finish)? {
             Frame::FinishAck(s) => Ok(s),
             _ => Err(ClientError::UnexpectedFrame("FinishAck")),
-        }
-    }
-
-    /// Announces `entry` to a cluster peer; returns the membership view
-    /// the peer holds after admitting it.
-    pub fn join(&mut self, entry: NodeEntry) -> Result<WirePartitionMap, ClientError> {
-        match self.request(&Frame::Join(entry))? {
-            Frame::JoinAck(map) => Ok(map),
-            _ => Err(ClientError::UnexpectedFrame("JoinAck")),
         }
     }
 

@@ -3,9 +3,8 @@
 //! driver, which is why it is public).
 //!
 //! `std` exposes no readiness API, and this workspace links no async
-//! runtime and no `libc` crate; like the server's SIGTERM handler, the
-//! three epoll entry points are declared `extern "C"` against the C
-//! runtime `std` already links. Level-triggered only: a registration
+//! runtime and no `libc` crate, so the three epoll entry points are
+//! declared `extern "C"` against the C runtime `std` already links. Level-triggered only: a registration
 //! stays ready until its condition clears, so a reactor that leaves
 //! bytes unread is re-notified on the next wait — simpler to reason
 //! about than edge-triggering and plenty for loopback scale.

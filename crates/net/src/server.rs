@@ -72,19 +72,12 @@ pub struct ServerConfig {
     /// Maximum accepted frame payload, bytes.
     pub max_frame_len: usize,
     /// Where flight-recorder dumps go (JSON Lines, written atomically
-    /// via tmp + rename). `None` disables every dump trigger.
+    /// via tmp + rename). `None` disables the decode-storm dump.
     pub flight_dump_path: Option<PathBuf>,
     /// Dump once after this many recoverable decode errors accumulate
     /// across all connections (a *decode storm* — a confused or hostile
     /// peer). 0 disables the trigger.
     pub decode_storm_threshold: u64,
-    /// Dump on SIGTERM (handler installed at bind; the reactor performs
-    /// the dump and begins shutdown on its next tick).
-    pub dump_on_sigterm: bool,
-    /// Dump on panic (chains onto the existing panic hook; the hook
-    /// holds a clone of the server's obs handle for the process
-    /// lifetime, which is why this is opt-in).
-    pub dump_on_panic: bool,
 }
 
 impl Default for ServerConfig {
@@ -96,8 +89,6 @@ impl Default for ServerConfig {
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             flight_dump_path: None,
             decode_storm_threshold: 0,
-            dump_on_sigterm: false,
-            dump_on_panic: false,
         }
     }
 }
@@ -247,8 +238,8 @@ pub struct Request {
 
 /// What a reactor executes each tick — the one part that differs
 /// between a node and a cluster front. Accept, framing, timers, write
-/// backpressure, ordered shutdown and flight-recorder triggers belong
-/// to the reactor.
+/// backpressure, ordered shutdown and the decode-storm dump belong to
+/// the reactor.
 pub trait Service: Send + 'static {
     /// What the service hands back once the reactor has shut down.
     type Output;
@@ -286,65 +277,26 @@ struct Shared {
     /// Recoverable decode errors across all connections (decode-storm
     /// trigger).
     decode_errors: AtomicU64,
-    /// One flight dump per server lifetime, whichever trigger fires
-    /// first.
-    dumped: AtomicBool,
 }
 
-/// Set by the SIGTERM handler; polled by every reactor tick. A signal
-/// handler may only do async-signal-safe work, so the dump itself runs
-/// on the reactor thread.
-static SIGTERM_FLAG: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn sigterm_handler(_signum: i32) {
-    SIGTERM_FLAG.store(true, Ordering::SeqCst);
-}
-
-/// SIGTERM's number on every platform this crate targets.
-const SIGTERM: i32 = 15;
-
-fn install_sigterm_handler() {
-    // `signal` comes from the C runtime std already links; declaring it
-    // here avoids a libc dependency. The return value (the previous
-    // handler) is pointer-sized and unused.
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-    unsafe {
-        signal(SIGTERM, sigterm_handler);
-    }
-}
-
-/// Writes the recent event history (JSON Lines) to the configured dump
-/// path — atomically, so a crash mid-dump never leaves a torn file — at
-/// most once per server. Returns whether this call performed the dump.
-fn flight_dump(shared: &Shared, trigger: &'static str) -> bool {
+/// Counts a recoverable decode error toward the decode-storm trigger.
+/// The error that reaches the configured threshold writes the recent
+/// event history (JSON Lines) to the dump path — atomically, so a crash
+/// mid-dump never leaves a torn file — once per server lifetime.
+fn note_decode_error(shared: &Shared) {
+    let threshold = shared.config.decode_storm_threshold;
     let Some(path) = &shared.config.flight_dump_path else {
-        return false;
+        return;
     };
-    if shared.dumped.swap(true, Ordering::SeqCst) {
-        return false;
+    if threshold == 0 || shared.decode_errors.fetch_add(1, Ordering::SeqCst) + 1 != threshold {
+        return;
     }
     shared
         .obs
-        .event("net", "flight_dump", &[("trigger", trigger.into())]);
+        .event("net", "flight_dump", &[("trigger", "decode_storm".into())]);
     shared.obs.counter_add("net.flight_dumps", 1);
-    let ok = locble_obs::atomic_write(path, shared.obs.events_to_jsonl().as_bytes()).is_ok();
-    if !ok {
+    if locble_obs::atomic_write(path, shared.obs.events_to_jsonl().as_bytes()).is_err() {
         shared.obs.counter_add("net.flight_dump_failures", 1);
-    }
-    ok
-}
-
-/// Counts a recoverable decode error toward the decode-storm trigger:
-/// crossing the configured threshold dumps the flight recorder once.
-fn note_decode_error(shared: &Shared) {
-    let threshold = shared.config.decode_storm_threshold;
-    if threshold == 0 {
-        return;
-    }
-    if shared.decode_errors.fetch_add(1, Ordering::SeqCst) + 1 == threshold {
-        flight_dump(shared, "decode_storm");
     }
 }
 
@@ -429,8 +381,8 @@ impl Server {
 
     /// Binds a listener on `config.addr` and starts a reactor executing
     /// the service `make` builds from the bound address. Connection and
-    /// frame counters (`net.*`) and the flight-recorder triggers go
-    /// through `obs`.
+    /// frame counters (`net.*`) and the decode-storm dump go through
+    /// `obs`.
     pub fn host<S: Service>(
         config: ServerConfig,
         obs: Obs,
@@ -440,25 +392,11 @@ impl Server {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let service = make(addr)?;
-        if config.dump_on_sigterm && config.flight_dump_path.is_some() {
-            install_sigterm_handler();
-        }
-        if config.dump_on_panic {
-            if let Some(path) = config.flight_dump_path.clone() {
-                let hook_obs = obs.clone();
-                let prev = std::panic::take_hook();
-                std::panic::set_hook(Box::new(move |info| {
-                    let _ = locble_obs::atomic_write(&path, hook_obs.events_to_jsonl().as_bytes());
-                    prev(info);
-                }));
-            }
-        }
         let shared = Arc::new(Shared {
             obs,
             config,
             shutdown: AtomicBool::new(false),
             decode_errors: AtomicU64::new(0),
-            dumped: AtomicBool::new(false),
         });
         let reactor_shared = Arc::clone(&shared);
         let reactor = std::thread::spawn(move || reactor_loop(listener, reactor_shared, service));
@@ -530,8 +468,8 @@ impl<S: Service> std::fmt::Debug for ReactorHandle<S> {
 /// The listener's registration token; connections use their slab index.
 const LISTENER_TOKEN: u64 = u64::MAX;
 
-/// Epoll wait bound per tick: the cadence at which the shutdown/SIGTERM
-/// flags and timer deadlines are polled.
+/// Epoll wait bound per tick: the cadence at which the shutdown flag
+/// and timer deadlines are polled.
 const TICK_MS: i32 = 2;
 
 /// Timer wheel slots: with granularity `read_timeout / 32` the horizon
@@ -613,13 +551,6 @@ impl<S: Service> Reactor<S> {
     fn run(&mut self) {
         let mut events: Vec<Event> = Vec::with_capacity(1024);
         while !self.shared.shutdown.load(Ordering::SeqCst) {
-            if self.shared.config.dump_on_sigterm && SIGTERM_FLAG.load(Ordering::SeqCst) {
-                // Dump the recent history while it's still warm, then
-                // begin the normal graceful shutdown.
-                flight_dump(&self.shared, "sigterm");
-                self.shared.shutdown.store(true, Ordering::SeqCst);
-                break;
-            }
             if self.poller.wait(&mut events, TICK_MS).is_err() {
                 // EINTR already folds into Ok(0); any other failure of
                 // the readiness source is unrecoverable for this loop.
@@ -1242,10 +1173,6 @@ impl NodeService {
                     batches_pushed: report.batches_pushed as u64,
                 })
             }
-            Frame::Join(_) => match &self.cluster {
-                Some(c) => Frame::JoinAck(c.map.clone()),
-                None => not_clustered(),
-            },
             Frame::PartitionMap(map) => {
                 let Some(c) = self.cluster.as_mut() else {
                     return not_clustered();

@@ -35,7 +35,8 @@
 //! the `Forward`/`Replicate` discriminants, which a v1 decoder would
 //! reject as malformed — hence the bump rather than tags alone. The
 //! decoder accepts exactly [`WIRE_VERSION`]: every other version byte
-//! is a recoverable [`DecodeError::BadVersion`].
+//! is a recoverable [`DecodeError::BadVersion`]. A retired tag (18, the
+//! old `Join` request) is never reused: it decodes as `BadTag`.
 
 use locble_ble::BeaconId;
 use locble_core::{FitMethod, LocationEstimate};
@@ -552,11 +553,8 @@ pub enum Frame {
     /// Reply: the matching trace records, oldest first (empty when the
     /// id is unknown or the server records nothing).
     TraceReport(Vec<TraceRecord>),
-    /// Request: a node announces itself to the cluster (front or a
-    /// peer). Reply: [`Frame::JoinAck`] with the membership view the
-    /// receiver holds after admitting it.
-    Join(NodeEntry),
-    /// Reply: the receiver's current (possibly updated) partition map.
+    /// Reply to [`Frame::PartitionMap`]: the receiver's current
+    /// (possibly updated) partition map.
     JoinAck(WirePartitionMap),
     /// Request: install this membership view if its epoch is newer than
     /// the one held. The frame that drives both failover (follower
@@ -666,7 +664,6 @@ impl Frame {
                 | Frame::Finish
                 | Frame::MetricsQuery
                 | Frame::TraceQuery(_)
-                | Frame::Join(_)
                 | Frame::PartitionMap(_)
                 | Frame::Forward { .. }
                 | Frame::Replicate { .. }
@@ -694,7 +691,7 @@ const TAG_METRICS_QUERY: u8 = 14;
 const TAG_METRICS_REPORT: u8 = 15;
 const TAG_TRACE_QUERY: u8 = 16;
 const TAG_TRACE_REPORT: u8 = 17;
-const TAG_JOIN: u8 = 18;
+// Tag 18 was the retired `Join` request; never reuse it.
 const TAG_JOIN_ACK: u8 = 19;
 const TAG_PARTITION_MAP: u8 = 20;
 const TAG_FORWARD: u8 = 21;
@@ -1056,10 +1053,6 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
                 put_trace_record(&mut out, rec);
             }
         }
-        Frame::Join(entry) => {
-            out.push(TAG_JOIN);
-            put_node_entry(&mut out, entry);
-        }
         Frame::JoinAck(map) => {
             out.push(TAG_JOIN_ACK);
             put_partition_map(&mut out, map);
@@ -1351,7 +1344,6 @@ pub fn decode_frame_with_limit(buf: &[u8], max_len: usize) -> Result<(Frame, usi
             }
             Frame::TraceReport(records)
         }
-        TAG_JOIN => Frame::Join(r.node_entry()?),
         TAG_JOIN_ACK => Frame::JoinAck(r.partition_map()?),
         TAG_PARTITION_MAP => Frame::PartitionMap(r.partition_map()?),
         TAG_FORWARD => {
@@ -1780,10 +1772,6 @@ mod tests {
                 }],
             }]),
             Frame::TraceReport(Vec::new()),
-            Frame::Join(NodeEntry {
-                node_id: 0xBEE5,
-                addr: "127.0.0.1:9001".to_string(),
-            }),
             Frame::JoinAck(WirePartitionMap {
                 epoch: 3,
                 nodes: vec![
@@ -1933,13 +1921,16 @@ mod tests {
     fn old_decoders_reject_new_tags_without_a_version_bump() {
         // The versioning rule the telemetry frames rely on: a frame
         // with an unknown tag is BadTag (recoverable), not BadVersion.
+        // A retired tag (18, the old `Join`) is just as unknown.
         let bytes = encode_frame(&Frame::MetricsQuery);
         assert_eq!(bytes[4], WIRE_VERSION);
-        let mut unknown = bytes.clone();
-        unknown[5] = 250;
-        let err = decode_frame(&unknown).expect_err("unknown tag");
-        assert_eq!(err, DecodeError::BadTag { got: 250 });
-        assert!(err.is_recoverable());
+        for tag in [250, 18] {
+            let mut unknown = bytes.clone();
+            unknown[5] = tag;
+            let err = decode_frame(&unknown).expect_err("unknown tag");
+            assert_eq!(err, DecodeError::BadTag { got: tag });
+            assert!(err.is_recoverable());
+        }
     }
 
     #[test]

@@ -270,7 +270,6 @@ fn any_cluster_summary() -> impl Strategy<Value = ClusterSummary> {
 /// adverts through `any_advert()`, so non-finite f64s travel here too.
 fn any_cluster_frame() -> impl Strategy<Value = Frame> {
     prop_oneof![
-        any_node_entry().prop_map(Frame::Join),
         any_partition_map().prop_map(Frame::JoinAck),
         any_partition_map().prop_map(Frame::PartitionMap),
         (

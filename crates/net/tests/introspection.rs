@@ -35,7 +35,7 @@ fn temp_path(tag: &str) -> PathBuf {
 
 #[test]
 fn one_traced_batch_is_attributable_per_stage() {
-    let obs = Obs::flight(4, 4096);
+    let obs = Obs::ring(4096);
     let server = Server::bind(engine(obs.clone()), ServerConfig::default(), obs).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
 
@@ -125,7 +125,7 @@ fn one_traced_batch_is_attributable_per_stage() {
 fn decode_storm_dumps_the_flight_recorder() {
     let dump = temp_path("storm");
     let _ = std::fs::remove_file(&dump);
-    let obs = Obs::flight(4, 4096);
+    let obs = Obs::ring(4096);
     let config = ServerConfig {
         flight_dump_path: Some(dump.clone()),
         decode_storm_threshold: 3,
@@ -151,9 +151,14 @@ fn decode_storm_dumps_the_flight_recorder() {
         }
     }
 
-    // The third error crossed the threshold: the dump exists and every
-    // line parses back into an event.
+    // The third error crossed the threshold: the dump exists, its tmp
+    // sibling was renamed away, and every line parses back into an
+    // event.
     let text = std::fs::read_to_string(&dump).expect("dump written");
+    assert!(
+        !dump.with_extension("tmp").exists(),
+        "dump written atomically"
+    );
     let events = locble_obs::events_from_jsonl(&text).expect("dump parses");
     assert!(!events.is_empty(), "dump has no events");
     assert!(

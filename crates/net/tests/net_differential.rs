@@ -84,9 +84,9 @@ fn fully_traced_stream_is_bit_identical_to_noop_run() {
 
     // Traced path: identical stream, every batch under a trace context,
     // into a recording server.
-    let mut engine = Engine::new(config, estimator, Obs::flight(4, 4096));
+    let mut engine = Engine::new(config, estimator, Obs::ring(4096));
     engine.set_motion(motion);
-    let obs = Obs::flight(4, 4096);
+    let obs = Obs::ring(4096);
     let server = Server::bind(engine, ServerConfig::default(), obs).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
     for (batch, chunk) in adverts.chunks(97).enumerate() {

@@ -7,8 +7,7 @@
 //! finished engine to be bit-identical to an uninterrupted reference.
 //!
 //! The child is this same test binary re-executed with `--exact` on the
-//! env-gated helper below (the pattern the bench crashtest binary
-//! uses); without the env var the helper is a no-op.
+//! env-gated helper below; without the env var the helper is a no-op.
 
 use locble_ble::BeaconId;
 use locble_core::{Estimator, EstimatorConfig, LocationEstimate};

@@ -1,90 +1,72 @@
-//! The flight recorder: a lane-sharded, fixed-capacity ring of recent
-//! events that can be dumped atomically for postmortems.
+//! The flight recorder: the one event sink behind every recording
+//! [`Obs`](crate::Obs) handle — a lane-sharded, fixed-capacity ring of
+//! recent events.
 //!
-//! The [`RingRecorder`](crate::RingRecorder) serializes every record
-//! behind one mutex — fine for a pipeline instrumented at batch
-//! granularity, hostile to a serving path where 8 shard workers and N
-//! connection threads all record concurrently. The
-//! [`FlightRecorder`] shards retention into *lanes*: each recording
-//! thread hashes its thread id onto a lane and appends under that
-//! lane's mutex, so in steady state every worker owns its lane and the
-//! lock is uncontended ("lock-light"). Ordering is reconstructed at
-//! snapshot time from the handle's global sequence numbers, which stay
-//! strictly monotonic across lanes.
+//! A serving path has shard workers and the reactor recording
+//! concurrently, so retention is sharded into `LANES` *lanes*: each
+//! recording thread hashes its thread id onto a lane and appends to
+//! that lane's [`Ring`] under its mutex, so in steady state every
+//! worker owns its lane and the lock is uncontended ("lock-light").
+//! Ordering is reconstructed at snapshot time from the handle's global
+//! sequence numbers, which stay strictly monotonic across lanes. A
+//! single recording thread uses one lane, so it keeps exactly the
+//! newest `capacity` events in order.
 //!
-//! A dump ([`FlightRecorder::dump_to`]) writes the merged recent
-//! history as JSON Lines via the store layer's atomic idiom — write a
-//! `.tmp` sibling, fsync, rename over the target — so a crash mid-dump
-//! never leaves a torn file where a postmortem expects history. The
-//! server installs dumps on panic, SIGTERM, and decode storms (see
-//! `locble-net`).
+//! A dump is `atomic_write(path, obs.events_to_jsonl())`: [`atomic_write`]
+//! writes a `.tmp` sibling, fsyncs it and renames it over the target, so
+//! a crash mid-dump never leaves a torn file where a postmortem expects
+//! history. The server dumps after a decode storm (see `locble-net`);
+//! the store's snapshot writer uses the same helper.
 
 use crate::event::Event;
-use crate::recorder::Recorder;
+use crate::recorder::Ring;
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::Mutex;
 
-/// One lane's bounded ring.
-#[derive(Debug, Default)]
-struct Lane {
-    buf: Vec<Event>,
-    /// Index of the oldest retained event once the lane has wrapped.
-    head: usize,
-    dropped: u64,
-}
-
-impl Lane {
-    fn record(&mut self, capacity: usize, event: Event) {
-        if self.buf.len() < capacity {
-            self.buf.push(event);
-        } else {
-            let head = self.head;
-            self.buf[head] = event;
-            self.head = (head + 1) % capacity;
-            self.dropped += 1;
-        }
-    }
-
-    fn snapshot_into(&self, out: &mut Vec<Event>) {
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-    }
-}
+/// Lanes per recorder: the serving paths record from a handful of
+/// threads (shard workers plus the reactor), and extra threads share
+/// lanes by thread-id hash.
+const LANES: usize = 4;
 
 /// Lane-sharded bounded event retention; see the module docs.
-pub struct FlightRecorder {
-    lanes: Vec<Mutex<Lane>>,
+pub(crate) struct FlightRecorder {
+    lanes: [Mutex<Ring>; LANES],
     /// Per-lane capacity.
     capacity: usize,
 }
 
 impl FlightRecorder {
-    /// A recorder with `lanes` lanes of `capacity_per_lane` events each
-    /// (both clamped to at least 1). Size lanes to the expected worker
-    /// count; extra threads share lanes by thread-id hash.
-    pub fn new(lanes: usize, capacity_per_lane: usize) -> FlightRecorder {
+    /// A recorder whose lanes hold `capacity` events each (clamped to
+    /// at least 1).
+    pub(crate) fn new(capacity: usize) -> FlightRecorder {
         FlightRecorder {
-            lanes: (0..lanes.max(1))
-                .map(|_| Mutex::new(Lane::default()))
-                .collect(),
-            capacity: capacity_per_lane.max(1),
+            lanes: Default::default(),
+            capacity: capacity.max(1),
         }
     }
 
     /// The lane the calling thread records into.
     fn lane_index(&self) -> usize {
-        // Hash the opaque ThreadId through its Debug formatting — std
-        // exposes no numeric accessor. Computed once per call; the
-        // formatting cost only exists when a recorder is attached.
+        // std exposes no numeric ThreadId accessor, so hash the opaque
+        // id. Computed once per call; the cost only exists when a
+        // recorder is attached.
         use std::hash::{Hash, Hasher};
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         std::thread::current().id().hash(&mut hasher);
-        (hasher.finish() % self.lanes.len() as u64) as usize
+        (hasher.finish() % LANES as u64) as usize
+    }
+
+    /// Accepts one event into the calling thread's lane.
+    pub(crate) fn record(&self, event: Event) {
+        self.lanes[self.lane_index()]
+            .lock()
+            .expect("lane not poisoned")
+            .record(self.capacity, event);
     }
 
     /// Merged recent history, ordered by global sequence number.
-    pub fn merged(&self) -> Vec<Event> {
+    pub(crate) fn snapshot(&self) -> Vec<Event> {
         let mut out = Vec::new();
         for lane in &self.lanes {
             lane.lock()
@@ -95,52 +77,18 @@ impl FlightRecorder {
         out
     }
 
-    /// Serializes the merged history as JSON Lines.
-    pub fn dump(&self) -> String {
-        crate::events_to_jsonl(&self.merged())
-    }
-
-    /// Writes the dump to `path` atomically (tmp + fsync + rename, the
-    /// store layer's snapshot idiom): a crash mid-dump leaves either
-    /// the previous file or the complete new one, never a torn tail.
-    pub fn dump_to(&self, path: &Path) -> std::io::Result<()> {
-        atomic_write(path, self.dump().as_bytes())
-    }
-}
-
-impl Recorder for FlightRecorder {
-    fn record(&self, event: Event) {
-        let lane = self.lane_index();
-        self.lanes[lane]
-            .lock()
-            .expect("lane not poisoned")
-            .record(self.capacity, event);
-    }
-
-    fn snapshot(&self) -> Vec<Event> {
-        self.merged()
-    }
-
-    fn dropped(&self) -> u64 {
+    /// Events overwritten because their lane was full.
+    pub(crate) fn dropped(&self) -> u64 {
         self.lanes
             .iter()
-            .map(|l| l.lock().expect("lane not poisoned").dropped)
+            .map(|l| l.lock().expect("lane not poisoned").dropped())
             .sum()
     }
 }
 
-impl std::fmt::Debug for FlightRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlightRecorder")
-            .field("lanes", &self.lanes.len())
-            .field("capacity_per_lane", &self.capacity)
-            .finish()
-    }
-}
-
 /// Atomic file replacement: write a `.tmp` sibling, fsync it, rename
-/// over `path`. Same idiom as `locble-store`'s snapshot writer (not
-/// imported — `store` depends on `obs`, not the reverse).
+/// over `path`. A crash mid-write leaves either the previous file or
+/// the complete new one, never a torn tail.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
@@ -154,56 +102,57 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::FieldValue;
+    use crate::Obs;
 
-    fn ev(seq: u64) -> Event {
-        Event {
-            seq,
-            t_us: seq,
-            target: "t",
-            name: "n",
-            fields: vec![("i", FieldValue::U64(seq))],
+    /// A recording handle after `n` single-threaded events.
+    fn recorded(capacity: usize, n: u64) -> Obs {
+        let obs = Obs::ring(capacity);
+        for i in 0..n {
+            obs.event("t", "n", &[("i", i.into())]);
         }
+        obs
+    }
+
+    fn seqs(obs: &Obs) -> Vec<u64> {
+        obs.events().iter().map(|e| e.seq).collect()
     }
 
     #[test]
     fn merged_history_is_seq_ordered() {
-        let rec = FlightRecorder::new(4, 16);
-        // Single-threaded: everything lands in one lane, in order.
-        for i in 0..10 {
-            rec.record(ev(i));
-        }
-        let seqs: Vec<u64> = rec.merged().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, (0..10).collect::<Vec<_>>());
-        assert_eq!(rec.dropped(), 0);
+        // Single-threaded: everything lands in one lane, in order, and
+        // nothing is dropped under capacity.
+        let obs = recorded(16, 10);
+        assert_eq!(seqs(&obs), (0..10).collect::<Vec<_>>());
+        assert_eq!(obs.dropped_events(), 0);
     }
 
     #[test]
     fn lane_overflow_keeps_newest_and_counts_drops() {
-        let rec = FlightRecorder::new(1, 4);
-        for i in 0..10 {
-            rec.record(ev(i));
-        }
-        let seqs: Vec<u64> = rec.merged().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![6, 7, 8, 9]);
-        assert_eq!(rec.dropped(), 6);
+        let obs = recorded(4, 10);
+        assert_eq!(seqs(&obs), vec![6, 7, 8, 9]);
+        assert_eq!(obs.dropped_events(), 6);
     }
 
     #[test]
-    fn dump_to_is_atomic_and_parses_back() {
-        let rec = FlightRecorder::new(2, 8);
-        for i in 0..5 {
-            rec.record(ev(i));
-        }
+    fn zero_capacity_is_clamped_to_one() {
+        let obs = recorded(0, 2);
+        assert_eq!(seqs(&obs), vec![1]);
+        assert_eq!(obs.dropped_events(), 1);
+    }
+
+    #[test]
+    fn atomic_dump_replaces_the_file_and_parses_back() {
+        let obs = recorded(8, 5);
         let dir = std::env::temp_dir().join(format!("locble-flight-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("flight.jsonl");
-        rec.dump_to(&path).expect("dump");
+        std::fs::write(&path, "stale").expect("previous file");
+        atomic_write(&path, obs.events_to_jsonl().as_bytes()).expect("dump");
         assert!(!path.with_extension("tmp").exists(), "tmp renamed away");
         let text = std::fs::read_to_string(&path).expect("read back");
         let events = crate::events_from_jsonl(&text).expect("parses");
         assert_eq!(events.len(), 5);
-        assert_eq!(events, rec.merged());
+        assert_eq!(events, obs.events());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -5,11 +5,13 @@
 //! export) and built around one rule: **instrumentation must cost
 //! nothing when nobody is listening**. The [`Obs`] handle is a cheap
 //! clonable facade; the no-op handle holds no allocation and every
-//! recording method exits on a single branch. When a [`Recorder`] is
-//! attached (e.g. [`RingRecorder`]), events carry a monotonic sequence
-//! number and microsecond timestamps relative to the handle's creation,
-//! and a [`MetricsRegistry`] accumulates counters, gauges, and
-//! fixed-bucket histograms.
+//! recording method exits on a single branch. A recording handle
+//! ([`Obs::ring`]) keeps recent events in a lane-sharded flight
+//! recorder — each event carries a monotonic sequence number and a
+//! microsecond timestamp relative to the handle's creation — and a
+//! [`MetricsRegistry`] accumulates counters, gauges, and fixed-bucket
+//! histograms. [`atomic_write`] of [`Obs::events_to_jsonl`] is the one
+//! dump path.
 //!
 //! ```
 //! use locble_obs::Obs;
@@ -30,11 +32,11 @@ mod recorder;
 mod trace;
 
 pub use event::{Event, FieldValue};
-pub use flight::{atomic_write, FlightRecorder};
+pub use flight::atomic_write;
 pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use recorder::{NoopRecorder, Recorder, RingRecorder};
 pub use trace::{trace_id, Stage, StageLap, TraceCtx, TraceRecord, TraceTable};
 
+use flight::FlightRecorder;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -49,7 +51,7 @@ pub struct Obs {
 }
 
 struct ObsInner {
-    recorder: Box<dyn Recorder>,
+    recorder: FlightRecorder,
     metrics: MetricsRegistry,
     traces: Mutex<TraceTable>,
     seq: AtomicU64,
@@ -65,25 +67,14 @@ impl Obs {
         Obs { inner: None }
     }
 
-    /// A handle backed by an in-memory ring buffer holding the last
-    /// `capacity` events, plus a metrics registry.
+    /// A recording handle: a flight recorder whose lanes each retain
+    /// the last `capacity` events (a single recording thread keeps
+    /// exactly its newest `capacity`), plus a metrics registry and a
+    /// trace table.
     pub fn ring(capacity: usize) -> Obs {
-        Obs::with_recorder(Box::new(RingRecorder::with_capacity(capacity)))
-    }
-
-    /// A handle backed by a lane-sharded [`FlightRecorder`] — the
-    /// serving-scale choice: concurrent workers record without
-    /// contending on one mutex, and the recent history can be dumped
-    /// atomically for postmortems.
-    pub fn flight(lanes: usize, capacity_per_lane: usize) -> Obs {
-        Obs::with_recorder(Box::new(FlightRecorder::new(lanes, capacity_per_lane)))
-    }
-
-    /// A handle backed by an arbitrary [`Recorder`].
-    pub fn with_recorder(recorder: Box<dyn Recorder>) -> Obs {
         Obs {
             inner: Some(Arc::new(ObsInner {
-                recorder,
+                recorder: FlightRecorder::new(capacity),
                 metrics: MetricsRegistry::new(),
                 traces: Mutex::new(TraceTable::with_capacity(TRACE_TABLE_CAPACITY)),
                 seq: AtomicU64::new(0),
@@ -227,7 +218,7 @@ impl Obs {
         }
     }
 
-    /// Events the recorder had to discard (ring overflow).
+    /// Events the recorder had to discard (lane overflow).
     pub fn dropped_events(&self) -> u64 {
         match &self.inner {
             Some(inner) => inner.recorder.dropped(),

@@ -1,86 +1,43 @@
-//! Event sinks: where recorded events go.
+//! The bounded event ring each flight-recorder lane is made of: it
+//! keeps the newest `capacity` events in arrival order and counts the
+//! ones it overwrote. The ring itself is unsynchronised; the flight
+//! recorder (see [`flight`](crate::flight)) wraps one per lane in a
+//! mutex.
 
 use crate::event::Event;
-use std::sync::Mutex;
 
-/// An event sink. Implementations must be cheap and non-blocking — the
-/// pipeline calls [`record`](Recorder::record) from its hot paths.
-pub trait Recorder: Send + Sync {
-    /// Accepts one event.
-    fn record(&self, event: Event);
-
-    /// All retained events, oldest first (sinks that do not retain
-    /// return nothing).
-    fn snapshot(&self) -> Vec<Event> {
-        Vec::new()
-    }
-
-    /// How many events were discarded due to capacity.
-    fn dropped(&self) -> u64 {
-        0
-    }
-}
-
-/// Discards everything (used by tests that want an attached-but-silent
-/// recorder; the usual "off" path is `Obs::noop`, which skips the
-/// recorder entirely).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn record(&self, _event: Event) {}
-}
-
-/// Retains the most recent `capacity` events in a fixed ring.
-pub struct RingRecorder {
-    state: Mutex<RingState>,
-}
-
-struct RingState {
+/// One bounded ring of events.
+#[derive(Debug, Default)]
+pub(crate) struct Ring {
     buf: Vec<Event>,
     /// Index of the oldest retained event once the ring has wrapped.
     head: usize,
-    capacity: usize,
     dropped: u64,
 }
 
-impl RingRecorder {
-    /// A ring retaining at most `capacity` events (min 1).
-    pub fn with_capacity(capacity: usize) -> RingRecorder {
-        RingRecorder {
-            state: Mutex::new(RingState {
-                buf: Vec::new(),
-                head: 0,
-                capacity: capacity.max(1),
-                dropped: 0,
-            }),
-        }
-    }
-}
-
-impl Recorder for RingRecorder {
-    fn record(&self, event: Event) {
-        let mut s = self.state.lock().expect("ring not poisoned");
-        if s.buf.len() < s.capacity {
-            s.buf.push(event);
+impl Ring {
+    /// Appends `event`, overwriting the oldest once `capacity` (at
+    /// least 1) events are held.
+    pub(crate) fn record(&mut self, capacity: usize, event: Event) {
+        if self.buf.len() < capacity {
+            self.buf.push(event);
         } else {
-            let head = s.head;
-            s.buf[head] = event;
-            s.head = (head + 1) % s.capacity;
-            s.dropped += 1;
+            let head = self.head;
+            self.buf[head] = event;
+            self.head = (head + 1) % capacity;
+            self.dropped += 1;
         }
     }
 
-    fn snapshot(&self) -> Vec<Event> {
-        let s = self.state.lock().expect("ring not poisoned");
-        let mut out = Vec::with_capacity(s.buf.len());
-        out.extend_from_slice(&s.buf[s.head..]);
-        out.extend_from_slice(&s.buf[..s.head]);
-        out
+    /// Appends the retained events to `out`, oldest first.
+    pub(crate) fn snapshot_into(&self, out: &mut Vec<Event>) {
+        out.extend_from_slice(&self.buf[self.head..]);
+        out.extend_from_slice(&self.buf[..self.head]);
     }
 
-    fn dropped(&self) -> u64 {
-        self.state.lock().expect("ring not poisoned").dropped
+    /// Events overwritten because the ring was full.
+    pub(crate) fn dropped(&self) -> u64 {
+        self.dropped
     }
 }
 
@@ -99,34 +56,29 @@ mod tests {
         }
     }
 
+    fn seqs(ring: &Ring) -> Vec<u64> {
+        let mut out = Vec::new();
+        ring.snapshot_into(&mut out);
+        out.iter().map(|e| e.seq).collect()
+    }
+
     #[test]
     fn ring_keeps_everything_under_capacity() {
-        let ring = RingRecorder::with_capacity(4);
+        let mut ring = Ring::default();
         for i in 0..3 {
-            ring.record(ev(i));
+            ring.record(4, ev(i));
         }
-        let seqs: Vec<u64> = ring.snapshot().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
+        assert_eq!(seqs(&ring), vec![0, 1, 2]);
         assert_eq!(ring.dropped(), 0);
     }
 
     #[test]
     fn ring_wraparound_keeps_newest_in_order() {
-        let ring = RingRecorder::with_capacity(4);
+        let mut ring = Ring::default();
         for i in 0..10 {
-            ring.record(ev(i));
+            ring.record(4, ev(i));
         }
-        let seqs: Vec<u64> = ring.snapshot().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![6, 7, 8, 9]);
+        assert_eq!(seqs(&ring), vec![6, 7, 8, 9]);
         assert_eq!(ring.dropped(), 6);
-    }
-
-    #[test]
-    fn zero_capacity_is_clamped_to_one() {
-        let ring = RingRecorder::with_capacity(0);
-        ring.record(ev(1));
-        ring.record(ev(2));
-        let seqs: Vec<u64> = ring.snapshot().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![2]);
     }
 }

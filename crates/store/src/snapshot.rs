@@ -27,7 +27,6 @@
 use crate::codec::{put_u64, CodecError, Reader};
 use crate::crc32::crc32;
 use locble_engine::EngineState;
-use std::io::Write as _;
 use std::path::Path;
 
 const MAGIC: [u8; 4] = *b"LBSN";
@@ -134,17 +133,12 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     Ok(Snapshot { wal_records, state })
 }
 
-/// Writes a snapshot atomically: tmp file, fsync, rename over `path`.
-/// Returns the file size in bytes.
+/// Writes a snapshot atomically with [`locble_obs::atomic_write`]
+/// (tmp file, fsync, rename over `path`). Returns the file size in
+/// bytes.
 pub fn write_snapshot(path: &Path, wal_records: u64, state: &EngineState) -> std::io::Result<u64> {
     let image = encode_snapshot(wal_records, state);
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&image)?;
-        f.sync_data()?;
-    }
-    std::fs::rename(&tmp, path)?;
+    locble_obs::atomic_write(path, &image)?;
     Ok(image.len() as u64)
 }
 

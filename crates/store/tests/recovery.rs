@@ -129,32 +129,33 @@ fn assert_engines_match(label: &str, got: &Engine, want: &Engine) {
 }
 
 /// One kill-and-recover scenario: stream `adverts[..crash_at]` durably
-/// (checkpointing once `checkpoint_at` offered adverts are on disk),
-/// crash, optionally tear the final WAL record, recover, re-offer
-/// everything past the durable prefix, finish, and diff against the
-/// uninterrupted run.
-fn crash_scenario(tag: &str, crash_at: usize, checkpoint_at: usize, tear: bool) {
+/// (checkpointing each time the durable count first reaches one of the
+/// ascending `checkpoints`), crash, optionally tear the final WAL
+/// record, recover, re-offer everything past the durable prefix,
+/// finish, and diff against the uninterrupted run.
+fn crash_scenario(tag: &str, crash_at: usize, checkpoints: &[usize], tear: bool) {
     let (adverts, motion) = fleet_adverts(10, 77);
     assert!(crash_at <= adverts.len() && crash_at > 0);
     let dir = temp_dir(tag);
 
     // Phase 1: the doomed session. Log-then-ingest, with a checkpoint
-    // right after set_motion (motion is not WAL-logged) and another
-    // mid-stream once `checkpoint_at` adverts are durable.
+    // right after set_motion (motion is not WAL-logged) and more
+    // mid-stream as the durable count passes each of `checkpoints`.
     {
         let mut store =
             SessionStore::open(&dir, FsyncPolicy::EveryAppend, Obs::noop()).expect("open store");
         let mut engine = Engine::new(config(), estimator(), Obs::noop());
         engine.set_motion(motion.clone());
         store.checkpoint(&engine).expect("motion checkpoint");
-        let mut checkpointed = false;
+        let mut pending = checkpoints.iter().peekable();
         for chunk in adverts[..crash_at].chunks(CHUNK) {
             store.append(chunk).expect("wal append");
             engine.ingest_all(chunk);
-            if !checkpointed && store.wal_records() as usize >= checkpoint_at {
+            let durable = store.wal_records() as usize;
+            if pending.next_if(|&&at| durable >= at).is_some() {
+                while pending.next_if(|&&at| durable >= at).is_some() {}
                 engine.process();
                 store.checkpoint(&engine).expect("mid-stream checkpoint");
-                checkpointed = true;
             }
         }
         // Crash: drop everything. No finish, no final checkpoint.
@@ -197,10 +198,10 @@ fn crash_scenario(tag: &str, crash_at: usize, checkpoint_at: usize, tear: bool) 
         durable as u64,
         "{tag}: skip + replay must cover the log"
     );
-    if checkpoint_at < crash_at {
+    if let Some(&last) = checkpoints.iter().rev().find(|&&at| at < crash_at) {
         assert!(
-            report.skipped >= checkpoint_at as u64,
-            "{tag}: the mid-stream checkpoint should spare its prefix from replay"
+            report.skipped >= last as u64,
+            "{tag}: the latest mid-stream checkpoint should spare its prefix from replay"
         );
     }
     for chunk in adverts[durable..].chunks(CHUNK) {
@@ -218,25 +219,34 @@ fn crash_scenario(tag: &str, crash_at: usize, checkpoint_at: usize, tear: bool) 
 fn crash_early_before_mid_stream_checkpoint() {
     // Only the motion checkpoint exists: the whole prefix replays.
     let (adverts, _) = fleet_adverts(10, 77);
-    crash_scenario("early", adverts.len() / 4, usize::MAX, false);
+    crash_scenario("early", adverts.len() / 4, &[], false);
 }
 
 #[test]
 fn crash_mid_stream_after_checkpoint() {
     let (adverts, _) = fleet_adverts(10, 77);
-    crash_scenario("mid", adverts.len() / 2, adverts.len() / 4, false);
+    crash_scenario("mid", adverts.len() / 2, &[adverts.len() / 4], false);
+    // Periodic checkpoints: each snapshot replaces the previous one, and
+    // recovery starts from the latest.
+    let eighth = adverts.len() / 8;
+    crash_scenario(
+        "periodic",
+        adverts.len() / 2,
+        &[eighth, 2 * eighth, 3 * eighth],
+        false,
+    );
 }
 
 #[test]
 fn crash_at_end_of_stream_before_finish() {
     let (adverts, _) = fleet_adverts(10, 77);
-    crash_scenario("end", adverts.len(), (adverts.len() * 3) / 4, false);
+    crash_scenario("end", adverts.len(), &[(adverts.len() * 3) / 4], false);
 }
 
 #[test]
 fn crash_tearing_the_final_wal_record() {
     let (adverts, _) = fleet_adverts(10, 77);
-    crash_scenario("torn", (adverts.len() * 2) / 3, adverts.len() / 3, true);
+    crash_scenario("torn", (adverts.len() * 2) / 3, &[adverts.len() / 3], true);
 }
 
 #[test]

@@ -16,9 +16,6 @@ cargo test -q --workspace
 echo "==> connection-scale accounting (release loadgen, 10 000 multiplexed epoll connections)"
 cargo run --release -q -p locble-bench --bin loadgen -- --connections 10000
 
-echo "==> recovery smoke (release crashtest: SIGKILL mid-stream, recover, diff)"
-cargo run --release -q -p locble-bench --bin crashtest
-
 echo "==> backend shootout (release harness + BENCH_backends.json; exits 1 on a false gate)"
 cargo run --release -q -p locble-bench --bin harness -- backends --backends-json BENCH_backends.json
 
