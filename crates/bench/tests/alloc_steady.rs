@@ -13,7 +13,7 @@
 use locble_bench::util::{alloc_count, process_alloc_count, CountingAlloc};
 use locble_ble::BeaconId;
 use locble_core::{
-    Estimator, EstimatorConfig, FingerprintBackend, FingerprintConfig, ParticleBackend,
+    Estimator, EstimatorConfig, FingerprintBackend, FingerprintConfig, FitMethod, ParticleBackend,
     ParticleConfig, RssBatch, StreamingEstimator,
 };
 use locble_engine::{shard_of, Advert, Engine, EngineConfig};
@@ -51,9 +51,11 @@ fn quiesce() {
     }
 }
 
-/// A long deterministic L-walk: per-sample observer positions and RSS
-/// readings for one beacon, chunked into `batch` -sample batches.
-fn walk_fixture(total: usize, batch: usize) -> (Vec<RssBatch>, MotionTrack) {
+/// A long deterministic walk that turns between +x and +y every `leg`
+/// samples (a staircase of L-walks; `leg ≥ total` walks one straight
+/// line): per-sample observer positions and RSS readings for one beacon,
+/// chunked into `batch` -sample batches.
+fn walk_fixture(total: usize, batch: usize, leg: usize) -> (Vec<RssBatch>, MotionTrack) {
     let model = LogDistanceModel::new(-59.0, 2.0);
     let target = Vec2::new(4.0, 3.5);
     let dt = 0.11;
@@ -65,7 +67,7 @@ fn walk_fixture(total: usize, batch: usize) -> (Vec<RssBatch>, MotionTrack) {
         traj.push(t, pos);
         let noise = if i % 2 == 0 { 0.9 } else { -0.7 };
         all.push((t, model.rss_at(target.distance(pos)) + noise));
-        if i % 80 < 40 {
+        if (i / leg).is_multiple_of(2) {
             pos.x += dt;
         } else {
             pos.y += dt;
@@ -96,7 +98,7 @@ fn walk_fixture(total: usize, batch: usize) -> (Vec<RssBatch>, MotionTrack) {
 #[test]
 fn warm_streaming_session_processes_batches_without_allocating() {
     let _serial = serial();
-    let (batches, track) = walk_fixture(400, 20);
+    let (batches, track) = walk_fixture(400, 20, 40);
     let (warm, measured) = batches.split_at(batches.len() / 2);
     let measured_samples: usize = measured.iter().map(RssBatch::len).sum();
 
@@ -120,10 +122,46 @@ fn warm_streaming_session_processes_batches_without_allocating() {
     );
 }
 
+/// A straight walk is collinear, so every refit starts on the leg rung
+/// of the fallback ladder (the mirror ambiguity must be reported): the
+/// leg solver and the ρ table are reused, not rebuilt per refit.
+#[test]
+fn warm_straight_walk_session_refits_on_the_leg_rung_without_allocating() {
+    let _serial = serial();
+    let (batches, track) = walk_fixture(400, 20, usize::MAX);
+    let (warm, measured) = batches.split_at(batches.len() / 2);
+    let measured_samples: usize = measured.iter().map(RssBatch::len).sum();
+
+    let mut session = StreamingEstimator::new(Estimator::new(EstimatorConfig::default()));
+    for b in warm {
+        session.push_batch(b, &track);
+    }
+    session.reserve(measured_samples);
+
+    let before = alloc_count();
+    for b in measured {
+        session.push_batch(b, &track);
+    }
+    let allocs = alloc_count() - before;
+    let est = session.current().expect("warm session must estimate");
+    assert_eq!(
+        est.method,
+        FitMethod::Leg,
+        "fixture must refit on the leg rung"
+    );
+    assert!(est.mirror.is_some(), "a straight walk reports its mirror");
+    assert_eq!(
+        allocs,
+        0,
+        "warm straight-walk push_batch allocated {allocs} times over {} batches",
+        measured.len()
+    );
+}
+
 #[test]
 fn warm_particle_session_processes_batches_without_allocating() {
     let _serial = serial();
-    let (batches, track) = walk_fixture(400, 20);
+    let (batches, track) = walk_fixture(400, 20, 40);
     let (warm, measured) = batches.split_at(batches.len() / 2);
 
     let mut filter = ParticleBackend::new(ParticleConfig::default());
@@ -154,7 +192,7 @@ fn warm_particle_session_processes_batches_without_allocating() {
 #[test]
 fn warm_fingerprint_session_processes_batches_without_allocating() {
     let _serial = serial();
-    let (batches, track) = walk_fixture(400, 20);
+    let (batches, track) = walk_fixture(400, 20, 40);
     let (warm, measured) = batches.split_at(batches.len() / 2);
     let measured_samples: usize = measured.iter().map(RssBatch::len).sum();
 

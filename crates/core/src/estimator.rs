@@ -21,13 +21,14 @@
 use crate::anf::AdaptiveNoiseFilter;
 use crate::confidence::estimation_confidence;
 use crate::envaware::{EnvAware, EnvChangeDetector};
-use crate::exponent::{search_scored, ExponentSearch};
-use crate::regression::{FitSolver, LegSolver, RssPoint};
+use crate::exponent::{search_circular, search_leg, sweep_anchored, ExponentSearch};
+use crate::regression::{FitSolver, LegSolver, RhoTable, RssPoint};
 use locble_dsp::TimeSeries;
 use locble_geom::{EnvClass, Trajectory, Vec2};
 use locble_motion::MotionTrack;
 use locble_obs::Obs;
 use locble_rf::MIN_RANGE_M;
+use std::cell::RefCell;
 
 /// Estimator configuration.
 #[derive(Debug, Clone)]
@@ -181,6 +182,25 @@ impl EstimatorScratch {
     }
 }
 
+/// Per-worker-thread refit buffers: the ρ table every rung of the
+/// fallback ladder reads its grid rows from, and the leg rung's solver.
+/// Both are rebuilt by every refit, so one set per thread serves any
+/// number of sessions; keeping them per session instead would multiply
+/// resident memory by the session count.
+#[derive(Debug, Default)]
+struct RefitScratch {
+    rho: RhoTable,
+    leg: LegSolver,
+}
+
+thread_local! {
+    /// This thread's [`RefitScratch`], borrowed by one refit at a time.
+    static REFIT_SCRATCH: RefCell<RefitScratch> = RefCell::default();
+}
+
+/// One rung's answer: (position, mirror, exponent n, Γ, rung).
+type RungFit = (Vec2, Option<Vec2>, f64, f64, FitMethod);
+
 /// The Algorithm-1 estimator.
 #[derive(Debug, Clone)]
 pub struct Estimator {
@@ -229,6 +249,17 @@ impl Estimator {
     /// The attached EnvAware model, when one was provided.
     pub fn envaware_model(&self) -> Option<&EnvAware> {
         self.envaware.as_ref()
+    }
+
+    /// Pre-grows the calling thread's refit buffers (ρ table and leg
+    /// solver) for refits of up to `len` fused samples, so a warm session
+    /// refitting on this thread within that size never allocates.
+    pub(crate) fn reserve_refit_scratch(&self, len: usize) {
+        REFIT_SCRATCH.with(|refit| {
+            let mut refit = refit.borrow_mut();
+            refit.rho.reserve(self.config.exponent_search.grid, len);
+            refit.leg.reserve(len);
+        });
     }
 
     /// Estimates a stationary target from the observer's RSS trace and
@@ -280,9 +311,13 @@ impl Estimator {
     ) -> Option<LocationEstimate> {
         // Detach the scratch arena from the solver so the filter/fusion
         // buffers and the solver's Gram state can be borrowed
-        // independently below.
+        // independently below; the thread's refit buffers are borrowed
+        // for the length of this one refit.
         let mut scratch = std::mem::take(&mut solver.scratch);
-        let out = self.estimate_with_scratch(rss, observer, target_disp, solver, &mut scratch);
+        let out = REFIT_SCRATCH.with(|refit| {
+            let refit = &mut refit.borrow_mut();
+            self.estimate_with_scratch(rss, observer, target_disp, solver, &mut scratch, refit)
+        });
         solver.scratch = scratch;
         out
     }
@@ -294,6 +329,7 @@ impl Estimator {
         target_disp: Option<&Trajectory>,
         solver: &mut FitSolver,
         scratch: &mut EstimatorScratch,
+        refit: &mut RefitScratch,
     ) -> Option<LocationEstimate> {
         let mut span = self.obs.span("core.estimator", "estimate");
         span.field("samples", rss.len());
@@ -467,18 +503,19 @@ impl Estimator {
         // points (incremental when this is a streaming refit of a grown
         // session), then reborrow immutably: every rung of the ladder
         // below answers its exponent candidates from the same cached
-        // Gram factorizations.
+        // Gram factorizations, and its grid candidates from the same ρ
+        // rows, each computed at most once per refit.
         solver.ensure(points);
         let solver = &*solver;
+        let search = &self.config.exponent_search;
+        refit.rho.reset(points.iter().map(|pt| pt.rss), search.grid);
 
         // Geometry: joint fit for 2-D paths, leg fit for collinear ones.
         let collinear = perpendicular_spread(rel_positions) < self.config.collinear_threshold_m;
         let fit = if collinear {
             None
         } else {
-            search_scored(&self.config.exponent_search, |n| {
-                solver.solve(n).map(|f| (f, f.residual_db))
-            })
+            search_circular(solver, &mut refit.rho, search)
         };
 
         let plausible = |pos: Vec2, g: f64| pos.norm() <= 15.0 && (-85.0..=-40.0).contains(&g);
@@ -494,27 +531,26 @@ impl Estimator {
         // reported, so the leg fit takes priority there; the anchored fit
         // (which would silently collapse the ambiguity through its ridge)
         // only serves 2-D walks whose free fit failed.
-        let anchored = || {
-            self.anchored_fallback(solver, env, compensated)
-                .filter(|f| plausible(f.position, f.gamma_dbm))
-                .map(|f| {
-                    (
-                        f.position,
-                        None,
-                        f.exponent,
-                        f.gamma_dbm,
-                        FitMethod::Anchored,
-                    )
-                })
+        let mut rung = |method: FitMethod| -> Option<RungFit> {
+            let (position, mirror, exponent, gamma) = match method {
+                FitMethod::Anchored => self
+                    .anchored_fallback(solver, &mut refit.rho, env, compensated)
+                    .filter(|f| plausible(f.position, f.gamma_dbm))
+                    .map(|f| (f.position, None, f.exponent, f.gamma_dbm))?,
+                FitMethod::Leg => self
+                    .leg_fallback(rel_positions, refit)
+                    .filter(|leg| plausible(leg.0, leg.3))?,
+                FitMethod::Gradient => {
+                    self.gradient_fallback(rel_positions, points, env, compensated)?
+                }
+                _ => return None,
+            };
+            Some((position, mirror, exponent, gamma, method))
         };
-        let legs = || {
-            self.leg_fallback(rel_positions, points)
-                .filter(|leg| plausible(leg.0, leg.3))
-                .map(|(p, m, n, g)| (p, m, n, g, FitMethod::Leg))
-        };
-        let gradient = || {
-            self.gradient_fallback(rel_positions, points, env, compensated)
-                .map(|(p, m, n, g)| (p, m, n, g, FitMethod::Gradient))
+        let ladder = if collinear {
+            [FitMethod::Leg, FitMethod::Anchored, FitMethod::Gradient]
+        } else {
+            [FitMethod::Anchored, FitMethod::Leg, FitMethod::Gradient]
         };
         let (mut position, mut mirror, mut exponent, mut gamma, mut method) = match &fit {
             Some(f) if plausible(f.position, f.gamma_dbm) => (
@@ -529,14 +565,7 @@ impl Estimator {
                 span.field("outcome", "free_fit_rejected");
                 return None;
             }
-            _ if collinear => match legs().or_else(anchored).or_else(gradient) {
-                Some(result) => result,
-                None => {
-                    span.field("outcome", "ladder_exhausted");
-                    return None;
-                }
-            },
-            _ => match anchored().or_else(legs).or_else(gradient) {
+            _ => match ladder.into_iter().find_map(&mut rung) {
                 Some(result) => result,
                 None => {
                     span.field("outcome", "ladder_exhausted");
@@ -546,7 +575,7 @@ impl Estimator {
         };
 
         if !plausible(position, gamma) {
-            if let Some((p, m, n, g, meth)) = gradient() {
+            if let Some((p, m, n, g, meth)) = rung(FitMethod::Gradient) {
                 position = p;
                 mirror = m;
                 exponent = n;
@@ -563,6 +592,7 @@ impl Estimator {
         span.field("collinear", collinear);
         span.field("confidence", confidence);
         span.field("residual_db", residual_db);
+        span.field("rho_rows", refit.rho.fills());
         self.obs
             .histogram_observe("estimator.residual_db", residual_db);
         Some(LocationEstimate {
@@ -583,20 +613,17 @@ impl Estimator {
     fn leg_fallback(
         &self,
         rel_positions: &[Vec2],
-        points: &[RssPoint],
+        refit: &mut RefitScratch,
     ) -> Option<(Vec2, Option<Vec2>, f64, f64)> {
-        // Cold path: the leg rung only runs when the free joint fit is
-        // unusable (collinear walk or ladder descent), never in the
-        // steady-state 2-D refit loop, so these per-call buffers are
-        // amortized away.
-        let rss: Vec<f64> = points.iter().map(|p| p.rss).collect();
-        // The leg frame and Gram matrix are exponent-independent: build
-        // them once, then every candidate of the search is a cheap
-        // back-substitution.
-        let leg = LegSolver::new(rel_positions, &rss)?;
-        let fit = search_scored(&self.config.exponent_search, |n| {
-            leg.solve(n).map(|f| (f, f.residual_db))
-        })?;
+        // Every collinear refit starts on this rung, so it rebuilds the
+        // thread's leg solver in place (the leg frame and Gram matrix are
+        // exponent-independent) and scores the grid from the refit's
+        // shared ρ rows: a warm straight walk refits off the heap.
+        let RefitScratch { rho, leg } = refit;
+        if !leg.rebuild(rel_positions, rho.rss()) {
+            return None;
+        }
+        let fit = search_leg(leg, rho, &self.config.exponent_search)?;
         // The observer walked leg-local: both candidates are equally
         // plausible. Report the left-hand one (positive side of the walk
         // direction) and expose the mirror. Positions are relative to the
@@ -618,6 +645,7 @@ impl Estimator {
     fn anchored_fallback(
         &self,
         solver: &FitSolver,
+        rho: &mut RhoTable,
         env: Option<EnvClass>,
         compensated: bool,
     ) -> Option<crate::regression::CircularFit> {
@@ -647,19 +675,7 @@ impl Estimator {
                 }
             }
         };
-        let mut best: Option<crate::regression::CircularFit> = None;
-        for &g in gammas {
-            for k in 0..search.grid {
-                let n =
-                    search.min + (search.max - search.min) * k as f64 / (search.grid - 1) as f64;
-                if let Some(f) = solver.solve_anchored(n, g) {
-                    if best.as_ref().is_none_or(|b| f.residual_db < b.residual_db) {
-                        best = Some(f);
-                    }
-                }
-            }
-        }
-        best
+        sweep_anchored(solver, rho, search, gammas)
     }
 
     /// Range-plus-gradient degradation: when no regression is physically

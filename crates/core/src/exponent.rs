@@ -7,15 +7,24 @@
 //! of the resulting model is scored; a coarse grid pins the basin and a
 //! golden-section refinement polishes it.
 //!
-//! The search itself is fit-agnostic: [`search_scored`] drives any
-//! `exponent → (fit, residual)` closure, so the same grid + golden-section
-//! machinery serves the circular fit, the leg fallback and the 3-D fit.
-//! The golden-section refinement retains one interior probe across
-//! iterations, so a full search costs `grid + refine_iters + 1` inner
-//! solves (41 with the defaults) instead of `grid + 2·refine_iters` (58)
-//! for the naive both-probes-per-iteration variant.
+//! The search itself is fit-agnostic: [`search_candidates`] drives any
+//! scoring closure, so the same grid + golden-section machinery serves
+//! the circular fit, the leg fallback and the 3-D fit. The golden-section
+//! refinement retains one interior probe across iterations, so a full
+//! search costs `grid + refine_iters + 1` inner solves (22 + 18 + 1 = 41
+//! with the defaults) instead of `grid + 2·refine_iters` (58) for the
+//! naive both-probes-per-iteration variant.
+//!
+//! Within one refit the estimator's fallback ladder scores the same grid
+//! exponents up to five times (free fit, leg fit, anchored sweep over
+//! three Γ anchors). [`search_circular`], [`search_leg`] and
+//! [`sweep_anchored`] therefore read each grid exponent's ρ row from one
+//! shared [`RhoTable`], so a refit pays at most `grid` rows of `exp`
+//! plus one inline ρ pass per golden-section probe; and each grid
+//! candidate stops its residual pass once it provably cannot beat the
+//! best so far. Both leave every result bit-identical.
 
-use crate::regression::{CircularFit, FitSolver, RssPoint};
+use crate::regression::{CircularFit, FitSolver, LegFit, LegSolver, RhoTable, RssPoint};
 
 /// Configuration of the exponent search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,28 +61,51 @@ impl ExponentSearch {
         }
         Ok(())
     }
+
+    /// The `k`-th of the `grid` evenly spaced coarse-grid exponents.
+    pub fn grid_exponent(&self, k: usize) -> f64 {
+        self.min + (self.max - self.min) * k as f64 / (self.grid - 1) as f64
+    }
 }
 
-/// Generic exponent search over any scoring closure: `score(n)` returns a
-/// candidate fit plus its residual (lower is better), or `None` when no
-/// valid fit exists at that exponent. Returns the best fit found, or
-/// `None` when every candidate failed.
+/// One candidate exponent handed to a [`search_candidates`] scoring
+/// closure.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Candidate {
+    /// The exponent to score.
+    pub exponent: f64,
+    /// Index of the coarse-grid point ([`ExponentSearch::grid_exponent`]),
+    /// or `None` for a golden-section probe.
+    pub grid_index: Option<usize>,
+    /// The residual the candidate must beat to change the search's
+    /// result: a scorer may give up and return `None` once it has proven
+    /// the residual is at least this. NaN when the candidate must be
+    /// scored in full — before any candidate has succeeded, and for every
+    /// golden-section probe, whose residual steers the bracket.
+    pub bound: f64,
+}
+
+/// Generic exponent search over any scoring closure: `score(candidate)`
+/// returns a candidate fit plus its residual (lower is better), or `None`
+/// when no valid fit exists at that exponent (or, for a bounded
+/// candidate, when it cannot win). Returns the best fit found, or `None`
+/// when every candidate failed; ties keep the earlier candidate.
 ///
 /// Coarse grid first, then golden-section refinement around the winning
 /// grid cell. The refinement evaluates two interior probes once and then
 /// *reuses* the surviving probe each iteration, so the closure is called
 /// exactly `grid + refine_iters + 1` times (for `refine_iters ≥ 1`).
-pub fn search_scored<T>(
+pub fn search_candidates<T>(
     search: &ExponentSearch,
-    mut score: impl FnMut(f64) -> Option<(T, f64)>,
+    mut score: impl FnMut(Candidate) -> Option<(T, f64)>,
 ) -> Option<T> {
     search.validate().ok()?;
     let mut best: Option<T> = None;
     let mut best_res = f64::INFINITY;
     // Scores one candidate, folding an improvement into `best`; returns
     // the residual (∞ for a failed fit) and whether it improved.
-    let mut eval = |n: f64, best: &mut Option<T>, best_res: &mut f64| -> (f64, bool) {
-        if let Some((fit, res)) = score(n) {
+    let mut eval = |c: Candidate, best: &mut Option<T>, best_res: &mut f64| -> (f64, bool) {
+        if let Some((fit, res)) = score(c) {
             let improved = best.is_none() || res < *best_res;
             if improved {
                 *best = Some(fit);
@@ -84,12 +116,23 @@ pub fn search_scored<T>(
             (f64::INFINITY, false)
         }
     };
+    let probe = |exponent: f64| Candidate {
+        exponent,
+        grid_index: None,
+        bound: f64::NAN,
+    };
 
-    // Coarse grid.
+    // Coarse grid. A grid candidate only has to beat the best so far.
     let mut best_n = search.min;
     for k in 0..search.grid {
-        let n = search.min + (search.max - search.min) * k as f64 / (search.grid - 1) as f64;
-        let (_, improved) = eval(n, &mut best, &mut best_res);
+        let n = search.grid_exponent(k);
+        let bound = if best.is_some() { best_res } else { f64::NAN };
+        let candidate = Candidate {
+            exponent: n,
+            grid_index: Some(k),
+            bound,
+        };
+        let (_, improved) = eval(candidate, &mut best, &mut best_res);
         if improved {
             best_n = n;
         }
@@ -108,8 +151,8 @@ pub fn search_scored<T>(
     let phi = (5f64.sqrt() - 1.0) / 2.0;
     let mut m1 = hi - phi * (hi - lo);
     let mut m2 = lo + phi * (hi - lo);
-    let mut r1 = eval(m1, &mut best, &mut best_res).0;
-    let mut r2 = eval(m2, &mut best, &mut best_res).0;
+    let mut r1 = eval(probe(m1), &mut best, &mut best_res).0;
+    let mut r2 = eval(probe(m2), &mut best, &mut best_res).0;
     for it in 0..search.refine_iters {
         let last = it + 1 == search.refine_iters;
         if r1 <= r2 {
@@ -120,7 +163,7 @@ pub fn search_scored<T>(
                 break;
             }
             m1 = hi - phi * (hi - lo);
-            r1 = eval(m1, &mut best, &mut best_res).0;
+            r1 = eval(probe(m1), &mut best, &mut best_res).0;
         } else {
             lo = m1;
             m1 = m2;
@@ -129,10 +172,19 @@ pub fn search_scored<T>(
                 break;
             }
             m2 = lo + phi * (hi - lo);
-            r2 = eval(m2, &mut best, &mut best_res).0;
+            r2 = eval(probe(m2), &mut best, &mut best_res).0;
         }
     }
     best
+}
+
+/// [`search_candidates`] for a closure that scores every candidate in
+/// full and ignores the grid structure.
+pub fn search_scored<T>(
+    search: &ExponentSearch,
+    mut score: impl FnMut(f64) -> Option<(T, f64)>,
+) -> Option<T> {
+    search_candidates(search, |c| score(c.exponent))
 }
 
 /// Runs the search: returns the best-fit result across exponents, or
@@ -153,6 +205,67 @@ pub fn search_exponent_with(
     solver.ensure(points);
     let solver = &*solver;
     search_scored(search, |n| solver.solve(n).map(|f| (f, f.residual_db)))
+}
+
+/// The free circular fit's exponent search over a refit's shared ρ rows:
+/// grid candidates read their row from `rho` and stop scoring once they
+/// cannot win; golden-section probes compute ρ inline. `rho` must have
+/// been [`reset`](RhoTable::reset) with `solver`'s RSS values and at
+/// least `search.grid` rows. Bit-identical to
+/// `search_scored(search, |n| solver.solve(n)…)`.
+pub fn search_circular(
+    solver: &FitSolver,
+    rho: &mut RhoTable,
+    search: &ExponentSearch,
+) -> Option<CircularFit> {
+    search_candidates(search, |c| {
+        match c.grid_index {
+            Some(k) => solver.solve_row(c.exponent, rho.row(k, c.exponent), c.bound),
+            None => solver.solve(c.exponent),
+        }
+        .map(|f| (f, f.residual_db))
+    })
+}
+
+/// [`search_circular`] for the straight-leg fit: `rho` must have been
+/// reset with `leg`'s RSS values. Bit-identical to
+/// `search_scored(search, |n| leg.solve(n)…)`.
+pub fn search_leg(leg: &LegSolver, rho: &mut RhoTable, search: &ExponentSearch) -> Option<LegFit> {
+    search_candidates(search, |c| {
+        match c.grid_index {
+            Some(k) => leg.solve_row(c.exponent, rho.row(k, c.exponent), c.bound),
+            None => leg.solve(c.exponent),
+        }
+        .map(|f| (f, f.residual_db))
+    })
+}
+
+/// The anchored-fit sweep: every `(Γ, grid exponent)` pair, Γ-outer and
+/// exponent-inner, keeping the first lowest-residual
+/// [`FitSolver::solve_anchored`] fit. All anchors read the same ρ rows
+/// from `rho` (reset with `solver`'s RSS values and at least
+/// `search.grid` rows), and each candidate stops scoring once it cannot
+/// beat the best so far. No refinement: the anchor already pins the
+/// model, and the grid is what the sweep has always scored.
+pub fn sweep_anchored(
+    solver: &FitSolver,
+    rho: &mut RhoTable,
+    search: &ExponentSearch,
+    gammas: &[f64],
+) -> Option<CircularFit> {
+    let mut best: Option<CircularFit> = None;
+    for &g in gammas {
+        for k in 0..search.grid {
+            let n = search.grid_exponent(k);
+            let bound = best.map_or(f64::NAN, |b| b.residual_db);
+            if let Some(f) = solver.solve_anchored_row(n, g, rho.row(k, n), bound) {
+                if best.is_none_or(|b| f.residual_db < b.residual_db) {
+                    best = Some(f);
+                }
+            }
+        }
+    }
+    best
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! every candidate position on a grid around the walk gets its own
 //! per-candidate `(Γ, n)` path-loss fit — a 2-unknown least squares
 //! solved with `locble-ml`'s [`GramSolver`] on a
-//! [`StandardScaler`]-standardized log-distance feature — and
+//! [`StandardScaler`](locble_ml::StandardScaler)-standardized log-distance feature — and
 //! candidates are scored by a Gaussian kernel over their RSS
 //! residuals. The grid winner is refined by two halving passes.
 //!

@@ -59,12 +59,15 @@ pub use cluster::{calibrate, ClusterConfig, ClusterVote, DtwMatcher};
 pub use confidence::estimation_confidence;
 pub use envaware::{EnvAware, EnvAwareConfig, EnvChangeDetector};
 pub use estimator::{Estimator, EstimatorConfig, FitMethod, LocationEstimate};
-pub use exponent::{search_exponent, search_exponent_with, search_scored, ExponentSearch};
+pub use exponent::{
+    search_candidates, search_circular, search_exponent, search_exponent_with, search_leg,
+    search_scored, sweep_anchored, Candidate, ExponentSearch,
+};
 pub use fingerprint::{FingerprintBackend, FingerprintConfig, FingerprintState};
 pub use mirror::MirrorResolver;
 pub use navigation::{NavInstruction, Navigator};
 pub use particle::{ParticleBackend, ParticleConfig, ParticleState};
 pub use proximity::{LastMeterRefiner, ProximityConfig, ProximityObservation};
-pub use regression::{CircularFit, FitSolver, LegFit, LegSolver, RssPoint};
+pub use regression::{CircularFit, FitSolver, LegFit, LegSolver, RhoTable, RssPoint};
 pub use regression3d::{Fit3d, RssPoint3, Vec3};
 pub use streaming::{BatchError, RssBatch, StreamingEstimator, StreamingState};

@@ -31,6 +31,17 @@
 //! Accumulation is strictly sequential, so [`FitSolver::ensure`] can
 //! extend a cached session incrementally in O(new samples) with results
 //! bit-identical to a from-scratch rebuild.
+//!
+//! # Shared ρ rows
+//!
+//! `ρ` depends only on the RSS values and the exponent, and every rung of
+//! the estimator's fallback ladder scores the same coarse-grid exponents.
+//! A [`RhoTable`] computes each grid exponent's ρ row once per refit;
+//! the `*_row` solve variants read it instead of calling `exp`, and stop
+//! their residual pass as soon as the partial sum proves the candidate
+//! cannot beat a given bound. Both are bit-identical to the inline path:
+//! the row holds exactly the values the inline pass computes, and a
+//! candidate is cut short only when its residual could not have won.
 
 use locble_geom::Vec2;
 use locble_ml::{GramSolver, Matrix};
@@ -89,11 +100,7 @@ pub struct CircularFit {
 /// conditioning; returns the values and the normalization scale. Used
 /// only by the [`CircularFit::solve_reference`] baseline.
 fn rho_values(points: &[RssPoint], exponent: f64) -> (Vec<f64>, f64) {
-    // Same single-exp identity the cached solver uses:
-    // 10^(−RS/(5n)) = exp(k·RS) with k = −ln10/(5n) — one `exp` per
-    // point instead of a `powf` (which computes the same thing through a
-    // slower log/exp round trip).
-    let k = -std::f64::consts::LN_10 / (5.0 * exponent);
+    let k = rho_coefficient(exponent);
     let raw: Vec<f64> = points.iter().map(|pt| (k * pt.rss).exp()).collect();
     let scale = raw.iter().sum::<f64>() / raw.len() as f64;
     let scaled = raw.iter().map(|r| r / scale).collect();
@@ -119,40 +126,150 @@ pub fn rss_residual_db(points: &[RssPoint], position: Vec2, gamma: f64, exponent
     (sum / points.len() as f64).sqrt()
 }
 
-/// RMS dB residual over flat `(p, q, rss)` columns, working in squared
-/// distances: `10·n·log10(l) = 5·n·log10(l²)`, so no per-point
-/// `sqrt`/`hypot` is needed.
-fn residual_db_flat(p: &[f64], q: &[f64], rss: &[f64], x: f64, h: f64, gamma: f64, n: f64) -> f64 {
-    if p.is_empty() {
-        return 0.0;
+/// `k = −ln10/(5n)`, so that `ρ = 10^(−RS/(5n)) = exp(k·RS)`: one `exp`
+/// per point instead of a `powf` (which computes the same thing through
+/// a slower log/exp round trip). Every ρ pass and [`RhoTable`] row uses
+/// this one expression, which is what makes a table row bit-identical to
+/// the inline pass it replaces.
+fn rho_coefficient(exponent: f64) -> f64 {
+    -std::f64::consts::LN_10 / (5.0 * exponent)
+}
+
+/// RMS dB residual of the model `RS = gamma − 5·n·log10(d²)` against
+/// `rss`, where `offset(i)` is the vector from sample `i` to the candidate
+/// target. Works in squared distances (`10·n·log10(l) = 5·n·log10(l²)`),
+/// so no per-point `sqrt`/`hypot` is needed.
+///
+/// Returns `None` once the partial sum proves the residual is at least
+/// `bound`: lane sums only grow (adding a non-negative term never lowers
+/// a float sum), so a cut-short candidate could never have scored below
+/// `bound`. The proof is the exact test `sqrt(partial/len) >= bound` on
+/// the lanes combined in their final order; a cheap comparison against
+/// `bound²·len` only decides when that test is worth running. A NaN
+/// bound or a NaN partial sum never cuts a pass short.
+fn residual_db(
+    rss: &[f64],
+    gamma: f64,
+    n: f64,
+    bound: f64,
+    offset: impl Fn(usize) -> (f64, f64),
+) -> Option<f64> {
+    let len = rss.len();
+    if len == 0 {
+        return Some(0.0);
     }
     let min_sq = MIN_RANGE_M * MIN_RANGE_M;
-    let len = p.len();
+    let sq_err = |i: usize| {
+        let (dx, dy) = offset(i);
+        let d_sq = (dx * dx + dy * dy).max(min_sq);
+        let pred = gamma - 5.0 * n * d_sq.log10();
+        let e = rss[i] - pred;
+        e * e
+    };
     // 4-lane unrolled reduction: independent lane accumulators break the
     // serial add chain so the per-point log10 work pipelines; lanes
     // combine in a fixed order, keeping the result deterministic.
+    let lane_sum = |acc: &[f64; 4]| (acc[0] + acc[1]) + (acc[2] + acc[3]);
+    let cut_above = bound * bound * len as f64;
     let mut acc = [0.0f64; 4];
     let quads = len - len % 4;
     for i in (0..quads).step_by(4) {
         for (l, a) in acc.iter_mut().enumerate() {
-            let dx = x + p[i + l];
-            let dy = h + q[i + l];
-            let d_sq = (dx * dx + dy * dy).max(min_sq);
-            let pred = gamma - 5.0 * n * d_sq.log10();
-            let e = rss[i + l] - pred;
-            *a += e * e;
+            *a += sq_err(i + l);
+        }
+        let partial = lane_sum(&acc);
+        if partial >= cut_above && (partial / len as f64).sqrt() >= bound {
+            return None;
         }
     }
-    let mut sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+    let mut sum = lane_sum(&acc);
     for i in quads..len {
-        let dx = x + p[i];
-        let dy = h + q[i];
-        let d_sq = (dx * dx + dy * dy).max(min_sq);
-        let pred = gamma - 5.0 * n * d_sq.log10();
-        let e = rss[i] - pred;
-        sum += e * e;
+        sum += sq_err(i);
     }
-    (sum / len as f64).sqrt()
+    Some((sum / len as f64).sqrt())
+}
+
+/// ρ rows of one refit, shared by every rung of the estimator's fallback
+/// ladder.
+///
+/// Row `j` holds `exp(k·RS_i)` over the refit's RSS values for the `j`-th
+/// coarse-grid exponent — exactly the values a solver's inline ρ pass
+/// computes — and is filled on first request, so each grid exponent costs
+/// one `exp` per sample per refit however many fits score it.
+/// [`reset`](Self::reset) starts a refit; buffers keep their capacity, so
+/// a warm table never allocates. The estimator keeps one table per worker
+/// thread, not per session: a refit borrows it for its duration.
+#[derive(Debug, Clone, Default)]
+pub struct RhoTable {
+    /// The refit's RSS values, dBm.
+    rss: Vec<f64>,
+    /// Row-major `rows × rss.len()` values; only filled rows are valid.
+    values: Vec<f64>,
+    filled: Vec<bool>,
+    /// Rows computed since the last reset.
+    fills: usize,
+}
+
+impl RhoTable {
+    /// An empty table.
+    pub fn new() -> RhoTable {
+        RhoTable::default()
+    }
+
+    /// Starts a refit over `rss` with `rows` grid exponents; every row is
+    /// marked unfilled.
+    pub fn reset(&mut self, rss: impl IntoIterator<Item = f64>, rows: usize) {
+        self.rss.clear();
+        self.rss.extend(rss);
+        let cells = rows * self.rss.len();
+        if self.values.len() < cells {
+            self.values.resize(cells, 0.0);
+        }
+        self.filled.clear();
+        self.filled.resize(rows, false);
+        self.fills = 0;
+    }
+
+    /// Pre-grows the table for refits of up to `len` samples over `rows`
+    /// grid exponents.
+    pub fn reserve(&mut self, rows: usize, len: usize) {
+        self.rss.reserve(len.saturating_sub(self.rss.len()));
+        self.values
+            .reserve((rows * len).saturating_sub(self.values.len()));
+        self.filled.reserve(rows.saturating_sub(self.filled.len()));
+    }
+
+    /// The refit's RSS values (as passed to [`reset`](Self::reset)).
+    pub fn rss(&self) -> &[f64] {
+        &self.rss
+    }
+
+    /// Rows computed since the last [`reset`](Self::reset). A row is
+    /// never computed twice in one refit, so this is also the number of
+    /// distinct rows in use.
+    pub fn fills(&self) -> usize {
+        self.fills
+    }
+
+    /// The ρ row of grid point `index`, whose exponent is `exponent`;
+    /// computed on the first request after a reset.
+    ///
+    /// # Panics
+    /// Panics when `index` is not below the `rows` given to
+    /// [`reset`](Self::reset).
+    pub fn row(&mut self, index: usize, exponent: f64) -> &[f64] {
+        let len = self.rss.len();
+        let row = &mut self.values[index * len..(index + 1) * len];
+        if !self.filled[index] {
+            let k = rho_coefficient(exponent);
+            for (r, &rs) in row.iter_mut().zip(&self.rss) {
+                *r = (k * rs).exp();
+            }
+            self.filled[index] = true;
+            self.fills += 1;
+        }
+        row
+    }
 }
 
 /// Cached solver for [`CircularFit`]: accumulates the exponent-independent
@@ -259,19 +376,39 @@ impl FitSolver {
     /// Solves the free 4-parameter fit for one candidate exponent using
     /// the cached factorization. Semantics match [`CircularFit::solve`].
     pub fn solve(&self, exponent: f64) -> Option<CircularFit> {
+        let k = rho_coefficient(exponent);
+        self.solve_free(exponent, |i| (k * self.rss[i]).exp(), f64::NAN)
+    }
+
+    /// [`solve`](Self::solve) with a precomputed ρ row (a [`RhoTable`] row
+    /// for this exponent over this solver's RSS values) and a residual
+    /// bound: returns `None` as soon as the residual is proven to be at
+    /// least `bound` (NaN = score in full). Otherwise bit-identical to
+    /// `solve`.
+    ///
+    /// # Panics
+    /// Panics when `rho` does not hold one value per cached point.
+    pub fn solve_row(&self, exponent: f64, rho: &[f64], bound: f64) -> Option<CircularFit> {
+        assert_eq!(rho.len(), self.len(), "one ρ value per cached point");
+        self.solve_free(exponent, |i| rho[i], bound)
+    }
+
+    fn solve_free(
+        &self,
+        exponent: f64,
+        rho: impl Fn(usize) -> f64,
+        bound: f64,
+    ) -> Option<CircularFit> {
         let n = self.p.len();
         if n < CircularFit::MIN_SAMPLES || exponent <= 0.0 {
             return None;
         }
-        // ρ_i = 10^(−RS_i/(5n)) = exp(k·RS_i) with k = −ln10/(5n):
-        // one exp per point instead of powf. Normalizing ρ to mean 1 is
-        // linear, so accumulate Xᵀρ over raw values and divide once.
-        // 4-lane unrolled: per-lane partial sums break the serial
-        // dependency on single accumulators so the exp/multiply-add work
-        // pipelines; lanes combine in a fixed order so results stay
-        // deterministic (pinned to the reference within 1e-9 by the
-        // differential suite).
-        let k = -std::f64::consts::LN_10 / (5.0 * exponent);
+        // Normalizing ρ to mean 1 is linear, so accumulate Xᵀρ over raw
+        // values and divide once. 4-lane unrolled: per-lane partial sums
+        // break the serial dependency on single accumulators so the
+        // multiply-add work pipelines; lanes combine in a fixed order so
+        // results stay deterministic (pinned to the reference within 1e-9
+        // by the differential suite).
         let mut sum4 = [0.0f64; 4];
         let mut s4 = [0.0f64; 4];
         let mut p4 = [0.0f64; 4];
@@ -279,7 +416,7 @@ impl FitSolver {
         let quads = n - n % 4;
         for i in (0..quads).step_by(4) {
             for l in 0..4 {
-                let rho = (k * self.rss[i + l]).exp();
+                let rho = rho(i + l);
                 sum4[l] += rho;
                 s4[l] += self.s[i + l] * rho;
                 p4[l] += self.p[i + l] * rho;
@@ -294,7 +431,7 @@ impl FitSolver {
             0.0,
         ];
         for i in quads..n {
-            let rho = (k * self.rss[i]).exp();
+            let rho = rho(i);
             sum += rho;
             xty[0] += self.s[i] * rho;
             xty[1] += self.p[i] * rho;
@@ -324,7 +461,7 @@ impl FitSolver {
             position: Vec2::new(x, h),
             gamma_dbm: gamma,
             exponent,
-            residual_db: residual_db_flat(&self.p, &self.q, &self.rss, x, h, gamma, exponent),
+            residual_db: self.residual_db(x, h, gamma, exponent, bound)?,
         })
     }
 
@@ -332,13 +469,39 @@ impl FitSolver {
     /// using the cached factorization. Semantics match
     /// [`CircularFit::solve_anchored`].
     pub fn solve_anchored(&self, exponent: f64, gamma_dbm: f64) -> Option<CircularFit> {
+        let k = rho_coefficient(exponent);
+        self.solve_anchored_with(exponent, gamma_dbm, |i| (k * self.rss[i]).exp(), f64::NAN)
+    }
+
+    /// [`solve_anchored`](Self::solve_anchored) with a precomputed ρ row
+    /// and a residual bound, as in [`solve_row`](Self::solve_row).
+    ///
+    /// # Panics
+    /// Panics when `rho` does not hold one value per cached point.
+    pub fn solve_anchored_row(
+        &self,
+        exponent: f64,
+        gamma_dbm: f64,
+        rho: &[f64],
+        bound: f64,
+    ) -> Option<CircularFit> {
+        assert_eq!(rho.len(), self.len(), "one ρ value per cached point");
+        self.solve_anchored_with(exponent, gamma_dbm, |i| rho[i], bound)
+    }
+
+    fn solve_anchored_with(
+        &self,
+        exponent: f64,
+        gamma_dbm: f64,
+        rho: impl Fn(usize) -> f64,
+        bound: f64,
+    ) -> Option<CircularFit> {
         let n = self.p.len();
         if n < 4 || exponent <= 0.0 {
             return None;
         }
         let epsilon = 10f64.powf(gamma_dbm / (5.0 * exponent));
         let a = 1.0 / epsilon;
-        let k = -std::f64::consts::LN_10 / (5.0 * exponent);
         // ρ − A(p²+q²) = C·p + D·q + G, with raw (unnormalized) ρ.
         // 4-lane unrolled like `solve`; fixed lane-combine order.
         let mut p4 = [0.0f64; 4];
@@ -347,8 +510,7 @@ impl FitSolver {
         let quads = n - n % 4;
         for i in (0..quads).step_by(4) {
             for l in 0..4 {
-                let rho = (k * self.rss[i + l]).exp();
-                let rhs = rho - a * self.s[i + l];
+                let rhs = rho(i + l) - a * self.s[i + l];
                 p4[l] += self.p[i + l] * rhs;
                 q4[l] += self.q[i + l] * rhs;
                 g4[l] += rhs;
@@ -360,8 +522,7 @@ impl FitSolver {
             (g4[0] + g4[1]) + (g4[2] + g4[3]),
         ];
         for i in quads..n {
-            let rho = (k * self.rss[i]).exp();
-            let rhs = rho - a * self.s[i];
+            let rhs = rho(i) - a * self.s[i];
             xty[0] += self.p[i] * rhs;
             xty[1] += self.q[i] * rhs;
             xty[2] += rhs;
@@ -376,7 +537,14 @@ impl FitSolver {
             position: Vec2::new(x, h),
             gamma_dbm,
             exponent,
-            residual_db: residual_db_flat(&self.p, &self.q, &self.rss, x, h, gamma_dbm, exponent),
+            residual_db: self.residual_db(x, h, gamma_dbm, exponent, bound)?,
+        })
+    }
+
+    /// Bounded residual of the target `(x, h)` against the cached points.
+    fn residual_db(&self, x: f64, h: f64, gamma: f64, n: f64, bound: f64) -> Option<f64> {
+        residual_db(&self.rss, gamma, n, bound, |i| {
+            (x + self.p[i], h + self.q[i])
         })
     }
 }
@@ -468,8 +636,10 @@ pub struct LegFit {
 /// Cached solver for [`LegFit`]: the leg frame, projected coordinates and
 /// 3×3 Gram matrix depend only on the positions, so one `LegSolver` built
 /// per leg answers every candidate exponent of the outer search with a
-/// single `Xᵀρ` pass plus back-substitution.
-#[derive(Debug, Clone)]
+/// single `Xᵀρ` pass plus back-substitution. The estimator keeps one per
+/// worker thread and rebuilds it in place for each collinear refit, so
+/// the leg rung reuses its buffers instead of allocating.
+#[derive(Debug, Clone, Default)]
 pub struct LegSolver {
     origin: Vec2,
     u: Vec2,
@@ -490,49 +660,83 @@ impl LegSolver {
     /// # Panics
     /// Panics when `positions` and `rss` differ in length.
     pub fn new(positions: &[Vec2], rss: &[f64]) -> Option<LegSolver> {
+        let mut solver = LegSolver::default();
+        solver.rebuild(positions, rss).then_some(solver)
+    }
+
+    /// Rebuilds the solver in place for a new leg, keeping its buffers'
+    /// capacity. Returns `false` for degenerate legs, leaving a solver
+    /// whose every solve returns `None`.
+    ///
+    /// # Panics
+    /// Panics when `positions` and `rss` differ in length.
+    pub(crate) fn rebuild(&mut self, positions: &[Vec2], rss: &[f64]) -> bool {
         assert_eq!(positions.len(), rss.len(), "positions/rss length mismatch");
+        self.s.clear();
+        self.dx.clear();
+        self.dy.clear();
+        self.rss.clear();
+        self.gram.reset();
         if positions.len() < LegFit::MIN_SAMPLES {
-            return None;
+            return false;
         }
         // Leg frame: origin at the first position, unit direction u.
         let origin = positions[0];
         let span = positions[positions.len() - 1] - origin;
         if span.norm() < 0.5 {
-            return None; // too little movement to regress on
+            return false; // too little movement to regress on
         }
-        let u = span.normalized()?;
-        let mut solver = LegSolver {
-            origin,
-            u,
-            s: Vec::with_capacity(positions.len()),
-            dx: Vec::with_capacity(positions.len()),
-            dy: Vec::with_capacity(positions.len()),
-            rss: rss.to_vec(),
-            gram: GramSolver::new(),
+        let Some(u) = span.normalized() else {
+            return false;
         };
+        self.origin = origin;
+        self.u = u;
+        self.rss.extend_from_slice(rss);
         for &pos in positions {
             let d = pos - origin;
             let si = d.dot(u);
-            solver.s.push(si);
-            solver.dx.push(d.x);
-            solver.dy.push(d.y);
-            solver.gram.accumulate(&[si * si, si, 1.0]);
+            self.s.push(si);
+            self.dx.push(d.x);
+            self.dy.push(d.y);
+            self.gram.accumulate(&[si * si, si, 1.0]);
         }
-        solver.gram.factorize(RIDGE);
-        Some(solver)
+        self.gram.factorize(RIDGE);
+        true
+    }
+
+    /// Pre-grows the buffers for legs of up to `len` samples.
+    pub(crate) fn reserve(&mut self, len: usize) {
+        for v in [&mut self.s, &mut self.dx, &mut self.dy, &mut self.rss] {
+            v.reserve(len.saturating_sub(v.len()));
+        }
     }
 
     /// Solves the leg fit for one candidate exponent using the cached
     /// factorization. Semantics match [`LegFit::solve`].
     pub fn solve(&self, exponent: f64) -> Option<LegFit> {
-        if exponent <= 0.0 {
+        let k = rho_coefficient(exponent);
+        self.solve_with(exponent, |i| (k * self.rss[i]).exp(), f64::NAN)
+    }
+
+    /// [`solve`](Self::solve) with a precomputed ρ row (a [`RhoTable`] row
+    /// for this exponent over this leg's RSS values) and a residual bound,
+    /// as in [`FitSolver::solve_row`].
+    ///
+    /// # Panics
+    /// Panics when `rho` does not hold one value per leg sample.
+    pub fn solve_row(&self, exponent: f64, rho: &[f64], bound: f64) -> Option<LegFit> {
+        assert_eq!(rho.len(), self.s.len(), "one ρ value per leg sample");
+        self.solve_with(exponent, |i| rho[i], bound)
+    }
+
+    fn solve_with(&self, exponent: f64, rho: impl Fn(usize) -> f64, bound: f64) -> Option<LegFit> {
+        let n = self.s.len();
+        if n < LegFit::MIN_SAMPLES || exponent <= 0.0 {
             return None;
         }
         // l_i² = |v − s_i·u|² = s² − 2·s·(v·u) + |v|², where v = target −
         // origin: A·s² + B·s + G = ρ with A = 1/ε, B = −2(v·u)/ε,
         // G = |v|²/ε. Same normalized-ρ trick as the circular fit.
-        let n = self.s.len();
-        let k = -std::f64::consts::LN_10 / (5.0 * exponent);
         // 4-lane unrolled ρ/RHS pass; see [`FitSolver::solve`].
         let mut ss4 = [0.0f64; 4];
         let mut s4 = [0.0f64; 4];
@@ -540,7 +744,7 @@ impl LegSolver {
         let quads = n - n % 4;
         for i in (0..quads).step_by(4) {
             for l in 0..4 {
-                let rho = (k * self.rss[i + l]).exp();
+                let rho = rho(i + l);
                 ss4[l] += self.s[i + l] * self.s[i + l] * rho;
                 s4[l] += self.s[i + l] * rho;
                 g4[l] += rho;
@@ -553,7 +757,7 @@ impl LegSolver {
             0.0,
         ];
         for i in quads..n {
-            let rho = (k * self.rss[i]).exp();
+            let rho = rho(i);
             sum += rho;
             xty[0] += self.s[i] * self.s[i] * rho;
             xty[1] += self.s[i] * rho;
@@ -584,28 +788,9 @@ impl LegSolver {
         // Residual against candidate 0 (symmetry makes both equal up to
         // floating error), in the origin-relative frame.
         let cw = self.u * along + self.u.perp() * perp;
-        let min_sq = MIN_RANGE_M * MIN_RANGE_M;
-        let mut acc = [0.0f64; 4];
-        for i in (0..quads).step_by(4) {
-            for (l, a) in acc.iter_mut().enumerate() {
-                let ex = cw.x - self.dx[i + l];
-                let ey = cw.y - self.dy[i + l];
-                let d_sq = (ex * ex + ey * ey).max(min_sq);
-                let pred = gamma - 5.0 * exponent * d_sq.log10();
-                let e = self.rss[i + l] - pred;
-                *a += e * e;
-            }
-        }
-        let mut res_sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-        for i in quads..n {
-            let ex = cw.x - self.dx[i];
-            let ey = cw.y - self.dy[i];
-            let d_sq = (ex * ex + ey * ey).max(min_sq);
-            let pred = gamma - 5.0 * exponent * d_sq.log10();
-            let e = self.rss[i] - pred;
-            res_sum += e * e;
-        }
-        let residual_db = (res_sum / n as f64).sqrt();
+        let residual_db = residual_db(&self.rss, gamma, exponent, bound, |i| {
+            (cw.x - self.dx[i], cw.y - self.dy[i])
+        })?;
         Some(LegFit {
             candidates,
             gamma_dbm: gamma,

@@ -94,8 +94,9 @@ impl Fit3d {
     /// Solves the 3-D fit for a fixed exponent. Returns `None` for
     /// degenerate (near-planar) movement or non-physical solutions.
     ///
-    /// One-shot convenience over [`Solver3d`]; callers evaluating many
-    /// exponents over the same points should hold a `Solver3d` instead.
+    /// One-shot convenience over the cached 3-D solver; callers
+    /// evaluating many exponents over the same points should use
+    /// [`Fit3d::search`], which builds the solver state once.
     pub fn solve(points: &[RssPoint3], exponent: f64) -> Option<Fit3d> {
         Solver3d::new(points).and_then(|solver| solver.solve(exponent))
     }

@@ -260,12 +260,15 @@ impl StreamingEstimator {
         self.solver.clear();
     }
 
-    /// Pre-grows the series and the solver's per-point buffers for
-    /// `additional` more samples, so a steady stream of batches within
-    /// that headroom never reallocates.
+    /// Pre-grows the series, the solver's per-point buffers and the
+    /// calling thread's refit buffers for `additional` more samples, so a
+    /// steady stream of batches within that headroom, refit on this
+    /// thread, never reallocates.
     pub fn reserve(&mut self, additional: usize) {
         self.series.reserve(additional);
         self.solver.reserve(additional);
+        self.estimator
+            .reserve_refit_scratch(self.series.len() + additional);
     }
 
     /// Classifies a batch's environment (when EnvAware is attached) and

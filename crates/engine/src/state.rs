@@ -1,6 +1,6 @@
 //! Persistable engine state — the data the durability layer snapshots.
 //!
-//! [`EngineState`](crate::EngineState) is a plain-data mirror of
+//! [`EngineState`] is a plain-data mirror of
 //! everything that distinguishes a mid-stream [`Engine`](crate::Engine)
 //! from a freshly constructed one: the session registry, each live
 //! session's streaming-estimator state and partial batch, the per-shard

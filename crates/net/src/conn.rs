@@ -10,12 +10,12 @@
 //!   ([`Assembled::Skipped`]), an unusable length prefix is fatal
 //!   (`Err`). The property suite proves any byte-boundary split decodes
 //!   to the identical frame list as one contiguous feed.
-//! * [`Conn`] — one nonblocking connection: the assembler plus a
+//! * `Conn` — one nonblocking connection: the assembler plus a
 //!   buffered write half. Replies queue into a write buffer that is
 //!   flushed opportunistically and on write readiness; a peer that
 //!   stops reading its acks fills the buffer until the reactor pauses
 //!   reading from it (backpressure), never blocking the event loop.
-//! * [`TimerWheel`] — hashed-wheel deadlines for the slow-loris
+//! * `TimerWheel` — hashed-wheel deadlines for the slow-loris
 //!   defence: a connection holding a *partial* frame arms a deadline
 //!   that is re-armed on every byte of progress and disarmed when the
 //!   buffer empties, so idle connections still wait forever.

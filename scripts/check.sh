@@ -35,6 +35,9 @@ done
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc, warnings denied (every locble-* crate, the umbrella locble-repro included; not the vendored stand-ins)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p 'locble-*'
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
