@@ -21,6 +21,7 @@ use locble_geom::{Trajectory, Vec2};
 use locble_motion::{MotionTrack, StepResult};
 use locble_obs::Obs;
 use locble_rf::LogDistanceModel;
+use locble_store::{FsyncPolicy, Wal};
 use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -300,4 +301,29 @@ fn warm_metrics_update_existing_names_without_allocating() {
         allocs, 0,
         "warm counter/gauge/histogram updates allocated {allocs} times"
     );
+}
+
+#[test]
+fn warm_wal_append_does_not_allocate() {
+    let _serial = serial();
+    let path = std::env::temp_dir().join(format!("locble-alloc-wal-{}", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let (mut wal, _) = Wal::open(&path, FsyncPolicy::Never).expect("open wal");
+    let frame: Vec<Advert> = (0..128)
+        .map(|i| Advert {
+            beacon: BeaconId(i % 7),
+            t: f64::from(i) * 0.05,
+            rssi_dbm: -60.0 - f64::from(i % 13),
+        })
+        .collect();
+    wal.append(&frame).expect("warm-up append");
+
+    let before = alloc_count();
+    for n in [128, 8, 1, 77] {
+        wal.append(&frame[..n]).expect("append");
+    }
+    let allocs = alloc_count() - before;
+    assert_eq!(wal.records(), 128 * 2 + 8 + 1 + 77);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(allocs, 0, "warm WAL append allocated {allocs} times");
 }

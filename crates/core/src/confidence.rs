@@ -30,45 +30,66 @@ pub fn phi(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
 }
 
+/// The residual `δRS = RS − R̂S` of one fused sample under a fitted
+/// `(position, Γ, n)` model; the range is clamped to `MIN_RANGE_M`.
+#[inline]
+fn residual_db(pt: &RssPoint, position: Vec2, gamma_dbm: f64, exponent: f64) -> f64 {
+    let l = Vec2::new(position.x + pt.p, position.y + pt.q)
+        .norm()
+        .max(MIN_RANGE_M);
+    pt.rss - (gamma_dbm - 10.0 * exponent * l.log10())
+}
+
+/// Both goodness-of-fit figures of a fitted `(position, Γ, n)` from one
+/// residual pass: the per-sample residuals are written to `residuals`
+/// (cleared first, capacity kept, so a warm caller stays off the heap)
+/// and the estimation confidence and the RMS residual (dB) fold over
+/// that buffer in sample order. Degenerate inputs: fewer than 3 samples
+/// have confidence 0, no samples an RMS of 0.
+pub fn fit_quality(
+    points: &[RssPoint],
+    position: Vec2,
+    gamma_dbm: f64,
+    exponent: f64,
+    residuals: &mut Vec<f64>,
+) -> (f64, f64) {
+    residuals.clear();
+    residuals.extend(
+        points
+            .iter()
+            .map(|pt| residual_db(pt, position, gamma_dbm, exponent)),
+    );
+    if residuals.is_empty() {
+        return (0.0, 0.0);
+    }
+    let n = residuals.len() as f64;
+    let rms = (residuals.iter().map(|r| r * r).sum::<f64>() / n).sqrt();
+    if residuals.len() < 3 {
+        return (0.0, rms);
+    }
+    let mu = residuals.iter().sum::<f64>() / n;
+    let var = residuals.iter().map(|r| (r - mu) * (r - mu)).sum::<f64>() / n;
+    // Physical noise floor: RSSI is quantized to 1 dB and chipset noise
+    // never vanishes, so a residual spread below ~0.5 dB carries no
+    // information about bias — without the floor a numerically perfect
+    // fit would divide float noise by float noise.
+    let sigma = var.sqrt().max(0.5);
+    let confidence = (2.0 * (1.0 - phi(mu.abs() / sigma))).clamp(0.0, 1.0);
+    (confidence, rms)
+}
+
 /// Computes the estimation confidence of a candidate `(position, Γ, n)`
 /// against the fused samples. Returns a value in `[0, 1]`; degenerate
 /// inputs (fewer than 3 samples, zero spread with bias) map to the
-/// appropriate extreme.
+/// appropriate extreme. Allocates its residual buffer; the estimator's
+/// refit calls [`fit_quality`] with a reused one instead.
 pub fn estimation_confidence(
     points: &[RssPoint],
     position: Vec2,
     gamma_dbm: f64,
     exponent: f64,
 ) -> f64 {
-    if points.len() < 3 {
-        return 0.0;
-    }
-    // Two passes recomputing the residual per point instead of
-    // materializing a Vec: this runs on every steady-state refit and
-    // must stay off the heap. Fold order matches the old collected
-    // form, so the result is bit-identical.
-    let residual = |pt: &RssPoint| {
-        let l = Vec2::new(position.x + pt.p, position.y + pt.q)
-            .norm()
-            .max(MIN_RANGE_M);
-        pt.rss - (gamma_dbm - 10.0 * exponent * l.log10())
-    };
-    let n = points.len() as f64;
-    let mu = points.iter().map(residual).sum::<f64>() / n;
-    let var = points
-        .iter()
-        .map(|pt| {
-            let r = residual(pt);
-            (r - mu) * (r - mu)
-        })
-        .sum::<f64>()
-        / n;
-    // Physical noise floor: RSSI is quantized to 1 dB and chipset noise
-    // never vanishes, so a residual spread below ~0.5 dB carries no
-    // information about bias — without the floor a numerically perfect
-    // fit would divide float noise by float noise.
-    let sigma = var.sqrt().max(0.5);
-    (2.0 * (1.0 - phi(mu.abs() / sigma))).clamp(0.0, 1.0)
+    fit_quality(points, position, gamma_dbm, exponent, &mut Vec::new()).0
 }
 
 #[cfg(test)]
@@ -180,5 +201,63 @@ mod tests {
         let c = estimation_confidence(&pts, pos, g, n);
         assert!(c.is_finite(), "confidence must stay finite, got {c}");
         assert!((0.0..=1.0).contains(&c));
+    }
+
+    /// The one-pass form is bit-identical to the three passes it
+    /// replaced: mean then variance for the confidence, recomputing each
+    /// residual, and a separate pass for the RMS.
+    #[test]
+    fn fit_quality_matches_the_three_pass_form_bit_for_bit() {
+        fn three_pass(pts: &[RssPoint], pos: Vec2, g: f64, n: f64) -> (f64, f64) {
+            let residual = |pt: &RssPoint| {
+                let l = Vec2::new(pos.x + pt.p, pos.y + pt.q)
+                    .norm()
+                    .max(MIN_RANGE_M);
+                pt.rss - (g - 10.0 * n * l.log10())
+            };
+            let confidence = if pts.len() < 3 {
+                0.0
+            } else {
+                let len = pts.len() as f64;
+                let mu = pts.iter().map(residual).sum::<f64>() / len;
+                let var = pts
+                    .iter()
+                    .map(|pt| {
+                        let r = residual(pt);
+                        (r - mu) * (r - mu)
+                    })
+                    .sum::<f64>()
+                    / len;
+                let sigma = var.sqrt().max(0.5);
+                (2.0 * (1.0 - phi(mu.abs() / sigma))).clamp(0.0, 1.0)
+            };
+            (
+                confidence,
+                crate::regression::rss_residual_db(pts, pos, g, n),
+            )
+        }
+        let mut buf = Vec::new();
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for len in 0..40 {
+            let pts: Vec<RssPoint> = (0..len)
+                .map(|_| RssPoint {
+                    p: next() * 8.0 - 4.0,
+                    q: next() * 8.0 - 4.0,
+                    rss: -55.0 - next() * 35.0,
+                })
+                .collect();
+            let pos = Vec2::new(next() * 10.0 - 5.0, next() * 10.0 - 5.0);
+            let (g, n) = (-50.0 - next() * 20.0, 1.5 + next() * 2.5);
+            let (c, rms) = fit_quality(&pts, pos, g, n, &mut buf);
+            let (c_ref, rms_ref) = three_pass(&pts, pos, g, n);
+            assert_eq!(c.to_bits(), c_ref.to_bits(), "confidence, {len} samples");
+            assert_eq!(rms.to_bits(), rms_ref.to_bits(), "rms, {len} samples");
+        }
     }
 }

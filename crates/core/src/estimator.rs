@@ -19,7 +19,7 @@
 //!   in [`LocationEstimate::mirror`].
 
 use crate::anf::AdaptiveNoiseFilter;
-use crate::confidence::estimation_confidence;
+use crate::confidence::fit_quality;
 use crate::envaware::{EnvAware, EnvChangeDetector};
 use crate::exponent::{search_circular, search_leg, sweep_anchored, ExponentSearch};
 use crate::regression::{FitSolver, LegSolver, RhoTable, RssPoint};
@@ -27,7 +27,6 @@ use locble_dsp::TimeSeries;
 use locble_geom::{EnvClass, Trajectory, Vec2};
 use locble_motion::MotionTrack;
 use locble_obs::Obs;
-use locble_rf::MIN_RANGE_M;
 use std::cell::RefCell;
 
 /// Estimator configuration.
@@ -161,6 +160,9 @@ pub(crate) struct EstimatorScratch {
     pub(crate) points: Vec<RssPoint>,
     /// Observer-relative walk positions, parallel to `points`.
     pub(crate) rel_positions: Vec<Vec2>,
+    /// The final fit's per-sample residuals, parallel to `points`: one
+    /// pass feeds both the confidence and the RMS residual.
+    pub(crate) residuals: Vec<f64>,
     /// The session's noise filter, redesigned in place when the sample
     /// rate moves instead of being rebuilt per estimate.
     pub(crate) anf: Option<AdaptiveNoiseFilter>,
@@ -179,6 +181,8 @@ impl EstimatorScratch {
             .reserve(capacity.saturating_sub(self.points.len()));
         self.rel_positions
             .reserve(capacity.saturating_sub(self.rel_positions.len()));
+        self.residuals
+            .reserve(capacity.saturating_sub(self.residuals.len()));
     }
 }
 
@@ -584,8 +588,8 @@ impl Estimator {
             }
         }
 
-        let confidence = estimation_confidence(points, position, gamma, exponent);
-        let residual_db = rms_residual_db(points, position, gamma, exponent);
+        let (confidence, residual_db) =
+            fit_quality(points, position, gamma, exponent, &mut scratch.residuals);
         span.field("outcome", "ok");
         span.field("method", method.name());
         span.field("points", points.len());
@@ -725,27 +729,6 @@ impl Estimator {
         let position = centroid + dir * range;
         Some((position, None, exponent, gamma))
     }
-}
-
-/// RMS of the per-sample residuals `δRS_i = RS_i − R̂S_i` of a fitted
-/// `(position, Γ, n)` model (same model geometry as
-/// [`estimation_confidence`]); the estimator reports it as the goodness
-/// of fit behind each estimate.
-fn rms_residual_db(points: &[RssPoint], position: Vec2, gamma_dbm: f64, exponent: f64) -> f64 {
-    if points.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = points
-        .iter()
-        .map(|pt| {
-            let l = Vec2::new(position.x + pt.p, position.y + pt.q)
-                .norm()
-                .max(MIN_RANGE_M);
-            let r = pt.rss - (gamma_dbm - 10.0 * exponent * l.log10());
-            r * r
-        })
-        .sum();
-    (sum / points.len() as f64).sqrt()
 }
 
 /// Maximum perpendicular deviation of points from the line through the

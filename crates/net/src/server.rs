@@ -314,8 +314,9 @@ impl Server {
     /// [`Server::bind`] with crash-safe durability attached: every
     /// offered advert batch is WAL-logged (on the reactor thread,
     /// *before* ingest) through `store`, a snapshot is taken every
-    /// `checkpoint_every` WAL records (0 = shutdown only), and shutdown
-    /// writes a final checkpoint after the drain. Recover the session
+    /// `checkpoint_every` WAL records (0 = shutdown only) on the store's
+    /// writer thread, and shutdown writes a final, synchronous
+    /// checkpoint after the drain. Recover the session
     /// with [`SessionStore::recover`] and pass the engine + store back
     /// here to resume after a crash.
     ///
@@ -1019,8 +1020,13 @@ impl Service for NodeService {
         let mut engine = self.engine;
         engine.drain();
         if let Some(mut durable) = self.store {
-            // Final checkpoint: the snapshot captures the fully drained
-            // state, so a restart recovers without replaying anything.
+            // A background checkpoint that failed is counted here; then
+            // the final, synchronous checkpoint captures the fully
+            // drained state, so a restart recovers without replaying
+            // anything.
+            if durable.store.wait_checkpoint().is_err() {
+                self.obs.counter_add("net.checkpoint_failures", 1);
+            }
             if durable.store.checkpoint(&engine).is_err() {
                 self.obs.counter_add("net.checkpoint_failures", 1);
             }
@@ -1537,6 +1543,9 @@ impl NodeService {
     /// WAL and the engine agree: a snapshot taken between a batch's
     /// append and its ingest would record a WAL position ahead of the
     /// engine state, and recovery would skip records the state lacks.
+    /// Only the state clone runs on the reactor; the WAL sync and the
+    /// snapshot write go to the store's writer thread. A failed write
+    /// surfaces here at the next cadence point, which then retries.
     fn maybe_checkpoint(&mut self) {
         let Some(durable) = self.store.as_mut() else {
             return;
@@ -1545,7 +1554,7 @@ impl NodeService {
         if durable.checkpoint_every > 0
             && records - durable.last_checkpoint >= durable.checkpoint_every
         {
-            match durable.store.checkpoint(&self.engine) {
+            match durable.store.checkpoint_in_background(&self.engine) {
                 Ok(_) => durable.last_checkpoint = records,
                 Err(_) => self.obs.counter_add("net.checkpoint_failures", 1),
             }
@@ -1866,6 +1875,9 @@ mod tests {
             ticks += 1;
         }
         assert!(ticks >= 3, "the stream must span several multi-batch ticks");
+        // The last group's checkpoint runs on the writer thread.
+        let durable = &mut node.store.as_mut().expect("durable").store;
+        durable.wait_checkpoint().expect("background checkpoint");
 
         let config = node.engine.config().clone();
         let prototype = node.engine.prototype().clone();
@@ -1885,6 +1897,57 @@ mod tests {
         assert!(want.len() >= 6, "the live engine localized too few beacons");
         // Debug prints every f64 in its shortest round-trip form, so equal
         // text means bit-identical estimates, every field included.
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A background checkpoint that fails is counted at the next cadence
+    /// point and at shutdown, and leaves the previous snapshot plus the
+    /// WAL, which recover bit-identically.
+    #[test]
+    fn failed_background_checkpoint_is_counted_and_the_previous_snapshot_recovers() {
+        let dir = fresh_dir("squat");
+        let obs = Obs::ring(64);
+        let failures = || obs.metrics().counter("net.checkpoint_failures");
+        let mut node = owner(&dir, None, ReplicationPolicy::SyncAck, 1, obs.clone());
+        let adverts = adverts();
+        let run = |node: &mut NodeService, adverts: &[Advert]| {
+            for tick in adverts.chunks(4 * 25) {
+                let replies = node.execute(batches(tick.chunks(25)), false);
+                assert_eq!(replies.iter().map(consumed).sum::<u64>(), tick.len() as u64);
+                node.settle();
+            }
+        };
+        let half = adverts.len() / 2;
+        run(&mut node, &adverts[..half]);
+        let durable = &mut node.store.as_mut().expect("durable").store;
+        durable
+            .wait_checkpoint()
+            .expect("checkpoints before the fault");
+        // A directory squatting on the temp name fails every later write.
+        std::fs::create_dir(dir.join("snapshot.tmp")).expect("squat");
+        run(&mut node, &adverts[half..]);
+        let counted = failures();
+        assert!(
+            counted > 0,
+            "a failed background checkpoint must be counted"
+        );
+
+        let config = node.engine.config().clone();
+        let prototype = node.engine.prototype().clone();
+        let mut live = node.finish();
+        assert!(failures() > counted, "the shutdown checkpoint fails too");
+        let (_, mut recovered, report) =
+            SessionStore::recover(&dir, FsyncPolicy::Never, config, prototype, Obs::noop())
+                .expect("recover");
+        assert!(report.snapshot_found);
+        assert_eq!(report.skipped, half as u64, "the pre-fault snapshot stands");
+        assert_eq!(report.replayed, (adverts.len() - half) as u64);
+
+        live.finish();
+        recovered.finish();
+        let (got, want) = (recovered.snapshot(), live.snapshot());
+        assert!(want.len() >= 6, "the live engine localized too few beacons");
         assert_eq!(format!("{got:?}"), format!("{want:?}"));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -2,9 +2,10 @@
 //! from `locble-net`: integers big-endian, every `f64` as its IEEE-754
 //! bit pattern in a big-endian `u64`, option flags as single bytes,
 //! variable-length sequences as a `u32` count validated against the
-//! bytes actually present before any allocation. The decoder is total:
-//! for any byte slice it returns a value or a typed [`CodecError`],
-//! never a panic.
+//! bytes actually present before any allocation. The encoders write to
+//! any [`Sink`]: a `Vec<u8>`, or a body streamed to a file. The decoder
+//! is total: for any byte slice it returns a value or a typed
+//! [`CodecError`], never a panic.
 
 use locble_ble::BeaconId;
 use locble_core::{
@@ -41,26 +42,41 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
+/// Where the encoders write: a growable buffer, or a body streamed
+/// straight to a file (the snapshot writer). Writing cannot fail here;
+/// a streaming sink keeps its first I/O error for its owner to report.
+pub trait Sink {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
 }
 
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
 }
 
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
+pub fn put_u32(out: &mut impl Sink, v: u32) {
+    out.put(&v.to_be_bytes());
+}
+
+pub fn put_u64(out: &mut impl Sink, v: u64) {
+    out.put(&v.to_be_bytes());
+}
+
+pub fn put_f64(out: &mut impl Sink, v: f64) {
     put_u64(out, v.to_bits());
 }
 
-fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
+fn put_f64s(out: &mut impl Sink, vs: &[f64]) {
     put_u32(out, vs.len() as u32);
     for &v in vs {
         put_f64(out, v);
     }
 }
 
-pub fn put_advert(out: &mut Vec<u8>, a: &Advert) {
+pub fn put_advert(out: &mut impl Sink, a: &Advert) {
     put_u32(out, a.beacon.0);
     put_f64(out, a.t);
     put_f64(out, a.rssi_dbm);
@@ -75,61 +91,61 @@ fn env_byte(env: Option<EnvClass>) -> u8 {
     }
 }
 
-fn put_estimate(out: &mut Vec<u8>, e: &LocationEstimate) {
+fn put_estimate(out: &mut impl Sink, e: &LocationEstimate) {
     put_f64(out, e.position.x);
     put_f64(out, e.position.y);
     match e.mirror {
         Some(m) => {
-            out.push(1);
+            out.put(&[1]);
             put_f64(out, m.x);
             put_f64(out, m.y);
         }
-        None => out.push(0),
+        None => out.put(&[0]),
     }
     put_f64(out, e.confidence);
     put_f64(out, e.exponent);
     put_f64(out, e.gamma_dbm);
-    out.push(env_byte(e.env));
+    out.put(&[env_byte(e.env)]);
     put_u64(out, e.points_used as u64);
-    out.push(match e.method {
+    out.put(&[match e.method {
         FitMethod::FreeJoint => 1,
         FitMethod::Anchored => 2,
         FitMethod::Leg => 3,
         FitMethod::Gradient => 4,
         FitMethod::Particle => 5,
         FitMethod::Fingerprint => 6,
-    });
+    }]);
     put_f64(out, e.residual_db);
 }
 
-fn put_estimate_opt(out: &mut Vec<u8>, e: &Option<LocationEstimate>) {
+fn put_estimate_opt(out: &mut impl Sink, e: &Option<LocationEstimate>) {
     match e {
         Some(e) => {
-            out.push(1);
+            out.put(&[1]);
             put_estimate(out, e);
         }
-        None => out.push(0),
+        None => out.put(&[0]),
     }
 }
 
-fn put_streaming(out: &mut Vec<u8>, s: &StreamingState) {
+fn put_streaming(out: &mut impl Sink, s: &StreamingState) {
     put_f64s(out, &s.series_t);
     put_f64s(out, &s.series_v);
     put_u64(out, s.restarts as u64);
     put_estimate_opt(out, &s.current);
     put_u64(out, s.refit_stride as u64);
     put_u64(out, s.batches_since_refit as u64);
-    out.push(env_byte(s.env_current));
+    out.put(&[env_byte(s.env_current)]);
     match s.env_pending {
         Some((class, votes)) => {
-            out.push(env_byte(Some(class)));
+            out.put(&[env_byte(Some(class))]);
             put_u64(out, votes as u64);
         }
-        None => out.push(0),
+        None => out.put(&[0]),
     }
 }
 
-fn put_particle(out: &mut Vec<u8>, s: &ParticleState) {
+fn put_particle(out: &mut impl Sink, s: &ParticleState) {
     put_f64s(out, &s.xs);
     put_f64s(out, &s.ys);
     put_f64s(out, &s.log_w);
@@ -140,7 +156,7 @@ fn put_particle(out: &mut Vec<u8>, s: &ParticleState) {
     put_estimate_opt(out, &s.current);
 }
 
-fn put_fingerprint(out: &mut Vec<u8>, s: &FingerprintState) {
+fn put_fingerprint(out: &mut impl Sink, s: &FingerprintState) {
     put_f64s(out, &s.series_t);
     put_f64s(out, &s.series_v);
     put_u64(out, s.refit_stride as u64);
@@ -153,24 +169,24 @@ fn put_fingerprint(out: &mut Vec<u8>, s: &FingerprintState) {
 /// then the backend's own payload. The tag is what lets restore refuse
 /// a snapshot exported under a different backend with a typed error
 /// instead of misreading bytes.
-fn put_backend_state(out: &mut Vec<u8>, s: &BackendState) {
+fn put_backend_state(out: &mut impl Sink, s: &BackendState) {
     match s {
         BackendState::Streaming(s) => {
-            out.push(1);
+            out.put(&[1]);
             put_streaming(out, s);
         }
         BackendState::Particle(s) => {
-            out.push(2);
+            out.put(&[2]);
             put_particle(out, s);
         }
         BackendState::Fingerprint(s) => {
-            out.push(3);
+            out.put(&[3]);
             put_fingerprint(out, s);
         }
     }
 }
 
-fn put_motion(out: &mut Vec<u8>, m: &MotionTrack) {
+fn put_motion(out: &mut impl Sink, m: &MotionTrack) {
     let points = m.trajectory.points();
     put_u32(out, points.len() as u32);
     for p in points {
@@ -191,7 +207,7 @@ fn put_motion(out: &mut Vec<u8>, m: &MotionTrack) {
     }
 }
 
-fn put_stats(out: &mut Vec<u8>, s: &EngineStats) {
+fn put_stats(out: &mut impl Sink, s: &EngineStats) {
     for v in [
         s.samples_routed,
         s.samples_rejected,
@@ -208,7 +224,7 @@ fn put_stats(out: &mut Vec<u8>, s: &EngineStats) {
 }
 
 /// Serializes a complete [`EngineState`].
-pub fn put_engine_state(out: &mut Vec<u8>, state: &EngineState) {
+pub fn put_engine_state(out: &mut impl Sink, state: &EngineState) {
     put_u32(out, state.shards as u32);
     put_f64(out, state.watermark);
     put_stats(out, &state.stats);
@@ -222,7 +238,7 @@ pub fn put_engine_state(out: &mut Vec<u8>, state: &EngineState) {
         put_u64(out, s.samples_routed);
         match &s.session {
             Some(b) => {
-                out.push(1);
+                out.put(&[1]);
                 put_backend_state(out, &b.estimator);
                 put_f64s(out, &b.batch_t);
                 put_f64s(out, &b.batch_v);
@@ -230,7 +246,7 @@ pub fn put_engine_state(out: &mut Vec<u8>, state: &EngineState) {
                 put_u64(out, b.samples);
                 put_u64(out, b.batches);
             }
-            None => out.push(0),
+            None => out.put(&[0]),
         }
     }
     put_u32(out, state.queued.len() as u32);

@@ -10,8 +10,9 @@
 //!   each. A torn final record (the signature of a crash mid-write) is
 //!   detected and tolerated.
 //! * **Snapshots** ([`snapshot`]): the engine's complete state
-//!   ([`locble_engine::EngineState`]) written atomically
-//!   (tmp + rename), stamped with the WAL position it covers.
+//!   ([`locble_engine::EngineState`]) streamed atomically
+//!   (tmp + fsync + rename), stamped with the WAL position it covers,
+//!   inline or on a writer thread ([`SessionStore`]).
 //!
 //! Recovery ([`SessionStore::recover`]) loads the snapshot, replays the
 //! WAL tail through the *normal ingest path*, and yields an engine

@@ -18,15 +18,22 @@
 //! duplicate adverts (equal timestamps are legal) would be re-admitted
 //! by the engine itself.
 //!
-//! Writes go to a `.tmp` sibling, are fsynced, then renamed over the
-//! live file, so a crash mid-checkpoint leaves the previous snapshot
-//! untouched. A missing file reads as "no snapshot"; a damaged one is
-//! an error (the caller decides whether to fall back to WAL-only
-//! recovery or surface it).
+//! [`write_snapshot`] streams the image into a `.tmp` sibling: a
+//! placeholder header, then the body through a buffered writer with a
+//! running CRC, then the CRC, then the real length patched into the
+//! header. The file is fsynced and renamed over the
+//! live one, so a crash mid-checkpoint leaves the previous snapshot
+//! untouched (and a stale `.tmp`, which nothing reads and the next
+//! write truncates). No copy of the image is held in memory; the file
+//! is byte-identical to [`encode_snapshot`]'s image. A missing file
+//! reads as "no snapshot"; a damaged one is an error (the caller
+//! decides whether to fall back to WAL-only recovery or surface it).
 
-use crate::codec::{put_u64, CodecError, Reader};
-use crate::crc32::crc32;
+use crate::codec::{put_u64, CodecError, Reader, Sink};
+use crate::crc32::{crc32, Crc32};
 use locble_engine::EngineState;
+use std::fs::File;
+use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 
 const MAGIC: [u8; 4] = *b"LBSN";
@@ -85,17 +92,33 @@ pub struct Snapshot {
     pub state: EngineState,
 }
 
-/// Serializes a snapshot to its file image.
+/// Bytes before the body: magic, version, body length.
+const HEADER_LEN: usize = 9;
+
+/// The header for a body of `body_len` bytes.
+fn header(body_len: u32) -> [u8; HEADER_LEN] {
+    let mut out = [0; HEADER_LEN];
+    out[..4].copy_from_slice(&MAGIC);
+    out[4] = VERSION;
+    out[5..].copy_from_slice(&body_len.to_be_bytes());
+    out
+}
+
+/// The body: the WAL position, then the engine state.
+fn put_body(out: &mut impl Sink, wal_records: u64, state: &EngineState) {
+    put_u64(out, wal_records);
+    crate::codec::put_engine_state(out, state);
+}
+
+/// Serializes a snapshot to its file image, encoding the body in place
+/// after a placeholder header.
 pub fn encode_snapshot(wal_records: u64, state: &EngineState) -> Vec<u8> {
-    let mut body = Vec::new();
-    put_u64(&mut body, wal_records);
-    crate::codec::put_engine_state(&mut body, state);
-    let mut out = Vec::with_capacity(body.len() + 13);
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&crc32(&body).to_be_bytes());
+    let mut out = header(0).to_vec();
+    put_body(&mut out, wal_records, state);
+    let len = out.len() - HEADER_LEN;
+    out[5..HEADER_LEN].copy_from_slice(&(len as u32).to_be_bytes());
+    let crc = crc32(&out[HEADER_LEN..]);
+    out.extend_from_slice(&crc.to_be_bytes());
     out
 }
 
@@ -133,13 +156,64 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     Ok(Snapshot { wal_records, state })
 }
 
-/// Writes a snapshot atomically with [`locble_obs::atomic_write`]
-/// (tmp file, fsync, rename over `path`). Returns the file size in
-/// bytes.
+/// A snapshot body streamed to a file through a `BufWriter`, with a
+/// running CRC and length. The first write error is kept and every
+/// later write skipped.
+struct BodyWriter {
+    out: BufWriter<File>,
+    crc: Crc32,
+    len: u64,
+    error: Option<std::io::Error>,
+}
+
+impl Sink for BodyWriter {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.crc.update(bytes);
+        self.len += bytes.len() as u64;
+        if self.error.is_none() {
+            if let Err(e) = self.out.write_all(bytes) {
+                self.error = Some(e);
+            }
+        }
+    }
+}
+
+/// Writes a snapshot atomically: the image is streamed into a `.tmp`
+/// sibling of `path` (placeholder header, body through a buffered
+/// writer with a running CRC, CRC trailer, then the real length patched
+/// into the header), which is fsynced and renamed over `path`. The file
+/// is byte-identical to [`encode_snapshot`]'s image, but no image is
+/// held in memory. A stale `.tmp` is overwritten. Returns the file
+/// size in bytes.
 pub fn write_snapshot(path: &Path, wal_records: u64, state: &EngineState) -> std::io::Result<u64> {
-    let image = encode_snapshot(wal_records, state);
-    locble_obs::atomic_write(path, &image)?;
-    Ok(image.len() as u64)
+    let tmp = path.with_extension("tmp");
+    let mut file = File::create(&tmp)?;
+    file.write_all(&header(0))?;
+    let mut body = BodyWriter {
+        out: BufWriter::with_capacity(64 * 1024, file),
+        crc: Crc32::new(),
+        len: 0,
+        error: None,
+    };
+    put_body(&mut body, wal_records, state);
+    if let Some(e) = body.error {
+        return Err(e);
+    }
+    let body_len = u32::try_from(body.len).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "snapshot body exceeds the format's u32 length field",
+        )
+    })?;
+    let mut file = body.out.into_inner().map_err(|e| e.into_error())?;
+    file.write_all(&body.crc.finish().to_be_bytes())?;
+    file.seek(SeekFrom::Start(5))?;
+    file.write_all(&body_len.to_be_bytes())?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, path)?;
+    Ok(HEADER_LEN as u64 + body.len + 4)
 }
 
 /// Reads the snapshot at `path`. A missing file is `Ok(None)`.
@@ -185,6 +259,29 @@ mod tests {
         assert_eq!(snap.wal_records, 42);
         assert_eq!(snap.state.shards, 4);
         assert_eq!(snap.state.watermark.to_bits(), 12.5f64.to_bits());
+    }
+
+    /// The in-place encoder and the streamed writer keep the format:
+    /// the image equals one assembled field by field from a separately
+    /// encoded body.
+    #[test]
+    fn image_layout_is_unchanged() {
+        let state = empty_state(3);
+        let mut body = Vec::new();
+        put_u64(&mut body, 11);
+        crate::codec::put_engine_state(&mut body, &state);
+        let mut want = b"LBSN\x01".to_vec();
+        want.extend_from_slice(&(body.len() as u32).to_be_bytes());
+        want.extend_from_slice(&body);
+        want.extend_from_slice(&crc32(&body).to_be_bytes());
+        assert_eq!(encode_snapshot(11, &state), want);
+
+        let path =
+            std::env::temp_dir().join(format!("locble-snap-layout-{}.bin", std::process::id()));
+        let bytes = write_snapshot(&path, 11, &state).expect("write");
+        assert_eq!(bytes, want.len() as u64);
+        assert_eq!(std::fs::read(&path).expect("read"), want);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

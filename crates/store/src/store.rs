@@ -8,9 +8,19 @@
 //!    handing it to [`Engine::ingest`] — offered-before-ingest is the
 //!    "write-ahead" in WAL: an advert the engine saw is always on disk
 //!    first, so a crash between the two replays it instead of losing it.
-//! 2. [`SessionStore::checkpoint`] periodically and at shutdown. The
-//!    snapshot records the WAL position it covers; older records become
-//!    dead weight (skipped on recovery) but are never needed again.
+//! 2. Checkpoint periodically and at shutdown. The snapshot records the
+//!    WAL position it covers; older records become dead weight (skipped
+//!    on recovery) but are never needed again. One job does the work —
+//!    sync the WAL through a second handle, then stream the snapshot —
+//!    from two entry points: [`SessionStore::checkpoint`] runs it inline
+//!    and returns once the snapshot is durable;
+//!    [`SessionStore::checkpoint_in_background`] clones the state on the
+//!    caller's thread and runs the rest on a writer thread, so a serving
+//!    loop pauses only for the clone. At most one job is in flight: each
+//!    checkpoint waits for the previous one, so snapshot positions only
+//!    grow, and a failed job surfaces at the next checkpoint call (or
+//!    [`SessionStore::wait_checkpoint`]). Dropping the store waits for
+//!    its job.
 //!
 //! Recovery ordering ([`SessionStore::recover`]): read the snapshot (if
 //! any) → read the WAL, tolerating a torn tail → skip the first
@@ -22,9 +32,11 @@
 use crate::snapshot::{read_snapshot, write_snapshot, SnapshotError};
 use crate::wal::{read_wal, FsyncPolicy, Wal, ADVERT_RECORD_LEN};
 use locble_core::Estimator;
-use locble_engine::{Advert, Engine, EngineConfig, IngestReport, RestoreError};
+use locble_engine::{Advert, Engine, EngineConfig, EngineState, IngestReport, RestoreError};
 use locble_obs::Obs;
+use std::fs::File;
 use std::path::{Path, PathBuf};
+use std::thread::JoinHandle;
 
 /// WAL file name inside a store directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -118,6 +130,37 @@ pub struct SessionStore {
     dir: PathBuf,
     wal: Wal,
     obs: Obs,
+    /// The background checkpoint in flight, if any (at most one).
+    job: Option<JoinHandle<std::io::Result<u64>>>,
+}
+
+/// One checkpoint after its state has been cloned: sync the WAL records
+/// the snapshot covers, then write the snapshot. The same work runs
+/// inline ([`SessionStore::checkpoint`]) or on a writer thread
+/// ([`SessionStore::checkpoint_in_background`]).
+struct CheckpointJob {
+    /// A second handle on the WAL file, so the sync needs no access to
+    /// the [`Wal`] the caller keeps appending through.
+    wal: File,
+    path: PathBuf,
+    wal_records: u64,
+    state: EngineState,
+    obs: Obs,
+}
+
+impl CheckpointJob {
+    fn run(self) -> std::io::Result<u64> {
+        // Records appended but not yet synced must be durable before
+        // the snapshot claims to cover them: if the rename landed and
+        // the tail didn't, recovery would skip records that never made
+        // it to disk. The sync goes through a second handle on the same
+        // file, so it covers every record written before the job began.
+        self.wal.sync_data()?;
+        let bytes = write_snapshot(&self.path, self.wal_records, &self.state)?;
+        self.obs.counter_add("store.snapshots", 1);
+        self.obs.gauge_set("store.snapshot_bytes", bytes as f64);
+        Ok(bytes)
+    }
 }
 
 impl SessionStore {
@@ -135,6 +178,7 @@ impl SessionStore {
             dir: dir.to_path_buf(),
             wal,
             obs,
+            job: None,
         })
     }
 
@@ -170,24 +214,56 @@ impl SessionStore {
         self.wal.sync()
     }
 
+    /// Clones the engine's state, stamped with the current WAL
+    /// position, into a job that owns everything it needs.
+    fn job(&self, engine: &Engine) -> std::io::Result<CheckpointJob> {
+        Ok(CheckpointJob {
+            wal: self.wal.sync_handle()?,
+            path: self.dir.join(SNAPSHOT_FILE),
+            wal_records: self.wal.records(),
+            state: engine.export_state(),
+            obs: self.obs.clone(),
+        })
+    }
+
     /// Snapshots the engine's current state, stamped with the current
-    /// WAL position. Call with the engine lock held (or otherwise
-    /// quiesced relative to [`SessionStore::append`]) so the position
-    /// and the state agree. Returns the snapshot size in bytes.
+    /// WAL position, and returns once the snapshot is durable. Call
+    /// with the engine lock held (or otherwise quiesced relative to
+    /// [`SessionStore::append`]) so the position and the state agree.
+    /// A background checkpoint in flight is waited for first; if it
+    /// failed, its error is returned once this snapshot is written.
+    /// Returns the snapshot size in bytes.
     pub fn checkpoint(&mut self, engine: &Engine) -> std::io::Result<u64> {
-        // Records appended but not yet synced must be durable before
-        // the snapshot claims to cover them: if the rename landed and
-        // the tail didn't, recovery would skip records that never made
-        // it to disk.
-        self.wal.sync()?;
-        let bytes = write_snapshot(
-            &self.dir.join(SNAPSHOT_FILE),
-            self.wal.records(),
-            &engine.export_state(),
-        )?;
-        self.obs.counter_add("store.snapshots", 1);
-        self.obs.gauge_set("store.snapshot_bytes", bytes as f64);
-        Ok(bytes)
+        let previous = self.wait_checkpoint();
+        let bytes = self.job(engine)?.run()?;
+        previous.map(|()| bytes)
+    }
+
+    /// Starts the same checkpoint as [`SessionStore::checkpoint`], but
+    /// only the state clone happens here: the WAL sync and the snapshot
+    /// write run on a writer thread. A checkpoint already in flight is
+    /// waited for first, so at most one runs and snapshot positions
+    /// only grow; if it failed, its error is returned and no new one
+    /// starts (the caller retries at its next cadence point).
+    pub fn checkpoint_in_background(&mut self, engine: &Engine) -> std::io::Result<()> {
+        self.wait_checkpoint()?;
+        let job = self.job(engine)?;
+        let handle = std::thread::Builder::new()
+            .name("locble-checkpoint".into())
+            .spawn(move || job.run())?;
+        self.job = Some(handle);
+        Ok(())
+    }
+
+    /// Waits for the background checkpoint in flight, if any, and
+    /// returns its outcome. Once this returns `Ok`, every snapshot
+    /// started so far is durable.
+    pub fn wait_checkpoint(&mut self) -> std::io::Result<()> {
+        match self.job.take().map(JoinHandle::join) {
+            None => Ok(()),
+            Some(Ok(result)) => result.map(drop),
+            Some(Err(_)) => Err(std::io::Error::other("checkpoint writer panicked")),
+        }
     }
 
     /// Rebuilds the engine from the directory's snapshot + WAL tail and
@@ -241,5 +317,14 @@ impl SessionStore {
         obs.counter_add("store.replayed", report.replayed);
         obs.gauge_set("store.recovery_ms", report.recovery_ms);
         Ok((store, engine, report))
+    }
+}
+
+impl Drop for SessionStore {
+    /// Waits for the checkpoint in flight, so a dropped store leaves no
+    /// writer behind. Its outcome has nobody to go to: a failed job
+    /// leaves the previous snapshot plus the WAL, which still recover.
+    fn drop(&mut self) {
+        let _ = self.wait_checkpoint();
     }
 }

@@ -79,6 +79,8 @@ pub struct WalReadReport {
 pub struct Wal {
     file: File,
     path: PathBuf,
+    /// Encode buffer reused by every append.
+    buf: Vec<u8>,
     records: u64,
     appends_since_sync: u64,
     policy: FsyncPolicy,
@@ -104,6 +106,7 @@ impl Wal {
             Wal {
                 file,
                 path: path.to_path_buf(),
+                buf: Vec::new(),
                 records: report.records,
                 appends_since_sync: 0,
                 policy,
@@ -128,17 +131,21 @@ impl Wal {
         if adverts.is_empty() {
             return Ok(self.records);
         }
-        let mut buf = Vec::with_capacity(adverts.len() * (RECORD_HEADER_LEN + ADVERT_PAYLOAD_LEN));
-        let mut payload = Vec::with_capacity(ADVERT_PAYLOAD_LEN);
+        // One buffer the log keeps: each record's payload is encoded
+        // after a placeholder header, CRC'd in place, then the header
+        // is filled in. A warm append does not allocate.
+        let buf = &mut self.buf;
+        buf.clear();
         for advert in adverts {
-            payload.clear();
-            payload.push(TAG_ADVERT);
-            put_advert(&mut payload, advert);
-            buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-            buf.extend_from_slice(&crc32(&payload).to_be_bytes());
-            buf.extend_from_slice(&payload);
+            let start = buf.len();
+            buf.extend_from_slice(&[0; RECORD_HEADER_LEN]);
+            buf.push(TAG_ADVERT);
+            put_advert(buf, advert);
+            let crc = crc32(&buf[start + RECORD_HEADER_LEN..]);
+            buf[start..start + 4].copy_from_slice(&(ADVERT_PAYLOAD_LEN as u32).to_be_bytes());
+            buf[start + 4..start + RECORD_HEADER_LEN].copy_from_slice(&crc.to_be_bytes());
         }
-        self.file.write_all(&buf)?;
+        self.file.write_all(buf)?;
         self.records += adverts.len() as u64;
         self.appends_since_sync += adverts.len() as u64;
         let sync = match self.policy {
@@ -151,6 +158,12 @@ impl Wal {
             self.appends_since_sync = 0;
         }
         Ok(self.records)
+    }
+
+    /// A second handle on the log file, for syncing it from another
+    /// thread while appends continue through this one.
+    pub fn sync_handle(&self) -> std::io::Result<File> {
+        self.file.try_clone()
     }
 
     /// Forces everything appended so far to stable storage.

@@ -18,7 +18,8 @@ use locble_obs::Obs;
 use locble_scenario::runner::track_observer;
 use locble_scenario::world::simulate_session;
 use locble_scenario::{environment_by_index, fleet_beacons, plan_l_walk, SessionConfig};
-use locble_store::{FsyncPolicy, SessionStore, WAL_FILE};
+use locble_store::snapshot::encode_snapshot;
+use locble_store::{FsyncPolicy, SessionStore, SNAPSHOT_FILE, WAL_FILE};
 use std::path::PathBuf;
 
 const CHUNK: usize = 53;
@@ -518,5 +519,132 @@ fn wal_append_counters_track_records_and_bytes() {
         m.counter("store.wal_bytes"),
         (100 * locble_store::wal::ADVERT_RECORD_LEN) as u64
     );
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// The streamed writer (body through a buffered writer with a running
+/// CRC, length patched into the header) produces exactly the image
+/// `encode_snapshot` builds in memory, over a body long enough to cross
+/// many stream-buffer flushes.
+#[test]
+fn streamed_snapshot_file_is_byte_identical_to_the_encoded_image() {
+    let (adverts, motion) = fleet_adverts(300, 77);
+    let dir = temp_dir("streamed");
+    let mut store = SessionStore::open(&dir, FsyncPolicy::Never, Obs::noop()).expect("open store");
+    let mut engine = Engine::new(config(), estimator(), Obs::noop());
+    engine.set_motion(motion);
+    store.append(&adverts).expect("append");
+    engine.ingest_all(&adverts);
+    let bytes = store.checkpoint(&engine).expect("checkpoint");
+    let file = std::fs::read(dir.join(SNAPSHOT_FILE)).expect("snapshot file");
+    let image = encode_snapshot(store.wal_records(), &engine.export_state());
+    assert!(
+        image.len() > 4 * 64 * 1024,
+        "the body must span several stream buffers ({} bytes)",
+        image.len()
+    );
+    assert_eq!(bytes, file.len() as u64);
+    assert!(
+        file == image,
+        "streamed file differs from the encoded image"
+    );
+    drop(store);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A `snapshot.tmp` left behind by a checkpoint that never finished
+/// (a crash mid-write) is not a snapshot: recovery reads the live file,
+/// and the next checkpoint overwrites the stale one.
+#[test]
+fn stale_snapshot_tmp_is_ignored_by_recovery() {
+    let (adverts, motion) = fleet_adverts(8, 101);
+    let dir = temp_dir("stale-tmp");
+    let half = adverts.len() / 2;
+    {
+        let mut store =
+            SessionStore::open(&dir, FsyncPolicy::Never, Obs::noop()).expect("open store");
+        let mut engine = Engine::new(config(), estimator(), Obs::noop());
+        engine.set_motion(motion.clone());
+        store.append(&adverts[..half]).expect("append");
+        engine.ingest_all(&adverts[..half]);
+        store.checkpoint(&engine).expect("checkpoint");
+        store.append(&adverts[half..]).expect("append");
+    }
+    let tmp = dir.join(SNAPSHOT_FILE).with_extension("tmp");
+    let mut torn = encode_snapshot(
+        7,
+        &Engine::new(config(), estimator(), Obs::noop()).export_state(),
+    );
+    torn.truncate(torn.len() / 2);
+    std::fs::write(&tmp, &torn).expect("stale tmp");
+
+    let (mut store, mut engine, report) =
+        SessionStore::recover(&dir, FsyncPolicy::Never, config(), estimator(), Obs::noop())
+            .expect("recover past a stale tmp");
+    assert!(report.snapshot_found);
+    assert_eq!(report.skipped, half as u64);
+    assert_eq!(report.replayed, (adverts.len() - half) as u64);
+    store
+        .checkpoint(&engine)
+        .expect("checkpoint over the stale tmp");
+    assert!(!tmp.exists(), "the rename consumes the tmp file");
+    engine.finish();
+    assert_engines_match("stale-tmp", &engine, &reference_run(&adverts, &motion));
+    drop(store);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A background checkpoint that fails reports at the next checkpoint
+/// call, which starts nothing; the previous snapshot plus the WAL still
+/// recover bit-identically. A later background checkpoint, once the
+/// fault clears, covers the whole log.
+#[test]
+fn background_checkpoint_failure_surfaces_and_the_previous_snapshot_recovers() {
+    let (adverts, motion) = fleet_adverts(8, 55);
+    let dir = temp_dir("background");
+    let tmp = dir.join(SNAPSHOT_FILE).with_extension("tmp");
+    let half = adverts.len() / 2;
+    let mut store = SessionStore::open(&dir, FsyncPolicy::Never, Obs::noop()).expect("open store");
+    let mut engine = Engine::new(config(), estimator(), Obs::noop());
+    engine.set_motion(motion.clone());
+    store.append(&adverts[..half]).expect("append");
+    engine.ingest_all(&adverts[..half]);
+    store
+        .checkpoint_in_background(&engine)
+        .expect("start checkpoint");
+    store.wait_checkpoint().expect("background checkpoint");
+
+    std::fs::create_dir(&tmp).expect("squat on the tmp name");
+    store.append(&adverts[half..]).expect("append");
+    engine.ingest_all(&adverts[half..]);
+    store
+        .checkpoint_in_background(&engine)
+        .expect("the job starts; its write fails later");
+    assert!(
+        store.checkpoint_in_background(&engine).is_err(),
+        "the failed job must surface at the next checkpoint"
+    );
+    store.wait_checkpoint().expect("nothing left in flight");
+
+    let recover = || {
+        SessionStore::recover(&dir, FsyncPolicy::Never, config(), estimator(), Obs::noop())
+            .expect("recover")
+    };
+    let (_, mut recovered, report) = recover();
+    assert_eq!(report.skipped, half as u64, "the pre-fault snapshot stands");
+    assert_eq!(report.replayed, (adverts.len() - half) as u64);
+    recovered.finish();
+    let reference = reference_run(&adverts, &motion);
+    assert_engines_match("background-fault", &recovered, &reference);
+
+    std::fs::remove_dir(&tmp).expect("clear the fault");
+    store
+        .checkpoint_in_background(&engine)
+        .expect("start checkpoint");
+    drop(store); // waits for the job
+    let (_, mut recovered, report) = recover();
+    assert_eq!(report.replayed, 0, "the last snapshot covers the log");
+    recovered.finish();
+    assert_engines_match("background", &recovered, &reference);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
