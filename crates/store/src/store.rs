@@ -15,12 +15,13 @@
 //!    from two entry points: [`SessionStore::checkpoint`] runs it inline
 //!    and returns once the snapshot is durable;
 //!    [`SessionStore::checkpoint_in_background`] clones the state on the
-//!    caller's thread and runs the rest on a writer thread, so a serving
-//!    loop pauses only for the clone. At most one job is in flight: each
-//!    checkpoint waits for the previous one, so snapshot positions only
-//!    grow, and a failed job surfaces at the next checkpoint call (or
-//!    [`SessionStore::wait_checkpoint`]). Dropping the store waits for
-//!    its job.
+//!    caller's thread and runs the rest on a writer thread in the
+//!    kernel's idle scheduling class, so a serving loop pauses only for
+//!    the clone and keeps its CPUs while the job runs. At most one job
+//!    is in flight: each checkpoint waits for the previous one, so
+//!    snapshot positions only grow, and a failed job surfaces at the
+//!    next checkpoint call (or [`SessionStore::wait_checkpoint`]).
+//!    Dropping the store waits for its job.
 //!
 //! Recovery ordering ([`SessionStore::recover`]): read the snapshot (if
 //! any) → read the WAL, tolerating a torn tail → skip the first
@@ -241,7 +242,8 @@ impl SessionStore {
 
     /// Starts the same checkpoint as [`SessionStore::checkpoint`], but
     /// only the state clone happens here: the WAL sync and the snapshot
-    /// write run on a writer thread. A checkpoint already in flight is
+    /// write run on a writer thread that yields the CPU to every other
+    /// thread (`SCHED_IDLE` on Linux). A checkpoint already in flight is
     /// waited for first, so at most one runs and snapshot positions
     /// only grow; if it failed, its error is returned and no new one
     /// starts (the caller retries at its next cadence point).
@@ -250,7 +252,10 @@ impl SessionStore {
         let job = self.job(engine)?;
         let handle = std::thread::Builder::new()
             .name("locble-checkpoint".into())
-            .spawn(move || job.run())?;
+            .spawn(move || {
+                run_on_idle_cpu();
+                job.run()
+            })?;
         self.job = Some(handle);
         Ok(())
     }
@@ -320,11 +325,73 @@ impl SessionStore {
     }
 }
 
+/// Moves the calling thread into the kernel's idle scheduling class
+/// (`SCHED_IDLE`): the writer then runs on CPU time the serving threads
+/// leave unused, and any of them that wakes preempts it. At normal
+/// priority it competed with the reactor and the engine's drain helper,
+/// and round trips sent while a job ran took 3–4× as long (DESIGN.md
+/// §11). Best effort: if the call is refused, the thread stays at
+/// normal priority.
+fn run_on_idle_cpu() {
+    #[cfg(target_os = "linux")]
+    {
+        /// `struct sched_param`.
+        #[repr(C)]
+        struct SchedParam {
+            sched_priority: i32,
+        }
+        const SCHED_IDLE: i32 = 5;
+        // From the C runtime std links; declaring it here avoids a libc
+        // dependency (the server's epoll wrapper does the same).
+        extern "C" {
+            fn sched_setscheduler(pid: i32, policy: i32, param: *const SchedParam) -> i32;
+        }
+        // SAFETY: pid 0 names the calling thread, and `param` points at
+        // a live `struct sched_param` that the call only reads.
+        unsafe {
+            sched_setscheduler(0, SCHED_IDLE, &SchedParam { sched_priority: 0 });
+        }
+    }
+}
+
 impl Drop for SessionStore {
     /// Waits for the checkpoint in flight, so a dropped store leaves no
     /// writer behind. Its outcome has nobody to go to: a failed job
     /// leaves the previous snapshot plus the WAL, which still recover.
     fn drop(&mut self) {
         let _ = self.wait_checkpoint();
+    }
+}
+
+#[cfg(all(test, target_os = "linux"))]
+mod tests {
+    use super::*;
+
+    /// The calling thread's scheduling policy, from
+    /// `/proc/thread-self/stat` (field 41).
+    fn policy() -> u32 {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").expect("read stat");
+        // Fields after the parenthesised name start at field 3.
+        let after_name = &stat[stat.rfind(')').expect("name") + 1..];
+        after_name
+            .split_whitespace()
+            .nth(41 - 3)
+            .expect("policy field")
+            .parse()
+            .expect("int")
+    }
+
+    #[test]
+    fn background_writer_runs_in_the_idle_class() {
+        let (before, after) = std::thread::spawn(|| {
+            let before = policy();
+            run_on_idle_cpu();
+            (before, policy())
+        })
+        .join()
+        .expect("thread");
+        assert_eq!(before, 0, "a new thread starts in SCHED_OTHER");
+        assert_eq!(after, 5, "the writer moves to SCHED_IDLE");
+        assert_eq!(policy(), 0, "only the calling thread moves");
     }
 }
