@@ -502,10 +502,6 @@ impl FrontService {
                 ErrorCode::BadFrame,
                 "the front owns no partition; send batches as AdvertBatch",
             ),
-            Frame::ExportState | Frame::Handoff { .. } => Frame::error(
-                ErrorCode::BadFrame,
-                "the front holds no engine state; address owners directly",
-            ),
             other => unreachable!("owner-bound or reply frame answered locally: {other:?}"),
         }
     }

@@ -10,7 +10,7 @@
 //! every (node, beacon) pair independently and picks the maximum, so
 //! removing a node moves only the beacons that node owned, and adding
 //! one steals an even ~1/N slice from everyone — the minimal-disruption
-//! property the failover and rebalance protocols lean on.
+//! property failover leans on.
 //!
 //! Determinism contract, same as the shard router's: the owner is a
 //! pure function of `(beacon id, node-id set)` — stable across runs,

@@ -1,13 +1,12 @@
 //! In-process cluster differentials: a fronted 3-node cluster must be
 //! observationally identical to one engine fed the same stream —
 //! bit-identical estimates, summed statistics, relayed point queries —
-//! and the replication/rebalance machinery must move state without
-//! perturbing a single bit.
+//! and the replication machinery must move state without perturbing a
+//! single bit.
 //!
 //! Real process-kill failover lives in `cluster_crash.rs`; this file
 //! keeps everything in one process so each protocol piece (forwarding,
-//! tracing, replication, promotion, export/handoff) is debuggable in
-//! isolation.
+//! tracing, replication, promotion) is debuggable in isolation.
 
 use locble_ble::BeaconId;
 use locble_cluster::{serve_node, Front, FrontConfig, NodeSpec};
@@ -309,43 +308,4 @@ fn sync_replication_keeps_the_follower_warm_and_promotion_serves_identically() {
     follower.shutdown();
     let _ = std::fs::remove_dir_all(&owner_dir);
     let _ = std::fs::remove_dir_all(&follower_dir);
-}
-
-#[test]
-fn export_handoff_moves_a_partition_bit_exactly() {
-    let adverts = fleet_adverts();
-    let (want, _) = reference_snapshot(&adverts);
-
-    let from_dir = temp_dir("handoff-from");
-    let to_dir = temp_dir("handoff-to");
-    let from = serve_node(&NodeSpec::new(1, &from_dir), Obs::noop()).expect("bind source");
-    let to = serve_node(&NodeSpec::new(2, &to_dir), Obs::noop()).expect("bind target");
-
-    let mut source = Client::connect(from.addr()).expect("connect source");
-    for chunk in adverts.chunks(CHUNK) {
-        source.ingest(chunk).expect("ingest");
-    }
-    source.finish().expect("finish");
-    let (sessions, state) = source.export_state().expect("export");
-    assert!(sessions > 0, "exported a live partition");
-
-    // An empty node absorbs the export and serves it identically; a
-    // non-empty one must refuse (the rebalance protocol hands off only
-    // onto fresh nodes).
-    let mut target = Client::connect(to.addr()).expect("connect target");
-    let absorbed = target.handoff(9, state.clone()).expect("handoff");
-    assert_eq!(absorbed, sessions);
-    let moved = target.snapshot().expect("absorbed snapshot");
-    assert_bit_identical("handed-off partition", &moved, &want);
-    assert!(
-        target.handoff(10, state).is_err(),
-        "a node already holding sessions must refuse a handoff"
-    );
-
-    drop(source);
-    drop(target);
-    from.shutdown();
-    to.shutdown();
-    let _ = std::fs::remove_dir_all(&from_dir);
-    let _ = std::fs::remove_dir_all(&to_dir);
 }

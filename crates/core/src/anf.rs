@@ -133,22 +133,13 @@ impl AdaptiveNoiseFilter {
         }
     }
 
-    /// [`filter_zero_phase`](Self::filter_zero_phase) with diagnostics:
-    /// records every AKF innovation into the `anf.innovation_abs_db`
-    /// histogram and emits one `core.anf/zero_phase_filter` summary event
-    /// (innovation statistics, mean adaptive boost, and the measured lag
-    /// of the causal Butterworth stage that the zero-phase pass removes).
-    /// With a disabled handle this is the plain zero-phase filter.
-    pub fn filter_zero_phase_traced(&mut self, raw: &[f64], obs: &Obs) -> Vec<f64> {
-        let mut forward = Vec::new();
-        let mut out = Vec::new();
-        self.filter_zero_phase_traced_into(raw, obs, &mut forward, &mut out);
-        out
-    }
-
-    /// [`filter_zero_phase_traced`](Self::filter_zero_phase_traced) into
-    /// caller-owned buffers (see
-    /// [`filter_zero_phase_into`](Self::filter_zero_phase_into)).
+    /// [`filter_zero_phase_into`](Self::filter_zero_phase_into) with
+    /// diagnostics: records every AKF innovation into the
+    /// `anf.innovation_abs_db` histogram and emits one
+    /// `core.anf/zero_phase_filter` summary event (innovation statistics,
+    /// mean adaptive boost, and the measured lag of the causal Butterworth
+    /// stage that the zero-phase pass removes). With a disabled handle
+    /// this is the plain zero-phase filter.
     pub fn filter_zero_phase_traced_into(
         &mut self,
         raw: &[f64],
@@ -330,7 +321,9 @@ mod tests {
         // Noop observer takes the fast path; ring observer the traced one.
         for obs in [Obs::noop(), Obs::ring(1024)] {
             let mut anf = AdaptiveNoiseFilter::new(10.0);
-            assert_eq!(anf.filter_zero_phase_traced(&raw, &obs), expect);
+            let (mut fwd, mut out) = (Vec::new(), Vec::new());
+            anf.filter_zero_phase_traced_into(&raw, &obs, &mut fwd, &mut out);
+            assert_eq!(out, expect);
         }
     }
 
@@ -367,7 +360,8 @@ mod tests {
         let (_, raw) = staircase(10.0, 85);
         let obs = Obs::ring(1024);
         let mut anf = AdaptiveNoiseFilter::new(10.0);
-        anf.filter_zero_phase_traced(&raw, &obs);
+        let (mut fwd, mut out) = (Vec::new(), Vec::new());
+        anf.filter_zero_phase_traced_into(&raw, &obs, &mut fwd, &mut out);
 
         let events = obs.events();
         let ev = events

@@ -39,15 +39,6 @@ pub struct EstimatorConfig {
     /// Apply EnvAware segmentation (ablated in Fig. 5). Ignored when the
     /// estimator has no trained EnvAware model.
     pub use_envaware: bool,
-    /// Additionally remove the measured RSS level step at every confirmed
-    /// environment boundary before regressing. Off by default: on the
-    /// simulated channel the measured step contains genuine path-loss
-    /// trend, and removing it costs more accuracy than the environment
-    /// consistency buys (see EXPERIMENTS.md, fig5 notes). Kept as an
-    /// ablation flag.
-    pub env_step_compensation: bool,
-    /// Consecutive windows required to confirm an environment change.
-    pub env_confirm_windows: usize,
     /// Enable the degradation ladder (anchored fit → leg fit → gradient)
     /// behind the free joint fit. Disabling leaves the paper-pure free
     /// regression alone: estimates fail (`None`) whenever it is
@@ -55,10 +46,21 @@ pub struct EstimatorConfig {
     pub use_fallback_ladder: bool,
     /// Minimum fused points for any estimate.
     pub min_points: usize,
-    /// Maximum perpendicular spread (metres) under which the walked path
-    /// counts as collinear and the leg-fit fallback engages.
-    pub collinear_threshold_m: f64,
 }
+
+/// Consecutive EnvAware windows that confirm an environment change in a
+/// batch estimate. One suffices: the batch pass discards no data on a
+/// change, it only counts which regime covers the most samples, so a
+/// spurious one-window change moves that count by one window. The online
+/// session, which restarts on a change, demands two
+/// (`streaming::RESTART_CONFIRM_WINDOWS`).
+const BATCH_CONFIRM_WINDOWS: usize = 1;
+
+/// Maximum perpendicular spread (metres) under which the walked path
+/// counts as collinear and the leg-fit fallback engages: wider than the
+/// sway of a straight hand-held leg, narrower than the L's second leg
+/// (§5.1), whose turn gives the joint circular fit a unique solution.
+const COLLINEAR_SPREAD_M: f64 = 0.4;
 
 impl Default for EstimatorConfig {
     fn default() -> Self {
@@ -66,11 +68,8 @@ impl Default for EstimatorConfig {
             exponent_search: ExponentSearch::default(),
             use_anf: true,
             use_envaware: true,
-            env_step_compensation: false,
-            env_confirm_windows: 1,
             use_fallback_ladder: true,
             min_points: 8,
-            collinear_threshold_m: 0.4,
         }
     }
 }
@@ -145,17 +144,15 @@ impl LocationEstimate {
 ///
 /// Owned by the session's [`FitSolver`] — the one per-session object the
 /// streaming layer already threads through every refit — so a warm refit
-/// runs the whole filter → compensate → fuse pipeline without heap
-/// allocation. Every buffer is cleared (capacity kept) on use; the arena
-/// survives [`FitSolver::clear`] so restarts keep their capacity too.
+/// runs the whole filter → fuse pipeline without heap allocation. Every
+/// buffer is cleared (capacity kept) on use; the arena survives
+/// [`FitSolver::clear`] so restarts keep their capacity too.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EstimatorScratch {
-    /// ANF output, then the compensated RSS fed to the regression.
+    /// ANF output (or the raw RSS when ANF is off), fed to the fusion.
     pub(crate) filtered: Vec<f64>,
     /// Zero-phase Butterworth forward pass (intermediate).
     pub(crate) forward: Vec<f64>,
-    /// Per-sample EnvAware step compensation.
-    pub(crate) compensation: Vec<f64>,
     /// Fused RSS/geometry points.
     pub(crate) points: Vec<RssPoint>,
     /// Observer-relative walk positions, parallel to `points`.
@@ -175,8 +172,6 @@ impl EstimatorScratch {
             .reserve(capacity.saturating_sub(self.filtered.len()));
         self.forward
             .reserve(capacity.saturating_sub(self.forward.len()));
-        self.compensation
-            .reserve(capacity.saturating_sub(self.compensation.len()));
         self.points
             .reserve(capacity.saturating_sub(self.points.len()));
         self.rel_positions
@@ -368,23 +363,15 @@ impl Estimator {
 
         // EnvAware (§4.1): when the propagation environment changes
         // mid-measurement, one (Γ, n) no longer describes the whole
-        // trace — the paper restarts the regression. Discarding the
-        // pre-change data, however, also throws away the L's geometry,
-        // so this implementation uses the recognition the other way
-        // around: at every *confirmed* environment boundary the actual
-        // RSS level step is measured from short windows on both sides
-        // and removed, restoring one consistent model over the whole
-        // walk. A falsely detected boundary measures a ≈0 step and is
-        // harmless; a passer-by's dip appears as two boundaries and is
-        // cancelled. The reported regime is the one covering the most
-        // samples; the anchored-fit Γ refers to the *first* regime.
-        scratch.compensation.clear();
-        scratch.compensation.resize(rss.len(), 0.0);
+        // trace — the paper restarts the regression. The batch estimate
+        // keeps the whole walk (discarding the pre-change data would also
+        // throw away the L's geometry; the online session restarts
+        // instead) and uses the recognition for the regime covering the
+        // most samples, which the anchored and gradient rungs' Γ assume.
         let mut env = None;
-        let mut compensated = false;
         if self.config.use_envaware {
             if let Some(envaware) = &self.envaware {
-                let mut detector = EnvChangeDetector::new(self.config.env_confirm_windows);
+                let mut detector = EnvChangeDetector::new(BATCH_CONFIRM_WINDOWS);
                 // Regime timeline: (start_time, regime). Allocated only
                 // when an EnvAware model is attached — the classify pass
                 // below already allocates per window, so this branch is
@@ -415,43 +402,6 @@ impl Estimator {
                         .max_by_key(|(_, &c)| c)
                         .map(|(l, _)| l)
                         .and_then(EnvClass::from_label);
-
-                    // Optional step removal at each boundary (skipping
-                    // the initial regime's start): shift everything after
-                    // a boundary by the measured level discontinuity,
-                    // cumulatively.
-                    let side_w = envaware.window_s() * 0.75;
-                    let mut cumulative = 0.0;
-                    let boundaries: &[(f64, EnvClass)] = if self.config.env_step_compensation {
-                        &timeline[1..]
-                    } else {
-                        &[]
-                    };
-                    for &(tb, _) in boundaries {
-                        let filtered = &scratch.filtered;
-                        let side = |lo: f64, hi: f64| -> Vec<f64> {
-                            rss.t
-                                .iter()
-                                .zip(filtered)
-                                .filter(|(&t, _)| t >= lo && t < hi)
-                                .map(|(_, &v)| v)
-                                .collect()
-                        };
-                        let pre = side(tb - side_w, tb);
-                        let post = side(tb, tb + side_w);
-                        if pre.len() < 3 || post.len() < 3 {
-                            continue;
-                        }
-                        let step = pre.iter().sum::<f64>() / pre.len() as f64 + cumulative
-                            - (post.iter().sum::<f64>() / post.len() as f64 + cumulative);
-                        cumulative += step;
-                        compensated = true;
-                        for (i, &t) in rss.t.iter().enumerate() {
-                            if t >= tb {
-                                scratch.compensation[i] = cumulative;
-                            }
-                        }
-                    }
                 }
                 if self.obs.enabled() {
                     self.obs.event(
@@ -464,16 +414,10 @@ impl Estimator {
                                 env.map_or_else(|| "none".to_string(), |e| format!("{e:?}"))
                                     .into(),
                             ),
-                            ("step_compensated", compensated.into()),
                         ],
                     );
                 }
             }
-        }
-        // Apply the boundary compensation in place (adding the zero
-        // compensation of the common uncompensated case is bit-exact).
-        for (v, c) in scratch.filtered.iter_mut().zip(&scratch.compensation) {
-            *v += *c;
         }
 
         // Fuse RSS with motion by timestamp (Algorithm 1 line 8), into
@@ -515,7 +459,7 @@ impl Estimator {
         refit.rho.reset(points.iter().map(|pt| pt.rss), search.grid);
 
         // Geometry: joint fit for 2-D paths, leg fit for collinear ones.
-        let collinear = perpendicular_spread(rel_positions) < self.config.collinear_threshold_m;
+        let collinear = perpendicular_spread(rel_positions) < COLLINEAR_SPREAD_M;
         let fit = if collinear {
             None
         } else {
@@ -538,15 +482,13 @@ impl Estimator {
         let mut rung = |method: FitMethod| -> Option<RungFit> {
             let (position, mirror, exponent, gamma) = match method {
                 FitMethod::Anchored => self
-                    .anchored_fallback(solver, &mut refit.rho, env, compensated)
+                    .anchored_fallback(solver, &mut refit.rho, env)
                     .filter(|f| plausible(f.position, f.gamma_dbm))
                     .map(|f| (f.position, None, f.exponent, f.gamma_dbm))?,
                 FitMethod::Leg => self
                     .leg_fallback(rel_positions, refit)
                     .filter(|leg| plausible(leg.0, leg.3))?,
-                FitMethod::Gradient => {
-                    self.gradient_fallback(rel_positions, points, env, compensated)?
-                }
+                FitMethod::Gradient => self.gradient_fallback(rel_positions, points, env)?,
                 _ => return None,
             };
             Some((position, mirror, exponent, gamma, method))
@@ -651,32 +593,24 @@ impl Estimator {
         solver: &FitSolver,
         rho: &mut RhoTable,
         env: Option<EnvClass>,
-        compensated: bool,
     ) -> Option<crate::regression::CircularFit> {
         let search = &self.config.exponent_search;
         // With EnvAware's verdict, anchor to that class; otherwise sweep
-        // all three and let the residual decide. When the estimator has
-        // already compensated per-regime blockage out of the RSS, the
-        // anchor is the clear-path calibration constant. Stack-allocated:
-        // under persistent noise the free fit stays rejected and this
-        // rung becomes the steady-state refit path, which must stay off
-        // the heap.
+        // all three and let the residual decide. Stack-allocated: under
+        // persistent noise the free fit stays rejected and this rung
+        // becomes the steady-state refit path, which must stay off the
+        // heap.
         let mut gamma_buf = [0.0f64; EnvClass::ALL.len()];
-        let gammas: &[f64] = if compensated {
-            gamma_buf[0] = -59.0;
-            &gamma_buf[..1]
-        } else {
-            match env {
-                Some(class) => {
-                    gamma_buf[0] = -59.0 - class.typical_blockage_db();
-                    &gamma_buf[..1]
+        let gammas: &[f64] = match env {
+            Some(class) => {
+                gamma_buf[0] = -59.0 - class.typical_blockage_db();
+                &gamma_buf[..1]
+            }
+            None => {
+                for (g, c) in gamma_buf.iter_mut().zip(EnvClass::ALL.iter()) {
+                    *g = -59.0 - c.typical_blockage_db();
                 }
-                None => {
-                    for (g, c) in gamma_buf.iter_mut().zip(EnvClass::ALL.iter()) {
-                        *g = -59.0 - c.typical_blockage_db();
-                    }
-                    &gamma_buf[..]
-                }
+                &gamma_buf[..]
             }
         };
         sweep_anchored(solver, rho, search, gammas)
@@ -693,7 +627,6 @@ impl Estimator {
         rel_positions: &[Vec2],
         points: &[RssPoint],
         env: Option<EnvClass>,
-        compensated: bool,
     ) -> Option<(Vec2, Option<Vec2>, f64, f64)> {
         if points.len() < self.config.min_points {
             return None;
@@ -702,13 +635,8 @@ impl Estimator {
         let exponent = class.typical_path_loss_exponent();
         // The iBeacon calibration constant, minus the typical penetration
         // loss of the recognized environment (a ranging model that
-        // ignores blockage wildly overestimates NLOS distances) — unless
-        // the blockage was already compensated out of the samples.
-        let gamma = if compensated {
-            -59.0
-        } else {
-            -59.0 - class.typical_blockage_db()
-        };
+        // ignores blockage wildly overestimates NLOS distances).
+        let gamma = -59.0 - class.typical_blockage_db();
         let n = points.len() as f64;
         let mean_rss = points.iter().map(|p| p.rss).sum::<f64>() / n;
         // BLE is inaudible beyond ~15 m (paper §2.2): cap the range.

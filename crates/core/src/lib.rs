@@ -46,7 +46,6 @@ pub mod navigation;
 pub mod particle;
 pub mod proximity;
 pub mod regression;
-pub mod regression3d;
 pub mod streaming;
 
 pub use anf::AdaptiveNoiseFilter;
@@ -69,5 +68,4 @@ pub use navigation::{NavInstruction, Navigator};
 pub use particle::{ParticleBackend, ParticleConfig, ParticleState};
 pub use proximity::{LastMeterRefiner, ProximityConfig, ProximityObservation};
 pub use regression::{CircularFit, FitSolver, LegFit, LegSolver, RhoTable, RssPoint};
-pub use regression3d::{Fit3d, RssPoint3, Vec3};
 pub use streaming::{BatchError, RssBatch, StreamingEstimator, StreamingState};

@@ -159,6 +159,12 @@ pub struct StreamingState {
     pub env_pending: Option<(EnvClass, usize)>,
 }
 
+/// Consecutive EnvAware windows that must agree before a session
+/// declares an environment change and restarts its regression.
+/// Restarting throws the accumulated data away, so the online rule asks
+/// for two windows where the batch estimate asks for one.
+const RESTART_CONFIRM_WINDOWS: usize = 2;
+
 /// The incremental Algorithm-1 driver.
 #[derive(Debug, Clone)]
 pub struct StreamingEstimator {
@@ -187,13 +193,9 @@ pub struct StreamingEstimator {
 impl StreamingEstimator {
     /// Wraps a (possibly EnvAware-equipped) estimator.
     pub fn new(estimator: Estimator) -> StreamingEstimator {
-        // Restarting throws data away, so the online rule demands at
-        // least two consecutive windows before declaring a change even if
-        // the batch estimator is configured more aggressively.
-        let confirm = estimator.config().env_confirm_windows.max(2);
         StreamingEstimator {
             estimator,
-            detector: EnvChangeDetector::new(confirm),
+            detector: EnvChangeDetector::new(RESTART_CONFIRM_WINDOWS),
             series: TimeSeries::default(),
             restarts: 0,
             current: None,
@@ -251,8 +253,7 @@ impl StreamingEstimator {
     /// reused for a different beacon without reallocating the estimator
     /// (and its trained EnvAware model).
     pub fn reset(&mut self) {
-        let confirm = self.estimator.config().env_confirm_windows.max(2);
-        self.detector = EnvChangeDetector::new(confirm);
+        self.detector = EnvChangeDetector::new(RESTART_CONFIRM_WINDOWS);
         self.series.clear();
         self.restarts = 0;
         self.current = None;
@@ -417,10 +418,13 @@ impl StreamingEstimator {
     /// lengths or decreasing timestamps) — corrupt snapshots are caught
     /// by CRC before reaching this constructor.
     pub fn from_state(estimator: Estimator, state: StreamingState) -> StreamingEstimator {
-        let confirm = estimator.config().env_confirm_windows.max(2);
         StreamingEstimator {
             estimator,
-            detector: EnvChangeDetector::restore(confirm, state.env_current, state.env_pending),
+            detector: EnvChangeDetector::restore(
+                RESTART_CONFIRM_WINDOWS,
+                state.env_current,
+                state.env_pending,
+            ),
             series: TimeSeries::new(state.series_t, state.series_v),
             restarts: state.restarts,
             current: state.current,

@@ -280,33 +280,6 @@ impl Client {
             _ => Err(ClientError::UnexpectedFrame("ClusterReport")),
         }
     }
-
-    /// Exports the peer's complete engine state for a rebalance
-    /// handoff: `(sessions, store-codec bytes)`. Feed the bytes to
-    /// [`Client::handoff`] unmodified — they are bit-exact.
-    pub fn export_state(&mut self) -> Result<(u64, Vec<u8>), ClientError> {
-        match self.request(&Frame::ExportState)? {
-            Frame::StateExport { sessions, state } => Ok((sessions, state)),
-            _ => Err(ClientError::UnexpectedFrame("StateExport")),
-        }
-    }
-
-    /// Hands an exported engine state to an empty peer; returns how
-    /// many sessions it restored.
-    pub fn handoff(&mut self, epoch: u64, state: Vec<u8>) -> Result<u64, ClientError> {
-        match self.request(&Frame::Handoff { epoch, state })? {
-            Frame::HandoffAck {
-                epoch: echoed,
-                sessions,
-            } => {
-                if echoed != epoch {
-                    return Err(ClientError::UnexpectedFrame("HandoffAck epoch echo"));
-                }
-                Ok(sessions)
-            }
-            _ => Err(ClientError::UnexpectedFrame("HandoffAck")),
-        }
-    }
 }
 
 impl std::fmt::Debug for Client {

@@ -337,8 +337,8 @@ impl Server {
 
     /// [`Server::bind_durable`] with a cluster attachment: the node
     /// serves the cluster frames (`Forward`/`Replicate`/`PartitionMap`/
-    /// `ClusterQuery`/`Handoff`/…) alongside the ordinary protocol and —
-    /// when `cluster.replica_addr` is set — streams every WAL record to
+    /// `ClusterQuery`) alongside the ordinary protocol and — when
+    /// `cluster.replica_addr` is set — streams every WAL record to
     /// that follower on the ingest path, acking clients per
     /// `cluster.replication`. The follower must already be listening:
     /// the link attaches here, querying how many records the follower
@@ -1313,52 +1313,6 @@ impl NodeService {
                     forwarded_adverts: 0,
                     replicated_records,
                 })
-            }
-            Frame::ExportState => {
-                let mut span = self.obs.span("net", "export_state");
-                let state = self.engine.export_state();
-                let sessions = state.sessions.len() as u64;
-                span.field("sessions", sessions);
-                let mut bytes = Vec::new();
-                locble_store::codec::put_engine_state(&mut bytes, &state);
-                Frame::StateExport {
-                    sessions,
-                    state: bytes,
-                }
-            }
-            Frame::Handoff { epoch, state } => {
-                if self.engine.stats().sessions_live > 0 || self.engine.queued() > 0 {
-                    return Frame::error(
-                        ErrorCode::Internal,
-                        "handoff refused: receiving engine is not empty",
-                    );
-                }
-                let mut reader = locble_store::codec::Reader::new(&state);
-                let decoded = reader
-                    .engine_state()
-                    .ok()
-                    .filter(|_| reader.remaining() == 0);
-                let Some(decoded) = decoded else {
-                    return Frame::error(ErrorCode::BadFrame, "handoff state did not decode");
-                };
-                let sessions = decoded.sessions.len() as u64;
-                match Engine::restore(
-                    self.engine.config().clone(),
-                    self.engine.prototype().clone(),
-                    self.obs.clone(),
-                    decoded,
-                    &[],
-                ) {
-                    Ok((restored, _)) => {
-                        self.engine = restored;
-                        self.obs.counter_add("net.cluster.handoffs", 1);
-                        Frame::HandoffAck { epoch, sessions }
-                    }
-                    Err(e) => Frame::error(
-                        ErrorCode::Internal,
-                        format!("handoff restore failed: {e:?}"),
-                    ),
-                }
             }
             reply => unreachable!("the reactor answers reply frames itself: {reply:?}"),
         }

@@ -30,13 +30,15 @@
 //! [`DecodeError::BadTag`], which servers answer with a typed
 //! [`ErrorCode::BadFrame`] reply rather than a disconnect.
 //!
-//! Version 2 added the cluster frames (`Join` … `HandoffAck`) *and*
+//! Version 2 added the cluster frames (tags 18–30) *and*
 //! extended an existing body's value range — stage laps may now carry
 //! the `Forward`/`Replicate` discriminants, which a v1 decoder would
 //! reject as malformed — hence the bump rather than tags alone. The
 //! decoder accepts exactly [`WIRE_VERSION`]: every other version byte
 //! is a recoverable [`DecodeError::BadVersion`]. A retired tag (18, the
-//! old `Join` request) is never reused: it decodes as `BadTag`.
+//! old `Join` request; 27–30, the old rebalance frames `Handoff`,
+//! `HandoffAck`, `ExportState` and `StateExport`) is never reused: it
+//! decodes as `BadTag`.
 
 use locble_ble::BeaconId;
 use locble_core::{FitMethod, LocationEstimate};
@@ -557,8 +559,8 @@ pub enum Frame {
     /// (possibly updated) partition map.
     JoinAck(WirePartitionMap),
     /// Request: install this membership view if its epoch is newer than
-    /// the one held. The frame that drives both failover (follower
-    /// promoted into the owner set) and planned rebalance. Reply:
+    /// the one held. The frame that drives failover (follower promoted
+    /// into the owner set) and every other membership change. Reply:
     /// [`Frame::JoinAck`] with the view actually held afterwards.
     PartitionMap(WirePartitionMap),
     /// Request (front → owner): ingest this partition of a client
@@ -610,36 +612,6 @@ pub enum Frame {
     ClusterQuery,
     /// Reply: the node's cluster summary.
     ClusterReport(ClusterSummary),
-    /// Request: absorb this engine state (the locble-store snapshot
-    /// codec's bytes, opaque to the wire layer) as part of an
-    /// epoch-stamped rebalance handoff. Reply: [`Frame::HandoffAck`].
-    Handoff {
-        /// Epoch of the membership change driving the handoff.
-        epoch: u64,
-        /// Engine state, encoded by the store snapshot codec
-        /// (bit-exact, same bytes as an on-disk checkpoint).
-        state: Vec<u8>,
-    },
-    /// Reply: how many sessions the receiver restored from the handoff.
-    HandoffAck {
-        /// Echo of the handoff epoch.
-        epoch: u64,
-        /// Sessions restored into the receiving engine.
-        sessions: u64,
-    },
-    /// Request: export the engine's complete state for a rebalance
-    /// handoff. Valid mid-stream — queued-but-unprocessed adverts
-    /// travel inside the state and replay on restore. Reply:
-    /// [`Frame::StateExport`].
-    ExportState,
-    /// Reply: the engine state, encoded by the store snapshot codec
-    /// (bit-exact; feed it to [`Frame::Handoff`] unmodified).
-    StateExport {
-        /// Sessions contained in the state.
-        sessions: u64,
-        /// Store-codec-encoded engine state.
-        state: Vec<u8>,
-    },
 }
 
 impl Frame {
@@ -668,8 +640,6 @@ impl Frame {
                 | Frame::Forward { .. }
                 | Frame::Replicate { .. }
                 | Frame::ClusterQuery
-                | Frame::Handoff { .. }
-                | Frame::ExportState
         )
     }
 }
@@ -700,10 +670,8 @@ const TAG_REPLICATE: u8 = 23;
 const TAG_REPLICATE_ACK: u8 = 24;
 const TAG_CLUSTER_QUERY: u8 = 25;
 const TAG_CLUSTER_REPORT: u8 = 26;
-const TAG_HANDOFF: u8 = 27;
-const TAG_HANDOFF_ACK: u8 = 28;
-const TAG_EXPORT_STATE: u8 = 29;
-const TAG_STATE_EXPORT: u8 = 30;
+// Tags 27–30 were the retired rebalance frames (`Handoff`, `HandoffAck`,
+// `ExportState`, `StateExport`); never reuse them.
 
 /// Smallest possible encoded advert (beacon + t + rssi).
 const ADVERT_WIRE_LEN: usize = 4 + 8 + 8;
@@ -1119,24 +1087,6 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
                 put_u64(&mut out, v);
             }
         }
-        Frame::Handoff { epoch, state } => {
-            out.push(TAG_HANDOFF);
-            put_u64(&mut out, *epoch);
-            put_u32(&mut out, state.len() as u32);
-            out.extend_from_slice(state);
-        }
-        Frame::HandoffAck { epoch, sessions } => {
-            out.push(TAG_HANDOFF_ACK);
-            put_u64(&mut out, *epoch);
-            put_u64(&mut out, *sessions);
-        }
-        Frame::ExportState => out.push(TAG_EXPORT_STATE),
-        Frame::StateExport { sessions, state } => {
-            out.push(TAG_STATE_EXPORT);
-            put_u64(&mut out, *sessions);
-            put_u32(&mut out, state.len() as u32);
-            out.extend_from_slice(state);
-        }
     }
     let payload = u32::try_from(out.len() - HEADER_LEN).expect("frame payload fits in u32");
     out[..HEADER_LEN].copy_from_slice(&payload.to_be_bytes());
@@ -1401,23 +1351,6 @@ pub fn decode_frame_with_limit(buf: &[u8], max_len: usize) -> Result<(Frame, usi
                 forwarded_adverts: r.u64()?,
                 replicated_records: r.u64()?,
             })
-        }
-        TAG_HANDOFF => {
-            let epoch = r.u64()?;
-            let n = r.counted(1, "handoff state length")?;
-            let state = r.take(n, "handoff state")?.to_vec();
-            Frame::Handoff { epoch, state }
-        }
-        TAG_HANDOFF_ACK => Frame::HandoffAck {
-            epoch: r.u64()?,
-            sessions: r.u64()?,
-        },
-        TAG_EXPORT_STATE => Frame::ExportState,
-        TAG_STATE_EXPORT => {
-            let sessions = r.u64()?;
-            let n = r.counted(1, "state export length")?;
-            let state = r.take(n, "state export bytes")?.to_vec();
-            Frame::StateExport { sessions, state }
         }
         got => return Err(DecodeError::BadTag { got }),
     };
@@ -1841,23 +1774,6 @@ mod tests {
                 forwarded_adverts: 0,
                 replicated_records: 123_456,
             }),
-            Frame::Handoff {
-                epoch: 2,
-                state: vec![0xDE, 0xAD, 0xBE, 0xEF],
-            },
-            Frame::Handoff {
-                epoch: 0,
-                state: Vec::new(),
-            },
-            Frame::HandoffAck {
-                epoch: 2,
-                sessions: 12,
-            },
-            Frame::ExportState,
-            Frame::StateExport {
-                sessions: 5,
-                state: vec![1, 2, 3],
-            },
         ];
         for frame in &frames {
             let bytes = encode_frame(frame);
@@ -1921,10 +1837,11 @@ mod tests {
     fn old_decoders_reject_new_tags_without_a_version_bump() {
         // The versioning rule the telemetry frames rely on: a frame
         // with an unknown tag is BadTag (recoverable), not BadVersion.
-        // A retired tag (18, the old `Join`) is just as unknown.
+        // A retired tag (18, the old `Join`; 27–30, the old rebalance
+        // frames) is just as unknown.
         let bytes = encode_frame(&Frame::MetricsQuery);
         assert_eq!(bytes[4], WIRE_VERSION);
-        for tag in [250, 18] {
+        for tag in [250, 18, 27, 28, 29, 30] {
             let mut unknown = bytes.clone();
             unknown[5] = tag;
             let err = decode_frame(&unknown).expect_err("unknown tag");

@@ -295,13 +295,6 @@ fn any_cluster_frame() -> impl Strategy<Value = Frame> {
             .prop_map(|(seq, durable)| Frame::ReplicateAck { seq, durable }),
         Just(Frame::ClusterQuery),
         any_cluster_summary().prop_map(Frame::ClusterReport),
-        (any::<u64>(), prop::collection::vec(any::<u8>(), 0..64))
-            .prop_map(|(epoch, state)| Frame::Handoff { epoch, state }),
-        (any::<u64>(), any::<u64>())
-            .prop_map(|(epoch, sessions)| Frame::HandoffAck { epoch, sessions }),
-        Just(Frame::ExportState),
-        (any::<u64>(), prop::collection::vec(any::<u8>(), 0..64))
-            .prop_map(|(sessions, state)| Frame::StateExport { sessions, state }),
     ]
 }
 

@@ -56,12 +56,13 @@
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
-pub mod codec;
+mod codec;
 pub mod crc32;
 pub mod snapshot;
 pub mod store;
 pub mod wal;
 
+pub use codec::CodecError;
 pub use snapshot::{read_snapshot, write_snapshot, Snapshot, SnapshotError};
 pub use store::{RecoverError, RecoveryReport, SessionStore, SNAPSHOT_FILE, WAL_FILE};
 pub use wal::{parse_wal, read_wal, FsyncPolicy, Wal, WalReadReport, WalTailer};
