@@ -17,7 +17,7 @@ use locble_net::{Client, ReplicationPolicy};
 use locble_obs::{trace_id, Obs, Stage, TraceCtx};
 use locble_scenario::fleet_session;
 use locble_scenario::runner::track_observer;
-use locble_store::{FsyncPolicy, SessionStore};
+use locble_store::{FsyncPolicy, SessionStore, WalTailer, WAL_FILE};
 use std::path::{Path, PathBuf};
 
 const FLEET_BEACONS: usize = 10;
@@ -305,6 +305,94 @@ fn sync_replication_keeps_the_follower_warm_and_promotion_serves_identically() {
     drop(client);
     drop(to_follower);
     owner.shutdown();
+    follower.shutdown();
+    let _ = std::fs::remove_dir_all(&owner_dir);
+    let _ = std::fs::remove_dir_all(&follower_dir);
+}
+
+/// Intact records in the WAL under `dir`, counted without opening it
+/// for append.
+fn wal_records(dir: &Path) -> u64 {
+    WalTailer::open(&dir.join(WAL_FILE))
+        .skip(u64::MAX)
+        .expect("scan wal")
+}
+
+#[test]
+fn recovered_owner_reattaches_mid_log_and_keeps_the_follower_a_prefix() {
+    let adverts = fleet_adverts();
+    let half = adverts.len() / 2;
+
+    let follower_dir = temp_dir("reattach-follower");
+    let owner_dir = temp_dir("reattach-owner");
+    let mut follower_spec = NodeSpec::new(1, &follower_dir);
+    follower_spec.role = NodeRole::Follower;
+    let follower = serve_node(&follower_spec, Obs::ring(64)).expect("bind follower");
+    let mut owner_spec = NodeSpec::new(1, &owner_dir);
+    owner_spec.replica_addr = Some(follower.addr().to_string());
+    owner_spec.replication = ReplicationPolicy::SyncAck;
+
+    // First life: half the stream, every batch follower-durable.
+    let first_obs = Obs::ring(64);
+    let owner = serve_node(&owner_spec, first_obs.clone()).expect("bind owner");
+    let mut client = Client::connect(owner.addr()).expect("connect owner");
+    for chunk in adverts[..half].chunks(CHUNK) {
+        client.ingest(chunk).expect("replicated ingest");
+    }
+    drop(client);
+    owner.shutdown();
+
+    // Second life: recover from the directory and re-bind against the
+    // follower, which kept running and holds the first half.
+    let mut to_follower = Client::connect(follower.addr()).expect("connect follower");
+    assert_eq!(
+        to_follower
+            .cluster()
+            .expect("follower report")
+            .replicated_records,
+        half as u64
+    );
+    let second_obs = Obs::ring(64);
+    let owner = serve_node(&owner_spec, second_obs.clone()).expect("re-bind owner");
+    let mut client = Client::connect(owner.addr()).expect("connect recovered owner");
+    assert_eq!(
+        client.cluster().expect("owner report").replicated_records,
+        half as u64,
+        "the re-attached link resumes where the follower stands"
+    );
+    for chunk in adverts[half..].chunks(CHUNK) {
+        client
+            .ingest(chunk)
+            .expect("replicated ingest after re-attach");
+    }
+    drop(client);
+    owner.shutdown();
+
+    let owner_records = wal_records(&owner_dir);
+    assert_eq!(owner_records, adverts.len() as u64);
+    assert_eq!(
+        to_follower
+            .cluster()
+            .expect("follower report")
+            .replicated_records,
+        owner_records,
+        "the follower holds every record the owner logged"
+    );
+    let owner_wal = std::fs::read(owner_dir.join(WAL_FILE)).expect("owner wal");
+    let follower_wal = std::fs::read(follower_dir.join(WAL_FILE)).expect("follower wal");
+    assert!(
+        owner_wal.starts_with(&follower_wal),
+        "the follower's WAL must be a byte prefix of the owner's"
+    );
+    for (life, obs) in [("first", &first_obs), ("second", &second_obs)] {
+        assert_eq!(
+            obs.metrics().counter("net.replication_failures"),
+            0,
+            "{life} life: a Replicate was refused"
+        );
+    }
+
+    drop(to_follower);
     follower.shutdown();
     let _ = std::fs::remove_dir_all(&owner_dir);
     let _ = std::fs::remove_dir_all(&follower_dir);

@@ -904,24 +904,22 @@ impl Engine {
         }
     }
 
-    /// Rebuilds an engine from a snapshot and replays `wal_tail` — the
-    /// adverts offered after the snapshot was taken — through the
-    /// normal ingest path. With the same `config` and `prototype` the
-    /// snapshot was exported under, the recovered engine is
-    /// bit-identical to one that never crashed: same estimates, same
-    /// counters (every admit/reject decision replays identically
-    /// because the WAL records *offered* adverts in offer order).
-    ///
-    /// Returns the engine plus the folded [`IngestReport`] of the
-    /// replay. Call [`Engine::process`]/[`Engine::finish`] afterwards
-    /// exactly as the uninterrupted run would have.
+    /// Rebuilds an engine from a snapshot. With the same `config` and
+    /// `prototype` the snapshot was exported under, the restored engine
+    /// is the one the state was exported from: feeding it the adverts
+    /// offered after the snapshot (the WAL tail) through the normal
+    /// ingest path, in any slicing, yields the same estimates and
+    /// counters as an engine that never crashed (every admit/reject
+    /// decision replays identically because the WAL records *offered*
+    /// adverts in offer order). Call
+    /// [`Engine::process`]/[`Engine::finish`] afterwards exactly as the
+    /// uninterrupted run would have.
     pub fn restore(
         config: EngineConfig,
         prototype: Estimator,
         obs: Obs,
         state: EngineState,
-        wal_tail: &[Advert],
-    ) -> Result<(Engine, IngestReport), RestoreError> {
+    ) -> Result<Engine, RestoreError> {
         let config = config.normalized();
         if config.shards != state.shards {
             return Err(RestoreError::ShardMismatch {
@@ -988,8 +986,7 @@ impl Engine {
             engine.queues.restore_shard(shard, queue.into());
         }
         engine.core.obs.counter_add("engine.restores", 1);
-        let report = engine.ingest_all(wal_tail);
-        Ok((engine, report))
+        Ok(engine)
     }
 }
 

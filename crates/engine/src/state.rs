@@ -12,9 +12,10 @@
 //! never serialized.
 //!
 //! The contract (enforced by `tests/recovery.rs` in `locble-store`):
-//! `Engine::restore(config, prototype, obs, state, wal_tail)` with the
-//! same config and prototype continues the stream **bit-identically** to
-//! the engine the state was exported from.
+//! `Engine::restore(config, prototype, obs, state)` with the same config
+//! and prototype, fed the WAL tail through the normal ingest path,
+//! continues the stream **bit-identically** to the engine the state was
+//! exported from.
 
 use crate::engine::EngineStats;
 use crate::router::Advert;

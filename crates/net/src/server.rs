@@ -199,6 +199,13 @@ impl ReplicaLink {
                 )));
             }
             self.durable = durable;
+            // Only the reactor appends to this WAL, and the reactor is
+            // the thread running this pump: a poll that came back short
+            // has read every record appended so far, and polling again
+            // would only reopen and reread the file to find nothing.
+            if records.len() < REPLICATE_CHUNK {
+                return Ok(self.durable);
+            }
         }
     }
 }

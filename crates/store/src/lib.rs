@@ -8,16 +8,19 @@
 //! * **WAL** ([`wal`]): every advert *offered* to the engine, logged in
 //!   offer order before ingest, one CRC-guarded length-prefixed record
 //!   each. A torn final record (the signature of a crash mid-write) is
-//!   detected and tolerated.
+//!   detected and tolerated. One streamed record scanner serves every
+//!   reader: [`Wal::open`], [`WalTailer`] and recovery.
 //! * **Snapshots** ([`snapshot`]): the engine's complete state
 //!   ([`locble_engine::EngineState`]) streamed atomically
 //!   (tmp + fsync + rename), stamped with the WAL position it covers,
 //!   inline or on a writer thread ([`SessionStore`]).
 //!
-//! Recovery ([`SessionStore::recover`]) loads the snapshot, replays the
-//! WAL tail through the *normal ingest path*, and yields an engine
-//! bit-identical to one that never crashed — same estimates (compared
-//! as IEEE-754 bit patterns), same admit/reject counters. The
+//! Recovery ([`SessionStore::recover`]) loads the snapshot, then streams
+//! the WAL once: it skips the records the snapshot covers and replays
+//! the tail through the *normal ingest path* in fixed-size chunks, so
+//! its memory does not grow with the log's history. It yields an
+//! engine bit-identical to one that never crashed — same estimates
+//! (compared as IEEE-754 bit patterns), same admit/reject counters. The
 //! serialization reuses the `locble-net` wire idiom: big-endian
 //! integers, `f64::to_bits` for floats, so NaN payloads survive
 //! round-trips exactly.
@@ -65,4 +68,4 @@ pub mod wal;
 pub use codec::CodecError;
 pub use snapshot::{read_snapshot, write_snapshot, Snapshot, SnapshotError};
 pub use store::{RecoverError, RecoveryReport, SessionStore, SNAPSHOT_FILE, WAL_FILE};
-pub use wal::{parse_wal, read_wal, FsyncPolicy, Wal, WalReadReport, WalTailer};
+pub use wal::{FsyncPolicy, Wal, WalReadReport, WalTailer};

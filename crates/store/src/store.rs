@@ -24,14 +24,18 @@
 //!    Dropping the store waits for its job.
 //!
 //! Recovery ordering ([`SessionStore::recover`]): read the snapshot (if
-//! any) → read the WAL, tolerating a torn tail → skip the first
-//! `snapshot.wal_records` records (position-based skipping is the
-//! idempotence mechanism: duplicate adverts carry legal equal
-//! timestamps, so replaying them would double-count) → feed the tail
-//! through [`Engine::restore`], which replays via normal ingest.
+//! any) → build the engine from it ([`Engine::restore`], or a fresh
+//! [`Engine::new`] without one) → stream the WAL once, tolerating a
+//! torn tail: skip the first `snapshot.wal_records` records
+//! (position-based skipping is the idempotence mechanism: duplicate
+//! adverts carry legal equal timestamps, so replaying them would
+//! double-count) and replay the rest through normal ingest in chunks of
+//! `REPLAY_CHUNK` adverts → open the appender at the pass's intact
+//! length. Recovery memory is the engine plus one read buffer and one chunk,
+//! whatever the length of the history behind the snapshot.
 
 use crate::snapshot::{read_snapshot, write_snapshot, SnapshotError};
-use crate::wal::{read_wal, FsyncPolicy, Wal, ADVERT_RECORD_LEN};
+use crate::wal::{scan_file, FsyncPolicy, Wal, ADVERT_RECORD_LEN};
 use locble_core::Estimator;
 use locble_engine::{Advert, Engine, EngineConfig, EngineState, IngestReport, RestoreError};
 use locble_obs::Obs;
@@ -43,6 +47,11 @@ use std::thread::JoinHandle;
 pub const WAL_FILE: &str = "wal.log";
 /// Snapshot file name inside a store directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
+
+/// Adverts recovery replays per [`Engine::ingest_all`] call. Ingest is
+/// bit-identical under any slicing, so the chunk only bounds the
+/// memory a replay holds.
+const REPLAY_CHUNK: usize = 4096;
 
 /// Why recovery failed. Torn WAL tails and missing files are *not*
 /// errors — they are the expected aftermath of a crash.
@@ -172,15 +181,21 @@ impl SessionStore {
     pub fn open(dir: &Path, policy: FsyncPolicy, obs: Obs) -> std::io::Result<SessionStore> {
         std::fs::create_dir_all(dir)?;
         let (wal, report) = Wal::open(&dir.join(WAL_FILE), policy)?;
-        if report.torn_tail {
+        Ok(SessionStore::with_wal(dir, wal, report.torn_tail, obs))
+    }
+
+    /// The store around a WAL opened for appending; `torn_tail` says
+    /// whether opening it cut a torn record away.
+    fn with_wal(dir: &Path, wal: Wal, torn_tail: bool, obs: Obs) -> SessionStore {
+        if torn_tail {
             obs.counter_add("store.torn_tails", 1);
         }
-        Ok(SessionStore {
+        SessionStore {
             dir: dir.to_path_buf(),
             wal,
             obs,
             job: None,
-        })
+        }
     }
 
     /// The directory this store lives in.
@@ -275,6 +290,12 @@ impl SessionStore {
     /// returns the store re-opened for appending. `config` and
     /// `prototype` must match the crashed session's (they are not
     /// persisted — they are code/deployment configuration, not state).
+    ///
+    /// The WAL is read once, as a stream: records the snapshot covers
+    /// are skipped by position, the rest are replayed in chunks of
+    /// `REPLAY_CHUNK` adverts, and the appender opens at the intact
+    /// length that pass found. A log shorter than the snapshot's position is
+    /// refused before anything is cut or appended.
     pub fn recover(
         dir: &Path,
         policy: FsyncPolicy,
@@ -285,34 +306,46 @@ impl SessionStore {
         let started = std::time::Instant::now();
         std::fs::create_dir_all(dir)?;
         let snapshot = read_snapshot(&dir.join(SNAPSHOT_FILE))?;
-        let (adverts, wal_report) = read_wal(&dir.join(WAL_FILE))?;
-
+        let snapshot_found = snapshot.is_some();
         let skipped = snapshot.as_ref().map_or(0, |s| s.wal_records);
+        let mut engine = match snapshot {
+            Some(s) => Engine::restore(config, prototype, obs.clone(), s.state)?,
+            // A crash before the first checkpoint: replay the whole log
+            // into a fresh engine.
+            None => Engine::new(config, prototype, obs.clone()),
+        };
+
+        let path = dir.join(WAL_FILE);
+        let mut replay = IngestReport::default();
+        let mut chunk = Vec::with_capacity(REPLAY_CHUNK);
+        let mut position = 0u64;
+        let wal_report = scan_file(&path, 0, u64::MAX, |advert| {
+            position += 1;
+            if position <= skipped {
+                return;
+            }
+            chunk.push(advert);
+            if chunk.len() == REPLAY_CHUNK {
+                replay.absorb(engine.ingest_all(&chunk));
+                chunk.clear();
+            }
+        })?;
         if skipped > wal_report.records {
+            // Nothing was replayed: every record fell below the
+            // snapshot's position.
             return Err(RecoverError::WalBehindSnapshot {
                 wal_records: wal_report.records,
                 snapshot_records: skipped,
             });
         }
-        let tail = &adverts[skipped as usize..];
+        replay.absorb(engine.ingest_all(&chunk));
 
-        let snapshot_found = snapshot.is_some();
-        let (engine, replay) = match snapshot {
-            Some(s) => Engine::restore(config, prototype, obs.clone(), s.state, tail)?,
-            None => {
-                // WAL-only recovery: a crash before the first
-                // checkpoint. Replay the whole log into a fresh engine.
-                let mut engine = Engine::new(config, prototype, obs.clone());
-                let replay = engine.ingest_all(tail);
-                (engine, replay)
-            }
-        };
-
-        let store = SessionStore::open(dir, policy, obs.clone())?;
+        let wal = Wal::resume(&path, policy, wal_report)?;
+        let store = SessionStore::with_wal(dir, wal, wal_report.torn_tail, obs.clone());
         let report = RecoveryReport {
             snapshot_found,
             wal_records: wal_report.records,
-            replayed: tail.len() as u64,
+            replayed: wal_report.records - skipped,
             skipped,
             torn_tail: wal_report.torn_tail,
             recovery_ms: started.elapsed().as_secs_f64() * 1e3,

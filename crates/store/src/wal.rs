@@ -24,12 +24,18 @@
 //! append truncates the torn bytes so the next record starts clean —
 //! the torn record was never acknowledged as durable, so dropping it
 //! loses nothing a correct client hasn't already retried.
+//!
+//! **One reader:** every read of the log — [`Wal::open`] counting what
+//! it appends after, [`WalTailer`] streaming it to a follower, and
+//! recovery replaying it ([`SessionStore::recover`](crate::SessionStore::recover))
+//! — goes through one record scanner that streams the file through a
+//! buffered reader once, so no reader holds more than one buffer of it.
 
 use crate::codec::{put_advert, Reader};
 use crate::crc32::crc32;
 use locble_engine::Advert;
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write as _};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Record tag: one advert.
@@ -49,6 +55,10 @@ pub const ADVERT_RECORD_LEN: usize = RECORD_HEADER_LEN + ADVERT_PAYLOAD_LEN;
 /// payload this module writes.
 const MAX_PAYLOAD_LEN: usize = 1 << 16;
 
+/// Read buffer of one scan: a full replication chunk of records takes
+/// two reads, and a whole-log scan holds no more than this of the file.
+const SCAN_BUF_LEN: usize = 64 * 1024;
+
 /// When the log file is forced to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
@@ -62,16 +72,100 @@ pub enum FsyncPolicy {
     EveryN(u64),
 }
 
-/// What a full WAL read found.
+/// What a scan of the log found.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalReadReport {
     /// Intact records decoded.
     pub records: u64,
-    /// Bytes of intact records (the offset a torn tail starts at).
+    /// Bytes of intact records: the end of the last record handed out,
+    /// which is where a torn tail starts.
     pub intact_bytes: u64,
     /// `true` when trailing bytes did not form a complete, CRC-valid
     /// record (tolerated: the tail is ignored).
     pub torn_tail: bool,
+}
+
+/// The log's one record decoder. Reads records from `input` in order
+/// and hands each intact advert to `emit`, stopping after `max`
+/// records, at the end of the input, or at the first record that is
+/// torn or undecodable (which sets `torn_tail`). The input is read
+/// through a buffer of [`SCAN_BUF_LEN`] bytes, so a scan reads each
+/// byte once and holds at most one buffer of the log; the report's
+/// `intact_bytes` counts records handed out, never bytes read ahead.
+pub(crate) fn scan<R: Read>(
+    input: R,
+    max: u64,
+    mut emit: impl FnMut(Advert),
+) -> std::io::Result<WalReadReport> {
+    let mut input = BufReader::with_capacity(SCAN_BUF_LEN, input);
+    let mut report = WalReadReport::default();
+    let mut payload = Vec::new();
+    while report.records < max && !input.fill_buf()?.is_empty() {
+        let Some(advert) = read_record(&mut input, &mut payload)? else {
+            report.torn_tail = true;
+            break;
+        };
+        emit(advert);
+        report.records += 1;
+        report.intact_bytes += (RECORD_HEADER_LEN + payload.len()) as u64;
+    }
+    Ok(report)
+}
+
+/// Reads one record, leaving its payload in `payload`. `Ok(None)` when
+/// the record is torn or undecodable; an error is the input's own.
+fn read_record(input: &mut impl Read, payload: &mut Vec<u8>) -> std::io::Result<Option<Advert>> {
+    let mut header = [0u8; RECORD_HEADER_LEN];
+    if !read_whole(input, &mut header)? {
+        return Ok(None);
+    }
+    let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
+    let crc = u32::from_be_bytes([header[4], header[5], header[6], header[7]]);
+    if len == 0 || len > MAX_PAYLOAD_LEN {
+        // A zero or absurd length prefix is corruption, not a record;
+        // treat everything from here as the torn tail.
+        return Ok(None);
+    }
+    payload.resize(len, 0);
+    if !read_whole(input, payload)? || crc32(payload) != crc {
+        return Ok(None);
+    }
+    let mut reader = Reader::new(payload);
+    // A CRC-valid but undecodable payload was written by a future
+    // version or is corrupt in a CRC-colliding way. Either way the
+    // record boundary is still trustworthy, but replaying past an
+    // unintelligible record would silently skip data — stop here, like
+    // a torn tail.
+    Ok(match reader.u8("record tag") {
+        Ok(TAG_ADVERT) => reader.advert().ok().filter(|_| reader.remaining() == 0),
+        _ => None,
+    })
+}
+
+/// Fills `buf` from `input`; `Ok(false)` when the input ends first.
+fn read_whole(input: &mut impl Read, buf: &mut [u8]) -> std::io::Result<bool> {
+    match input.read_exact(buf) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == ErrorKind::UnexpectedEof => Ok(false),
+        Err(e) => Err(e),
+    }
+}
+
+/// [`scan`] over the log file at `path` from byte `offset`. A missing
+/// file is an empty log.
+pub(crate) fn scan_file(
+    path: &Path,
+    offset: u64,
+    max: u64,
+    emit: impl FnMut(Advert),
+) -> std::io::Result<WalReadReport> {
+    let mut file = match File::open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(WalReadReport::default()),
+        Err(e) => return Err(e),
+    };
+    file.seek(SeekFrom::Start(offset))?;
+    scan(file, max, emit)
 }
 
 /// An open, appendable WAL file.
@@ -92,27 +186,35 @@ impl Wal {
     /// records start on a clean boundary. Returns the WAL and the read
     /// report of the pre-existing content.
     pub fn open(path: &Path, policy: FsyncPolicy) -> std::io::Result<(Wal, WalReadReport)> {
-        let (_, report) = read_wal(path)?;
-        let file = OpenOptions::new()
+        let report = scan_file(path, 0, u64::MAX, |_| {})?;
+        Ok((Wal::resume(path, policy, report)?, report))
+    }
+
+    /// Opens (or creates) the log at `path` for appending after the
+    /// scan that found `report`, without reading it again: the file is
+    /// cut to `report.intact_bytes` and counting goes on from
+    /// `report.records`.
+    pub(crate) fn resume(
+        path: &Path,
+        policy: FsyncPolicy,
+        report: WalReadReport,
+    ) -> std::io::Result<Wal> {
+        let mut file = OpenOptions::new()
             .create(true)
             .truncate(false)
             .read(true)
             .write(true)
             .open(path)?;
         file.set_len(report.intact_bytes)?;
-        let mut file = file;
         file.seek(SeekFrom::End(0))?;
-        Ok((
-            Wal {
-                file,
-                path: path.to_path_buf(),
-                buf: Vec::new(),
-                records: report.records,
-                appends_since_sync: 0,
-                policy,
-            },
-            report,
-        ))
+        Ok(Wal {
+            file,
+            path: path.to_path_buf(),
+            buf: Vec::new(),
+            records: report.records,
+            appends_since_sync: 0,
+            policy,
+        })
     }
 
     /// Records appended so far (pre-existing + this process).
@@ -178,8 +280,9 @@ impl Wal {
 /// for streaming an owner's log to a follower node.
 ///
 /// A tailer remembers the byte offset of the last *complete* record it
-/// emitted and, on each [`WalTailer::poll`], parses only the bytes
-/// appended since. A partial record at the end of the file (an append
+/// emitted and, on each [`WalTailer::poll`], scans only the records
+/// appended since, reading at most one scan buffer past the last record
+/// it emits. A partial record at the end of the file (an append
 /// in flight, or a torn tail after a crash) is left unconsumed: the
 /// next poll retries it from the same offset, so a record is emitted
 /// exactly once and only when whole and CRC-valid. Corruption below
@@ -220,125 +323,27 @@ impl WalTailer {
     /// An empty result means the tailer has caught up (or the tail is
     /// still partial).
     pub fn poll(&mut self, max: usize) -> std::io::Result<Vec<Advert>> {
-        use std::io::Read;
-        let mut file = match File::open(&self.path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
-        file.seek(SeekFrom::Start(self.offset))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
         let mut out = Vec::new();
-        let mut pos = 0usize;
-        while out.len() < max {
-            let Some(header) = bytes.get(pos..pos + RECORD_HEADER_LEN) else {
-                break;
-            };
-            let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
-            let crc = u32::from_be_bytes([header[4], header[5], header[6], header[7]]);
-            if len == 0 || len > MAX_PAYLOAD_LEN {
-                break;
-            }
-            let Some(payload) = bytes.get(pos + RECORD_HEADER_LEN..pos + RECORD_HEADER_LEN + len)
-            else {
-                break;
-            };
-            if crc32(payload) != crc {
-                break;
-            }
-            let mut reader = Reader::new(payload);
-            let decoded = match reader.u8("record tag") {
-                Ok(TAG_ADVERT) => reader.advert().ok().filter(|_| reader.remaining() == 0),
-                _ => None,
-            };
-            let Some(advert) = decoded else {
-                break;
-            };
-            out.push(advert);
-            pos += RECORD_HEADER_LEN + len;
-            self.records += 1;
-        }
-        self.offset += pos as u64;
+        self.advance(max as u64, |advert| out.push(advert))?;
         Ok(out)
     }
 
     /// Skips the next `n` records without emitting them (positioning a
-    /// fresh tailer past what a follower already holds). Skipping stops
-    /// early at a partial tail; returns how many records were skipped.
+    /// fresh tailer past what a follower already holds), in one pass
+    /// over the file. Skipping stops early at a partial tail; returns
+    /// how many records were skipped.
     pub fn skip(&mut self, n: u64) -> std::io::Result<u64> {
-        let mut skipped = 0u64;
-        while skipped < n {
-            let chunk = self.poll(((n - skipped).min(4096)) as usize)?;
-            if chunk.is_empty() {
-                break;
-            }
-            skipped += chunk.len() as u64;
-        }
-        Ok(skipped)
+        self.advance(n, |_| {})
     }
-}
 
-/// Reads every intact record from the log at `path`. A missing file is
-/// an empty log. Trailing bytes that do not form a complete CRC-valid
-/// record set `torn_tail` and are ignored.
-pub fn read_wal(path: &Path) -> std::io::Result<(Vec<Advert>, WalReadReport)> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    Ok(parse_wal(&bytes))
-}
-
-/// Parses an in-memory WAL image (the file-reading half split out for
-/// torn-tail property tests over every truncation point).
-pub fn parse_wal(bytes: &[u8]) -> (Vec<Advert>, WalReadReport) {
-    let mut adverts = Vec::new();
-    let mut report = WalReadReport::default();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let Some(header) = bytes.get(pos..pos + RECORD_HEADER_LEN) else {
-            report.torn_tail = true;
-            break;
-        };
-        let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
-        let crc = u32::from_be_bytes([header[4], header[5], header[6], header[7]]);
-        if len == 0 || len > MAX_PAYLOAD_LEN {
-            // A zero or absurd length prefix is corruption, not a
-            // record; treat everything from here as the torn tail.
-            report.torn_tail = true;
-            break;
-        }
-        let Some(payload) = bytes.get(pos + RECORD_HEADER_LEN..pos + RECORD_HEADER_LEN + len)
-        else {
-            report.torn_tail = true;
-            break;
-        };
-        if crc32(payload) != crc {
-            report.torn_tail = true;
-            break;
-        }
-        let mut reader = Reader::new(payload);
-        let decoded = match reader.u8("record tag") {
-            Ok(TAG_ADVERT) => reader.advert().ok().filter(|_| reader.remaining() == 0),
-            _ => None,
-        };
-        let Some(advert) = decoded else {
-            // CRC-valid but undecodable payload: written by a future
-            // version or corrupt in a CRC-colliding way. Either way the
-            // record boundary is still trustworthy, but replaying past
-            // an unintelligible record would silently skip data — stop
-            // here, like a torn tail.
-            report.torn_tail = true;
-            break;
-        };
-        adverts.push(advert);
-        pos += RECORD_HEADER_LEN + len;
-        report.records += 1;
-        report.intact_bytes = pos as u64;
+    /// Scans up to `max` records from the current offset and moves past
+    /// them; returns how many there were.
+    fn advance(&mut self, max: u64, emit: impl FnMut(Advert)) -> std::io::Result<u64> {
+        let report = scan_file(&self.path, self.offset, max, emit)?;
+        self.offset += report.intact_bytes;
+        self.records += report.records;
+        Ok(report.records)
     }
-    (adverts, report)
 }
 
 #[cfg(test)]
@@ -363,6 +368,13 @@ mod tests {
         p
     }
 
+    /// Every record the scanner hands out of `input`, with its report.
+    fn scan_all(input: impl Read) -> (Vec<Advert>, WalReadReport) {
+        let mut adverts = Vec::new();
+        let report = scan(input, u64::MAX, |a| adverts.push(a)).expect("scan");
+        (adverts, report)
+    }
+
     fn bits(adverts: &[Advert]) -> Vec<(u32, u64, u64)> {
         adverts
             .iter()
@@ -383,7 +395,7 @@ mod tests {
         assert_eq!(report.records, 0);
         wal.append(&adverts).expect("append");
         assert_eq!(wal.records(), 26);
-        let (read, report) = read_wal(&path).expect("read");
+        let (read, report) = scan_all(File::open(&path).expect("read"));
         assert!(!report.torn_tail);
         assert_eq!(report.records, 26);
         assert_eq!(bits(&read), bits(&adverts), "WAL must be bit-exact");
@@ -405,7 +417,7 @@ mod tests {
         }
         let record_len = RECORD_HEADER_LEN + ADVERT_PAYLOAD_LEN;
         for cut in 0..image.len() {
-            let (read, report) = parse_wal(&image[..cut]);
+            let (read, report) = scan_all(&image[..cut]);
             let whole = cut / record_len;
             assert_eq!(read.len(), whole, "cut at {cut}");
             assert_eq!(report.records as usize, whole);
@@ -432,7 +444,7 @@ mod tests {
         // Flip one payload byte in record 3: records 0..3 survive.
         let mut corrupt = image.clone();
         corrupt[3 * record_len + RECORD_HEADER_LEN + 2] ^= 0x40;
-        let (read, report) = parse_wal(&corrupt);
+        let (read, report) = scan_all(&corrupt[..]);
         assert_eq!(read.len(), 3);
         assert!(report.torn_tail);
         assert_eq!(bits(&read), bits(&adverts[..3]));
@@ -459,7 +471,7 @@ mod tests {
         assert_eq!(wal.records(), 5);
         wal.append(&sample_adverts(2)[..1])
             .expect("append after tear");
-        let (read, report) = read_wal(&path).expect("read");
+        let (read, report) = scan_all(File::open(&path).expect("read"));
         assert!(!report.torn_tail, "tail must be clean after re-append");
         assert_eq!(report.records, 6);
         assert_eq!(bits(&read[..5]), bits(&adverts[..5]));
@@ -468,13 +480,31 @@ mod tests {
 
     #[test]
     fn garbage_prefix_is_reported_not_panicked() {
-        let (read, report) = parse_wal(&[0xFF; 37]);
+        let (read, report) = scan_all(&[0xFF; 37][..]);
         assert!(read.is_empty());
         assert!(report.torn_tail);
         assert_eq!(report.intact_bytes, 0);
-        let (read, report) = parse_wal(&[]);
+        let (read, report) = scan_all(&[][..]);
         assert!(read.is_empty());
         assert!(!report.torn_tail);
+    }
+
+    #[test]
+    fn scan_stops_after_max_and_reports_only_what_it_handed_out() {
+        let path = temp_path("scan-max");
+        let adverts = sample_adverts(10);
+        let (mut wal, _) = Wal::open(&path, FsyncPolicy::Never).expect("open");
+        wal.append(&adverts).expect("append");
+        let mut read = Vec::new();
+        let file = File::open(&path).expect("open for scan");
+        let report = scan(file, 4, |a| read.push(a)).expect("scan");
+        assert_eq!(bits(&read), bits(&adverts[..4]));
+        assert_eq!(report.records, 4);
+        assert!(!report.torn_tail, "stopping at max is not a torn tail");
+        // The whole file fits the scan buffer, but the offset is the end
+        // of the fourth record, not of what the buffer read.
+        assert_eq!(report.intact_bytes, 4 * ADVERT_RECORD_LEN as u64);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -19,7 +19,8 @@ use locble_scenario::runner::track_observer;
 use locble_scenario::world::simulate_session;
 use locble_scenario::{environment_by_index, fleet_beacons, plan_l_walk, SessionConfig};
 use locble_store::snapshot::encode_snapshot;
-use locble_store::{FsyncPolicy, SessionStore, SNAPSHOT_FILE, WAL_FILE};
+use locble_store::wal::ADVERT_RECORD_LEN;
+use locble_store::{FsyncPolicy, RecoverError, SessionStore, SNAPSHOT_FILE, WAL_FILE};
 use std::path::PathBuf;
 
 const CHUNK: usize = 53;
@@ -292,6 +293,53 @@ fn recover_from_snapshot_only_replays_nothing() {
     engine.finish();
     let reference = reference_run(&adverts, &motion);
     assert_engines_match("snapshot-only", &engine, &reference);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn wal_behind_the_snapshot_is_refused_and_left_untouched() {
+    // The log is cut below the snapshot's position, mid-record: the
+    // files disagree, so recovery must refuse — and it must refuse
+    // before it cuts the torn bytes or appends anything.
+    let (adverts, motion) = fleet_adverts(4, 23);
+    let dir = temp_dir("wal-behind");
+    {
+        let mut store =
+            SessionStore::open(&dir, FsyncPolicy::Never, Obs::noop()).expect("open store");
+        let mut engine = Engine::new(config(), estimator(), Obs::noop());
+        engine.set_motion(motion);
+        store.append(&adverts).expect("append");
+        engine.ingest_all(&adverts);
+        store.checkpoint(&engine).expect("checkpoint");
+    }
+    let kept = adverts.len() as u64 - 3;
+    let wal_path = dir.join(WAL_FILE);
+    let wal = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&wal_path)
+        .expect("open wal");
+    wal.set_len(kept * ADVERT_RECORD_LEN as u64 + 5)
+        .expect("cut wal");
+    drop(wal);
+    let before = std::fs::read(&wal_path).expect("wal bytes");
+
+    match SessionStore::recover(&dir, FsyncPolicy::Never, config(), estimator(), Obs::noop()) {
+        Err(RecoverError::WalBehindSnapshot {
+            wal_records,
+            snapshot_records,
+        }) => {
+            assert_eq!(wal_records, kept);
+            assert_eq!(snapshot_records, adverts.len() as u64);
+        }
+        Err(other) => panic!("expected WalBehindSnapshot, got {other}"),
+        Ok(_) => panic!("a WAL behind its snapshot must not yield an engine"),
+    }
+    // Compared whole, not with `assert_eq!`: a failure would print the
+    // log byte by byte.
+    assert!(
+        std::fs::read(&wal_path).expect("wal bytes") == before,
+        "a refused recovery must leave the WAL byte-identical"
+    );
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
