@@ -85,7 +85,7 @@ const BATCHES: usize = 2;
 const BATCH_LEN: usize = 64;
 
 /// Engine sized for `connections` lanes: one worker (the reactor
-/// already serializes on the engine lock; extra workers only add
+/// thread already serializes every engine call; extra workers only add
 /// scheduling noise on small machines), a session slot per connection,
 /// and eviction off so lane scheduling cannot perturb session
 /// lifetimes.

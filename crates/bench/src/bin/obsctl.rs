@@ -22,7 +22,7 @@
 use locble_ble::BeaconId;
 use locble_core::{Estimator, EstimatorConfig};
 use locble_engine::{Advert, Engine, EngineConfig};
-use locble_net::{Client, Frame, Server, ServerConfig, WireMetrics};
+use locble_net::{Client, Frame, Server, ServerConfig, WireAdvert, WireMetrics};
 use locble_obs::{trace_id, HistogramSnapshot, Obs, Stage, TraceCtx, TraceRecord};
 use std::path::PathBuf;
 
@@ -249,11 +249,12 @@ fn smoke(json: Option<PathBuf>, dump: Option<PathBuf>) {
     let mut followed = 0u64;
     for (batch, chunk) in adverts.chunks(50).enumerate() {
         let id = trace_id(0x0B5C71, batch as u64);
-        let ack = client
-            .ingest_traced(chunk, TraceCtx::mint(id))
+        let wire = chunk.iter().map(|a| WireAdvert::from(*a)).collect();
+        let (summary, _) = client
+            .forward(batch as u64, TraceCtx::mint(id), wire)
             .unwrap_or_else(|e| fail(&format!("traced ingest: {e}")));
         check(
-            ack.summary.consumed == chunk.len() as u64,
+            summary.consumed == chunk.len() as u64,
             "batch fully consumed",
         );
         followed = id;

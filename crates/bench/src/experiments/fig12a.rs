@@ -95,6 +95,9 @@ mod tests {
     #[test]
     fn near_range_is_accurate() {
         let report = super::run();
-        assert!(report.contains("< 2.0: true"), "{report}");
+        assert!(
+            crate::util::flag_is_true(&report, "shape: near"),
+            "{report}"
+        );
     }
 }

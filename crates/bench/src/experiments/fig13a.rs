@@ -90,6 +90,9 @@ mod tests {
     #[test]
     fn medians_stable_across_rates() {
         let report = super::run();
-        assert!(report.contains("medians stable across rates"), "{report}");
+        assert!(
+            crate::util::flag_is_true(&report, "medians stable across rates"),
+            "{report}"
+        );
     }
 }

@@ -93,6 +93,9 @@ mod tests {
     #[test]
     fn eighty_percent_is_stable() {
         let report = super::run();
+        // Label only: this verdict prints `false` on the committed seed
+        // block. ROADMAP item 1 ("Honest verdicts") decides it over seed
+        // blocks before the test may assert it.
         assert!(report.contains("80 % close to 100 %"), "{report}");
     }
 }

@@ -94,7 +94,7 @@ mod tests {
     fn report_reproduces_fig2_shape() {
         let report = run();
         assert!(
-            report.contains("monotonically decreasing: true"),
+            crate::util::flag_is_true(&report, "monotonically decreasing"),
             "{report}"
         );
         // Device offsets of several dB must be visible.

@@ -12,10 +12,9 @@
 //!   batches. This is the arm the 3% acceptance gate applies to: normal
 //!   production serving with observability on.
 //! * **traced** — instrumented *plus* a client-minted [`TraceCtx`] on
-//!   every batch, which also forces an eager per-batch drain so the
-//!   shard-queue/refit laps close before the ack. Reported for
-//!   visibility, not gated: tracing is a diagnostic mode that buys
-//!   per-stage attribution with extra synchronization.
+//!   every batch (sent as `Forward` frames), so every stage lap is
+//!   recorded. A traced batch runs the untraced schedule; the arm is
+//!   reported for visibility, not gated.
 //!
 //! Each arm replays the identical pre-partitioned fleet trace
 //! `reps` times, interleaved (noop, instrumented, traced, noop, …) so
@@ -26,7 +25,7 @@
 use crate::util::{harness_threads, header, row};
 use locble_core::{Estimator, EstimatorConfig};
 use locble_engine::{Advert, Engine, EngineConfig};
-use locble_net::{Client, Server, ServerConfig};
+use locble_net::{Client, Server, ServerConfig, WireAdvert};
 use locble_obs::{trace_id, Obs, TraceCtx};
 use locble_scenario::fleet_session;
 use locble_scenario::runner::track_observer;
@@ -105,7 +104,10 @@ fn replay(workload: &Workload, arm: Arm) -> f64 {
                     match arm {
                         Arm::Traced => {
                             let ctx = TraceCtx::mint(trace_id(conn as u64, batch as u64));
-                            client.ingest_traced(chunk, ctx).expect("traced ingest");
+                            let wire = chunk.iter().map(|a| WireAdvert::from(*a)).collect();
+                            client
+                                .forward(batch as u64, ctx, wire)
+                                .expect("traced ingest");
                         }
                         _ => {
                             client.ingest(chunk).expect("ingest batch");

@@ -2,7 +2,8 @@
 //! across owner nodes.
 //!
 //! Clients connect to the front exactly as they would to a standalone
-//! server — `AdvertBatch` in, `IngestAck` out — and never see the
+//! server — `AdvertBatch` in, `IngestAck` out, or a sequenced (and
+//! possibly traced) `Forward` in, `ForwardAck` out — and never see the
 //! partitioning. It runs on the same epoll reactor as a node
 //! ([`Server::host`]); only the per-tick execute step is its own.
 //!
@@ -31,7 +32,7 @@ use locble_net::conn::WRITE_BACKPRESSURE_BYTES;
 use locble_net::server::{ReactorHandle, Request, Service};
 use locble_net::wire::{
     encode_frame, ClusterSummary, ErrorCode, FinishSummary, Frame, IngestSummary, NodeEntry,
-    NodeRole, TracedAck, WireEstimate, WireMetrics, WirePartitionMap, WireStats,
+    NodeRole, WireEstimate, WireMetrics, WirePartitionMap, WireStats,
 };
 use locble_net::{Client, ClientError, Server, ServerConfig};
 use locble_obs::{Obs, Stage, TraceCtx};
@@ -151,6 +152,10 @@ enum Plan {
     /// A batch forwarded in per-owner buckets; the acks' summaries sum.
     Ingest {
         summary: IngestSummary,
+        /// The client's sequence number when the batch came as a
+        /// `Forward` (answered with a `ForwardAck`), `None` for an
+        /// `AdvertBatch`.
+        seq: Option<u64>,
         /// The stamped context, lap start (µs) and start instant of a
         /// traced batch's Forward lap.
         trace: Option<(TraceCtx, u64, Instant)>,
@@ -199,7 +204,7 @@ impl Service for FrontService {
         for Request { frame, .. } in requests {
             match frame {
                 Frame::AdvertBatch(_)
-                | Frame::TracedAdvertBatch(..)
+                | Frame::Forward { .. }
                 | Frame::QueryBeacon(_)
                 | Frame::QuerySnapshot
                 | Frame::QueryStats
@@ -241,11 +246,15 @@ impl FrontService {
     fn plan(&mut self, p: &mut Pipeline, frame: Frame, draining: bool) {
         let idx = p.plans.len();
         let plan = match frame {
-            Frame::AdvertBatch(_) | Frame::TracedAdvertBatch(..) if draining => Plan::Done(
-                Frame::error(ErrorCode::ShuttingDown, "front is draining; ingest refused"),
-            ),
-            Frame::AdvertBatch(batch) => self.plan_batch(p, idx, None, batch),
-            Frame::TracedAdvertBatch(ctx, batch) => self.plan_batch(p, idx, Some(ctx), batch),
+            Frame::AdvertBatch(_) | Frame::Forward { .. } if draining => Plan::Done(Frame::error(
+                ErrorCode::ShuttingDown,
+                "front is draining; ingest refused",
+            )),
+            Frame::AdvertBatch(batch) => self.plan_batch(p, idx, None, None, batch),
+            Frame::Forward { seq, ctx, adverts } => {
+                let ctx = (ctx.trace_id != 0).then_some(ctx);
+                self.plan_batch(p, idx, Some(seq), ctx, adverts)
+            }
             Frame::QueryBeacon(beacon) => match p.router.owner_index(BeaconId(beacon)) {
                 Some(owner) => {
                     p.subs[owner].push(Sub {
@@ -275,11 +284,13 @@ impl FrontService {
         p.plans.push(plan);
     }
 
-    /// Splits one client batch into per-owner `Forward` buckets.
+    /// Splits one client batch into per-owner `Forward` buckets. `seq`
+    /// is the client's sequence number of a `Forward`.
     fn plan_batch(
         &mut self,
         p: &mut Pipeline,
         idx: usize,
+        seq: Option<u64>,
         ctx: Option<TraceCtx>,
         batch: Vec<locble_net::WireAdvert>,
     ) -> Plan {
@@ -311,6 +322,7 @@ impl FrontService {
         }
         Plan::Ingest {
             summary: IngestSummary::default(),
+            seq,
             trace,
         }
     }
@@ -431,23 +443,30 @@ impl FrontService {
         match plan {
             Plan::Done(reply) => reply,
             Plan::Relay => Frame::error(ErrorCode::Internal, "owner sent no reply"),
-            Plan::Ingest { summary, trace } => {
+            Plan::Ingest {
+                summary,
+                seq,
+                trace,
+            } => {
                 self.obs
                     .counter_add("front.adverts_forwarded", summary.consumed);
-                let Some((stamped, start_us, t0)) = trace else {
-                    return Frame::IngestAck(summary);
-                };
-                self.obs.trace_stage(
-                    stamped.trace_id,
-                    Stage::Forward,
-                    start_us,
-                    t0.elapsed().as_micros() as u64,
-                );
-                let (ctx, laps) = match self.obs.trace_lookup(stamped.trace_id) {
-                    Some(record) => (record.ctx, record.laps),
-                    None => (stamped, Vec::new()),
-                };
-                Frame::TracedIngestAck(TracedAck { summary, ctx, laps })
+                if let Some((stamped, start_us, t0)) = trace {
+                    self.obs.trace_stage(
+                        stamped.trace_id,
+                        Stage::Forward,
+                        start_us,
+                        t0.elapsed().as_micros() as u64,
+                    );
+                }
+                match seq {
+                    // A front has no follower.
+                    Some(seq) => Frame::ForwardAck {
+                        seq,
+                        summary,
+                        replica_durable: 0,
+                    },
+                    None => Frame::IngestAck(summary),
+                }
             }
             // Owners return ascending beacon ids and partitions are
             // disjoint, so a sort by beacon restores the global order a
@@ -498,10 +517,9 @@ impl FrontService {
                 self.obs.counter_add("front.map_installs", 1);
                 Frame::JoinAck(installed)
             }
-            Frame::Forward { .. } | Frame::Replicate { .. } => Frame::error(
-                ErrorCode::BadFrame,
-                "the front owns no partition; send batches as AdvertBatch",
-            ),
+            Frame::Replicate { .. } => {
+                Frame::error(ErrorCode::BadFrame, "the front owns no partition")
+            }
             other => unreachable!("owner-bound or reply frame answered locally: {other:?}"),
         }
     }

@@ -13,7 +13,7 @@ use locble_cluster::{serve_node, Front, FrontConfig, NodeSpec};
 use locble_core::{Estimator, EstimatorConfig, LocationEstimate};
 use locble_engine::{Advert, Engine, EngineConfig};
 use locble_net::wire::{NodeEntry, NodeRole, WirePartitionMap};
-use locble_net::{Client, ReplicationPolicy};
+use locble_net::{Client, ReplicationPolicy, WireAdvert};
 use locble_obs::{trace_id, Obs, Stage, TraceCtx};
 use locble_scenario::fleet_session;
 use locble_scenario::runner::track_observer;
@@ -30,6 +30,10 @@ fn fleet_adverts() -> Vec<Advert> {
         .into_iter()
         .map(Advert::from)
         .collect()
+}
+
+fn wire(adverts: &[Advert]) -> Vec<WireAdvert> {
+    adverts.iter().map(|a| WireAdvert::from(*a)).collect()
 }
 
 fn assert_bit_identical(
@@ -204,18 +208,21 @@ fn traced_batches_record_the_forward_stage_at_the_front() {
 
     let mut client = Client::connect(front.addr()).expect("connect front");
     let ctx = TraceCtx::mint(trace_id(0xC1, 7));
-    let ack = client
-        .ingest_traced(&adverts[..CHUNK], ctx)
+    let (summary, replica_durable) = client
+        .forward(7, ctx, wire(&adverts[..CHUNK]))
         .expect("traced fronted ingest");
-    assert_eq!(ack.summary.consumed as usize, CHUNK);
-    assert_eq!(ack.ctx.trace_id, ctx.trace_id);
-    assert_ne!(
-        ack.ctx.path & Stage::Forward.bit(),
-        0,
+    assert_eq!(summary.consumed as usize, CHUNK);
+    assert_eq!(replica_durable, 0, "a front has no follower");
+
+    // The front's trace table laps the fan-out.
+    let records = client.traces(Some(ctx.trace_id)).expect("front traces");
+    assert_eq!(records.len(), 1, "front recorded the trace");
+    assert!(
+        records[0].ctx.has_stage(Stage::Forward),
         "the front must stamp its Forward stage into the path"
     );
     assert!(
-        ack.laps.iter().any(|l| l.stage == Stage::Forward),
+        records[0].lap(Stage::Forward).is_some(),
         "the front's trace table must lap the fan-out"
     );
 
@@ -223,10 +230,14 @@ fn traced_batches_record_the_forward_stage_at_the_front() {
     let mut direct = Client::connect(owner.addr()).expect("connect owner");
     let records = direct.traces(Some(ctx.trace_id)).expect("owner traces");
     assert_eq!(records.len(), 1, "owner recorded the forwarded trace");
-    assert!(
-        records[0].laps.iter().any(|l| l.stage == Stage::Route),
-        "owner laps cover its own pipeline"
-    );
+    for stage in [Stage::Route, Stage::Ack] {
+        assert!(
+            records[0].lap(stage).is_some(),
+            "owner laps cover its own pipeline: no {} lap in {:?}",
+            stage.name(),
+            records[0].laps
+        );
+    }
 
     drop(client);
     drop(direct);
@@ -261,14 +272,21 @@ fn sync_replication_keeps_the_follower_warm_and_promotion_serves_identically() {
 
     let mut client = Client::connect(owner.addr()).expect("connect owner");
     let mut acked = 0u64;
-    for chunk in adverts.chunks(CHUNK) {
+    for (seq, chunk) in adverts.chunks(CHUNK).enumerate() {
         let ctx = TraceCtx::mint(trace_id(0xACE, acked));
-        let ack = client.ingest_traced(chunk, ctx).expect("replicated ingest");
+        let (_, replica_durable) = client
+            .forward(seq as u64, ctx, wire(chunk))
+            .expect("replicated ingest");
         acked += chunk.len() as u64;
-        // Synchronous policy: the ack lapped a Replicate stage and the
-        // follower already holds every record of this batch.
+        // Synchronous policy: the follower already holds every record
+        // of this batch, and the batch lapped a Replicate stage.
+        assert_eq!(replica_durable, acked);
+        let records = client.traces(Some(ctx.trace_id)).expect("owner traces");
         assert!(
-            ack.laps.iter().any(|l| l.stage == Stage::Replicate),
+            records
+                .first()
+                .and_then(|r| r.lap(Stage::Replicate))
+                .is_some(),
             "sync replication must lap Stage::Replicate before the ack"
         );
     }

@@ -37,10 +37,9 @@ use locble_core::backend::Estimator as EstimatorBackend;
 use locble_core::{BackendSpec, Estimator, LocationEstimate, RssBatch};
 use locble_geom::Trajectory;
 use locble_motion::{MotionTrack, StepResult};
-use locble_obs::{Obs, Stage, TraceCtx};
+use locble_obs::Obs;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
@@ -287,9 +286,6 @@ struct DrainReport {
     batches_rejected: u64,
     evicted: u64,
     queue_depth: usize,
-    /// Wall time the worker spent draining this shard, microseconds.
-    /// Only measured while traced batches are pending (zero otherwise).
-    drain_us: u64,
 }
 
 /// Per-shard metric names, formatted once at construction so the
@@ -313,25 +309,6 @@ fn shard_metric_names(obs: &Obs, shards: usize) -> Option<Vec<ShardMetricNames>>
     })
 }
 
-/// A traced batch awaiting its asynchronous stage laps: created by
-/// [`Engine::ingest_traced`] when tracing is live, closed by the next
-/// [`Engine::process`], which attributes the shard-queue wait and the
-/// drain (refit) duration to the trace.
-struct TraceMark {
-    trace_id: u64,
-    /// The recording handle the trace lives in — the *caller's* (e.g.
-    /// the server's), which need not be the engine's own.
-    obs: Obs,
-    /// `obs.now_us()` when the batch was routed into shard queues.
-    enqueued_us: u64,
-    /// Shards the batch touched; the refit lap is the slowest of them.
-    shards: Vec<usize>,
-}
-
-/// Pending trace marks retained between `process` calls before the
-/// oldest is dropped (guards a caller that traces but never processes).
-const MAX_PENDING_MARKS: usize = 1024;
-
 /// Reusable per-[`Engine::process`] buffers, sized once at
 /// construction. With these (plus the shard queues' recycled deques
 /// and each session's reclaimed batch buffers), a steady-state process
@@ -341,8 +318,6 @@ struct ProcessScratch {
     /// Eviction decisions bucketed by shard (cleared, never shrunk;
     /// swapped with the shards' own lists each pass).
     evictions: Vec<Vec<(BeaconId, SessionMeta)>>,
-    /// Per-shard drain reports for the shared fold.
-    reports: Vec<DrainReport>,
 }
 
 /// One drain pass as every worker sees it.
@@ -351,8 +326,6 @@ struct Pass {
     /// Also push each session's partial batch and refit
     /// ([`Engine::finish`]).
     finish: bool,
-    /// Measure each shard's drain (traced batches are pending).
-    timed: bool,
     motion: Arc<MotionTrack>,
 }
 
@@ -377,7 +350,6 @@ impl PoolWork for Core {
     /// pass, completes every session. Deques and eviction lists are
     /// emptied in place so their capacity survives.
     fn run(&self, pass: &Pass, i: usize) {
-        let t0 = pass.timed.then(Instant::now);
         let mut guard = self.shards[i].lock().expect("shard not poisoned");
         let state = &mut *guard;
         let motion: &MotionTrack = &pass.motion;
@@ -421,9 +393,6 @@ impl PoolWork for Core {
                 session.estimator.refit_now(motion);
             }
         }
-        if let Some(t0) = t0 {
-            report.drain_us = t0.elapsed().as_micros() as u64;
-        }
         state.report = report;
     }
 }
@@ -441,7 +410,6 @@ pub struct Engine {
     watermark: f64,
     stats: EngineStats,
     shard_names: Option<Vec<ShardMetricNames>>,
-    pending_marks: Vec<TraceMark>,
     scratch: ProcessScratch,
 }
 
@@ -482,10 +450,8 @@ impl Engine {
             watermark: f64::NEG_INFINITY,
             stats: EngineStats::default(),
             shard_names: shard_metric_names(&core.obs, config.shards),
-            pending_marks: Vec::new(),
             scratch: ProcessScratch {
                 evictions: (0..config.shards).map(|_| Vec::new()).collect(),
-                reports: vec![DrainReport::default(); config.shards],
             },
             core,
         }
@@ -655,46 +621,6 @@ impl Engine {
         total
     }
 
-    /// [`Engine::ingest`] with trace attribution: records a `route` lap
-    /// against `ctx` and leaves a mark so the next [`Engine::process`]
-    /// can attribute the shard-queue wait and drain duration to the
-    /// trace. `obs` is the *recording* handle (usually the server's) —
-    /// it need not be the engine's own, and when it is disabled this is
-    /// exactly [`Engine::ingest`]: one branch, no clock reads, no
-    /// allocation. Tracing never feeds the estimators, so estimates
-    /// stay bit-identical to the untraced path.
-    pub fn ingest_traced(&mut self, adverts: &[Advert], ctx: TraceCtx, obs: &Obs) -> IngestReport {
-        if !obs.enabled() {
-            return self.ingest(adverts);
-        }
-        let start_us = obs.now_us();
-        let report = self.ingest(adverts);
-        let ctx = ctx.with_stage(Stage::Route);
-        obs.trace_begin(ctx);
-        obs.trace_stage(
-            ctx.trace_id,
-            Stage::Route,
-            start_us,
-            obs.now_us().saturating_sub(start_us),
-        );
-        let mut shards: Vec<usize> = adverts[..report.consumed]
-            .iter()
-            .map(|a| shard_of(a.beacon, self.core.config.shards))
-            .collect();
-        shards.sort_unstable();
-        shards.dedup();
-        if self.pending_marks.len() >= MAX_PENDING_MARKS {
-            self.pending_marks.remove(0);
-        }
-        self.pending_marks.push(TraceMark {
-            trace_id: ctx.trace_id,
-            obs: obs.clone(),
-            enqueued_us: obs.now_us(),
-            shards,
-        });
-        report
-    }
-
     /// Drains every shard queue across the worker pool, then evicts idle
     /// sessions. Deterministic for any thread count: each shard is
     /// drained by exactly one worker, in FIFO order.
@@ -727,12 +653,6 @@ impl Engine {
             self.scratch.evictions[meta.shard].push((beacon, meta));
         }
 
-        // Close out traced batches routed since the last process call:
-        // their shard-queue wait ends now, and their refit lap is the
-        // drain about to run. Per-shard drain timing is only measured
-        // while marks are pending — untraced processing reads no clocks.
-        let marks = std::mem::take(&mut self.pending_marks);
-        let drain_start_us: Vec<u64> = marks.iter().map(|m| m.obs.now_us()).collect();
         let mut span = self.core.obs.span("engine", "process");
 
         // Hand each shard its queued adverts and evictions. The deque
@@ -754,7 +674,6 @@ impl Engine {
         // left for each.
         let pass = Pass {
             finish,
-            timed: !marks.is_empty(),
             motion: Arc::clone(&self.motion),
         };
         self.pool.run(pass, busy.saturating_sub(1));
@@ -767,7 +686,6 @@ impl Engine {
                 .restore_shard(i, std::mem::take(&mut state.inbox));
             let r = state.report;
             drop(state);
-            self.scratch.reports[i] = r;
             out.samples_processed += r.samples as usize;
             out.batches_pushed += r.batches as usize;
             out.sessions_evicted += r.evicted as usize;
@@ -785,22 +703,6 @@ impl Engine {
                 }
                 obs.histogram_observe("engine.queue_depth_at_drain", r.queue_depth as f64);
             }
-        }
-        for (mark, start_us) in marks.into_iter().zip(drain_start_us) {
-            mark.obs.trace_stage(
-                mark.trace_id,
-                Stage::ShardQueue,
-                mark.enqueued_us,
-                start_us.saturating_sub(mark.enqueued_us),
-            );
-            let refit_us = mark
-                .shards
-                .iter()
-                .map(|&s| self.scratch.reports[s].drain_us)
-                .max()
-                .unwrap_or(0);
-            mark.obs
-                .trace_stage(mark.trace_id, Stage::Refit, start_us, refit_us);
         }
         self.stats.processes += 1;
         obs.counter_add("engine.batches_pushed", out.batches_pushed as u64);
@@ -1018,16 +920,6 @@ mod tests {
         )
     }
 
-    fn adverts(n: usize) -> Vec<Advert> {
-        (0..n)
-            .map(|i| Advert {
-                beacon: BeaconId((i % 7) as u32),
-                t: i as f64 * 0.1,
-                rssi_dbm: -60.0,
-            })
-            .collect()
-    }
-
     /// The zero-cost rule, made checkable: under a noop handle the
     /// per-shard metric names are never formatted — not deferred, never
     /// built — while an enabled handle pays once at construction.
@@ -1037,67 +929,5 @@ mod tests {
         let names = engine(Obs::ring(8)).shard_names.expect("formatted once");
         assert_eq!(names.len(), 4);
         assert_eq!(names[3].samples, "engine.shard3.samples");
-    }
-
-    #[test]
-    fn ingest_traced_with_noop_obs_leaves_no_marks() {
-        let mut e = engine(Obs::noop());
-        let report = e.ingest_traced(&adverts(20), TraceCtx::mint(1), &Obs::noop());
-        assert_eq!(report.routed, 20);
-        assert!(e.pending_marks.is_empty());
-        e.process();
-    }
-
-    #[test]
-    fn traced_batch_gets_route_queue_and_refit_laps() {
-        let obs = Obs::ring(64);
-        // The engine runs silent; only the caller's handle records — the
-        // serving topology, where the server owns the recording handle.
-        let mut e = engine(Obs::noop());
-        let ctx = TraceCtx::mint(0xABCD);
-        e.ingest_traced(&adverts(50), ctx, &obs);
-        assert_eq!(e.pending_marks.len(), 1);
-        e.process();
-        assert!(e.pending_marks.is_empty());
-        let rec = obs.trace_lookup(0xABCD).expect("trace retained");
-        for stage in [Stage::Route, Stage::ShardQueue, Stage::Refit] {
-            assert!(rec.lap(stage).is_some(), "missing {} lap", stage.name());
-            assert!(rec.ctx.has_stage(stage));
-        }
-        assert!(rec.ctx.has_stage(Stage::Client));
-        let m = obs.metrics();
-        assert_eq!(m.histograms["trace.route.us"].count, 1);
-        assert_eq!(m.histograms["trace.refit.us"].count, 1);
-    }
-
-    /// Tracing must never perturb the math: identical streams through
-    /// the traced and untraced ingest paths yield bit-identical
-    /// estimates.
-    #[test]
-    fn traced_ingest_is_bit_identical_to_untraced() {
-        let input = adverts(300);
-        let mut plain = engine(Obs::noop());
-        plain.ingest_all(&input);
-        plain.finish();
-        let obs = Obs::ring(1024);
-        let mut traced = engine(Obs::noop());
-        let mut offset = 0;
-        let mut batch = 0u64;
-        while offset < input.len() {
-            let ctx = TraceCtx::mint(locble_obs::trace_id(0x7E57, batch));
-            let r = traced.ingest_traced(&input[offset..], ctx, &obs);
-            offset += r.consumed;
-            traced.process();
-            batch += 1;
-        }
-        traced.finish();
-        let a = plain.snapshot();
-        let b = traced.snapshot();
-        assert_eq!(a.len(), b.len());
-        for ((id_a, ea), (id_b, eb)) in a.iter().zip(&b) {
-            assert_eq!(id_a, id_b);
-            assert_eq!(ea.position.x.to_bits(), eb.position.x.to_bits());
-            assert_eq!(ea.position.y.to_bits(), eb.position.y.to_bits());
-        }
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::wire::{
     decode_frame_with_limit, encode_frame, ClusterSummary, DecodeError, FinishSummary, Frame,
-    IngestSummary, TracedAck, WireAdvert, WireError, WireMetrics, WirePartitionMap, WireStats,
+    IngestSummary, WireAdvert, WireError, WireMetrics, WirePartitionMap, WireStats,
     DEFAULT_MAX_FRAME_LEN,
 };
 use locble_ble::BeaconId;
@@ -143,23 +143,6 @@ impl Client {
         }
     }
 
-    /// Ships a batch under a trace context (mint one with
-    /// [`TraceCtx::mint`]); the ack carries the context plus every
-    /// server-side lap closed before the ack was written. The estimates
-    /// the server computes are bit-identical to an untraced
-    /// [`Client::ingest`] of the same adverts.
-    pub fn ingest_traced(
-        &mut self,
-        adverts: &[Advert],
-        ctx: TraceCtx,
-    ) -> Result<TracedAck, ClientError> {
-        let batch: Vec<WireAdvert> = adverts.iter().map(|a| WireAdvert::from(*a)).collect();
-        match self.request(&Frame::TracedAdvertBatch(ctx, batch))? {
-            Frame::TracedIngestAck(ack) => Ok(ack),
-            _ => Err(ClientError::UnexpectedFrame("TracedIngestAck")),
-        }
-    }
-
     /// The server's live metrics snapshot (counters, gauges, latency
     /// histograms), bit-exact over the wire.
     pub fn metrics(&mut self) -> Result<WireMetrics, ClientError> {
@@ -221,10 +204,15 @@ impl Client {
         }
     }
 
-    /// Forwards one partition of a client batch to its owning node. A
-    /// `ctx.trace_id` of 0 means untraced. Returns the ingest summary
-    /// plus how many records the owner's follower had acked durable
-    /// when the ack left (0 with no follower).
+    /// Ships a batch with a sequence number and a trace context: a node
+    /// ingests it like [`Client::ingest`], a front partitions it across
+    /// its owners. A `ctx.trace_id` of 0 means untraced; mint a traced
+    /// context with [`TraceCtx::mint`]. A traced batch runs the untraced
+    /// path, so its estimates are bit-identical to an untraced ingest;
+    /// its stage laps stay in the receiver's trace table, read them with
+    /// [`Client::traces`]. Returns the ingest summary plus how many
+    /// records the owner's follower had acked durable when the ack left
+    /// (0 with no follower, and from a front).
     pub fn forward(
         &mut self,
         seq: u64,

@@ -70,7 +70,6 @@ pub use poll::{Event, Interest, Poller};
 pub use server::{ClusterConfig, ReplicationPolicy, Server, ServerConfig, ServerHandle};
 pub use wire::{
     decode_frame, decode_frame_with_limit, encode_frame, frame_size, ClusterSummary, DecodeError,
-    ErrorCode, FinishSummary, Frame, IngestSummary, NodeEntry, NodeRole, TracedAck, WireAdvert,
-    WireError, WireEstimate, WireMetrics, WirePartitionMap, WireStats, DEFAULT_MAX_FRAME_LEN,
-    WIRE_VERSION,
+    ErrorCode, FinishSummary, Frame, IngestSummary, NodeEntry, NodeRole, WireAdvert, WireError,
+    WireEstimate, WireMetrics, WirePartitionMap, WireStats, DEFAULT_MAX_FRAME_LEN, WIRE_VERSION,
 };

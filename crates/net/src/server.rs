@@ -40,7 +40,7 @@ use crate::conn::{Assembled, Conn, Flush, TimerWheel, WRITE_BACKPRESSURE_BYTES};
 use crate::poll::{Event, Interest, Poller};
 use crate::wire::{
     encode_frame, ClusterSummary, DecodeError, ErrorCode, FinishSummary, Frame, IngestSummary,
-    NodeRole, TracedAck, WireAdvert, WireEstimate, WireMetrics, WirePartitionMap, WireStats,
+    NodeRole, WireAdvert, WireEstimate, WireMetrics, WirePartitionMap, WireStats,
     DEFAULT_MAX_FRAME_LEN,
 };
 use locble_ble::BeaconId;
@@ -274,6 +274,10 @@ pub struct NodeService {
     store: Option<DurableStore>,
     cluster: Option<ClusterState>,
     obs: Obs,
+    /// Traced batches routed into the shard queues and not yet drained:
+    /// `(trace_id, routed_us)`. The next engine pass closes their
+    /// `ShardQueue` and `Refit` laps; cleared every tick.
+    traced: Vec<(u64, u64)>,
 }
 
 /// State shared by the reactor thread and the control handle.
@@ -487,16 +491,24 @@ const WHEEL_SLOTS: usize = 64;
 /// One slab entry: the connection plus the reactor's per-tick state.
 struct Slot {
     conn: Conn,
-    /// This tick's replies in arrival order: a preformed reply (a
-    /// decode error or a misdirected reply frame), or `None` for the
-    /// next of the service's replies to `requests`.
-    ops: VecDeque<Option<Frame>>,
+    /// This tick's replies, in arrival order.
+    ops: VecDeque<Op>,
     /// Requests decoded this tick, executed at tick end.
     requests: Vec<Request>,
     /// Already on the tick's dirty list.
     dirty: bool,
     /// The interest currently registered with the poller.
     interest: Interest,
+}
+
+/// One reply slot of a connection's tick.
+enum Op {
+    /// A preformed reply: a decode error or a misdirected reply frame.
+    Ready(Frame),
+    /// The next of the service's replies to `requests`. A traced
+    /// request's `trace_id` (0 = untraced) keys the lap of the reply's
+    /// write.
+    Service { trace_id: u64 },
 }
 
 /// The event loop: owns the poller, the connection slab, the timer
@@ -517,7 +529,7 @@ struct Reactor<S> {
     dirty: Vec<usize>,
     wheel: TimerWheel,
     scratch: Vec<u8>,
-    /// Traced acks queued on the connection being flushed, awaiting
+    /// Traced replies queued on the connection being flushed, awaiting
     /// the write that closes their ack lap.
     traced_acks: Vec<(u64, u64, Instant)>,
 }
@@ -729,16 +741,17 @@ impl<S: Service> Reactor<S> {
                 Ok(Some(Assembled::Frame(frame))) => {
                     obs.counter_add("net.frames_rx", 1);
                     if !frame.is_request() {
-                        slot.ops.push_back(Some(Frame::error(
+                        slot.ops.push_back(Op::Ready(Frame::error(
                             ErrorCode::BadFrame,
                             "reply frame sent as a request",
                         )));
                         continue;
                     }
+                    let ctx = ingest_payload(&frame).and_then(|(_, ctx)| ctx);
                     let mut decoded_us = 0;
                     // A traced batch's decode lap: measured here, where
                     // the trace id first becomes known.
-                    if let (Frame::TracedAdvertBatch(ctx, _), Some(t0)) = (&frame, decode_t0) {
+                    if let (Some(ctx), Some(t0)) = (ctx, decode_t0) {
                         let duration_us = t0.elapsed().as_micros() as u64;
                         let ctx = ctx.with_stage(Stage::Decode);
                         obs.trace_begin(ctx);
@@ -752,14 +765,16 @@ impl<S: Service> Reactor<S> {
                         decoded_us = now_us;
                     }
                     slot.requests.push(Request { frame, decoded_us });
-                    slot.ops.push_back(None);
+                    slot.ops.push_back(Op::Service {
+                        trace_id: ctx.map_or(0, |c| c.trace_id),
+                    });
                 }
                 Ok(Some(Assembled::Skipped(e))) => {
                     // Recoverable by construction: the length prefix
                     // was accepted, so the frame was skippable.
                     obs.counter_add("net.frame_errors", 1);
                     note_decode_error(&shared);
-                    slot.ops.push_back(Some(Frame::error(
+                    slot.ops.push_back(Op::Ready(Frame::error(
                         match e {
                             DecodeError::BadVersion { .. } => ErrorCode::UnsupportedVersion,
                             _ => ErrorCode::BadFrame,
@@ -774,7 +789,7 @@ impl<S: Service> Reactor<S> {
                     // flushes.
                     obs.counter_add("net.framing_lost", 1);
                     slot.ops
-                        .push_back(Some(Frame::error(ErrorCode::BadFrame, e.to_string())));
+                        .push_back(Op::Ready(Frame::error(ErrorCode::BadFrame, e.to_string())));
                     slot.conn.close_after_flush = true;
                     break;
                 }
@@ -809,7 +824,12 @@ impl<S: Service> Reactor<S> {
             };
             let mut close_now = false;
             for op in slot.ops.drain(..) {
-                let reply = op.unwrap_or_else(|| replies.next().expect("one reply per request"));
+                let (reply, trace_id) = match op {
+                    Op::Ready(reply) => (reply, 0),
+                    Op::Service { trace_id } => {
+                        (replies.next().expect("one reply per request"), trace_id)
+                    }
+                };
                 executed += 1;
                 if close_now {
                     continue;
@@ -817,12 +837,10 @@ impl<S: Service> Reactor<S> {
                 // The ack lap covers encoding + handing the reply to
                 // the transport; recorded after the connection's
                 // flush, it lands in the trace table (served via
-                // TraceQuery), not in the ack frame itself.
-                if let Frame::TracedIngestAck(ack) = &reply {
-                    if obs.enabled() {
-                        self.traced_acks
-                            .push((ack.ctx.trace_id, obs.now_us(), Instant::now()));
-                    }
+                // TraceQuery), never in a reply frame.
+                if trace_id != 0 && obs.enabled() {
+                    self.traced_acks
+                        .push((trace_id, obs.now_us(), Instant::now()));
                 }
                 let bytes = encode_frame(&reply);
                 slot.conn.queue(&bytes);
@@ -1019,8 +1037,9 @@ impl Service for NodeService {
             // The coalesced drain: one pass serves every connection
             // that ingested this tick.
             self.obs.counter_add("net.reactor.coalesced_passes", 1);
-            self.engine.process();
+            self.pass(Engine::process);
         }
+        self.traced.clear();
     }
 
     fn finish(self) -> Engine {
@@ -1088,6 +1107,7 @@ impl NodeService {
             store,
             cluster,
             obs,
+            traced: Vec::new(),
         })
     }
 
@@ -1149,7 +1169,6 @@ impl NodeService {
         };
         match frame {
             Frame::AdvertBatch(_) => self.ingest_batch(&adverts, None),
-            Frame::TracedAdvertBatch(ctx, _) => self.ingest_batch(&adverts, Some(ctx)),
             Frame::MetricsQuery => {
                 Frame::MetricsReport(WireMetrics::from_snapshot(&self.obs.metrics()))
             }
@@ -1179,7 +1198,7 @@ impl NodeService {
             )),
             Frame::Finish => {
                 let mut span = self.obs.span("net", "finish");
-                let report = self.engine.finish();
+                let report = self.pass(Engine::finish);
                 span.field("samples", report.samples_processed);
                 Frame::FinishAck(FinishSummary {
                     samples_processed: report.samples_processed as u64,
@@ -1209,6 +1228,7 @@ impl NodeService {
                     .iter()
                     .find(|n| n.node_id == c.node_id)
                     .map(|n| n.addr.clone());
+                let held = Frame::JoinAck(c.map.clone());
                 match mine {
                     Some(addr) if addr == c.listen_addr => {
                         if c.role == NodeRole::Follower {
@@ -1216,9 +1236,9 @@ impl NodeService {
                             // warmed this engine; drain whatever it still
                             // has queued so the first served query sees
                             // the full replicated history.
-                            self.engine.drain();
                             c.role = NodeRole::Owner;
                             self.obs.counter_add("net.cluster.promotions", 1);
+                            self.pass(Engine::drain);
                         }
                     }
                     _ => {
@@ -1229,13 +1249,12 @@ impl NodeService {
                         }
                     }
                 }
-                Frame::JoinAck(c.map.clone())
+                held
             }
             Frame::Forward { seq, ctx, .. } => {
                 let ctx = (ctx.trace_id != 0).then_some(ctx);
                 let summary = match self.ingest_batch(&adverts, ctx) {
                     Frame::IngestAck(s) => s,
-                    Frame::TracedIngestAck(ack) => ack.summary,
                     err => return err,
                 };
                 let replica_durable = self
@@ -1430,32 +1449,34 @@ impl NodeService {
 
     /// Ingests one committed batch, draining shard-queue backpressure
     /// in-line so the whole batch is always consumed (mirrors
-    /// `Engine::ingest_all`, with per-drain instrumentation). With a
-    /// trace context the batch's route, shard-queue and refit laps are
-    /// recorded and the reply is a [`Frame::TracedIngestAck`] carrying
-    /// the laps closed so far — the estimates themselves are identical
-    /// either way (telemetry never feeds the math).
+    /// `Engine::ingest_all`, with per-drain instrumentation). A traced
+    /// batch takes the same path: its `Route` lap times the
+    /// `Engine::ingest` calls, and it waits for the next engine pass
+    /// ([`NodeService::pass`]) to close its `ShardQueue` and `Refit`
+    /// laps. Telemetry never feeds the math.
     fn ingest_batch(&mut self, adverts: &[Advert], ctx: Option<TraceCtx>) -> Frame {
-        let obs = &self.obs;
-        let mut span = obs.span("net", "ingest_batch");
+        let trace = ctx.filter(|_| self.obs.enabled());
+        let mut span = self.obs.span("net", "ingest_batch");
         span.field("adverts", adverts.len());
-        let engine = &mut self.engine;
+        let route_start_us = trace.map_or(0, |_| self.obs.now_us());
+        let mut route_us = 0;
         let mut total = IngestReport::default();
         let mut offset = 0;
         while offset < adverts.len() {
-            let report = match ctx {
-                Some(ctx) => engine.ingest_traced(&adverts[offset..], ctx, obs),
-                None => engine.ingest(&adverts[offset..]),
-            };
+            let t0 = trace.map(|_| Instant::now());
+            let report = self.engine.ingest(&adverts[offset..]);
+            if let Some(t0) = t0 {
+                route_us += t0.elapsed().as_micros() as u64;
+            }
             offset += report.consumed;
             total.absorb(report);
             if offset < adverts.len() {
                 // Backpressure: a shard queue is full. Drain and re-offer
                 // instead of surfacing an error or dropping the
                 // connection.
-                obs.counter_add("net.backpressure_drains", 1);
-                engine.process();
-                if report.consumed == 0 && engine.queued() > 0 {
+                self.obs.counter_add("net.backpressure_drains", 1);
+                self.pass(Engine::process);
+                if report.consumed == 0 && self.engine.queued() > 0 {
                     // Defensive: draining freed nothing, so no progress
                     // is possible. Unreachable with the current engine,
                     // but a stuck loop must never wedge the reactor.
@@ -1464,17 +1485,16 @@ impl NodeService {
                         ErrorCode::Backpressure,
                         format!(
                             "ingest stalled with {} samples queued after a drain",
-                            engine.queued()
+                            self.engine.queued()
                         ),
                     );
                 }
             }
         }
-        if ctx.is_some() {
-            // Close the batch's pending trace marks (shard-queue wait +
-            // refit laps) before acking, so the ack can carry them. Extra
-            // process calls are safe: they never perturb estimates.
-            engine.process();
+        let obs = &self.obs;
+        if let Some(ctx) = trace {
+            obs.trace_stage(ctx.trace_id, Stage::Route, route_start_us, route_us);
+            self.traced.push((ctx.trace_id, obs.now_us()));
         }
         let summary = IngestSummary::from(total);
         span.field("routed", summary.routed);
@@ -1484,19 +1504,28 @@ impl NodeService {
         if summary.rejected() > 0 {
             obs.counter_add("net.adverts_rejected", summary.rejected());
         }
-        match ctx {
-            Some(ctx) => {
-                // Laps closed so far travel in the ack; the ack lap
-                // itself is recorded after the write and lands only in
-                // the server's trace table (fetch it with a TraceQuery).
-                let (ctx, laps) = match obs.trace_lookup(ctx.trace_id) {
-                    Some(record) => (record.ctx, record.laps),
-                    None => (ctx, Vec::new()),
-                };
-                Frame::TracedIngestAck(TracedAck { summary, ctx, laps })
-            }
-            None => Frame::IngestAck(summary),
+        Frame::IngestAck(summary)
+    }
+
+    /// Runs one engine pass (`process`, `drain` or `finish`) and closes
+    /// the `ShardQueue` lap (ingest end to pass start) and the `Refit`
+    /// lap (the pass's wall time) of every traced batch waiting for it.
+    fn pass<R>(&mut self, pass: impl FnOnce(&mut Engine) -> R) -> R {
+        if self.traced.is_empty() {
+            return pass(&mut self.engine);
         }
+        let start_us = self.obs.now_us();
+        let t0 = Instant::now();
+        let out = pass(&mut self.engine);
+        let refit_us = t0.elapsed().as_micros() as u64;
+        for (trace_id, routed_us) in self.traced.drain(..) {
+            let queued_us = start_us.saturating_sub(routed_us);
+            self.obs
+                .trace_stage(trace_id, Stage::ShardQueue, routed_us, queued_us);
+            self.obs
+                .trace_stage(trace_id, Stage::Refit, start_us, refit_us);
+        }
+        out
     }
 
     /// Checkpoints once `checkpoint_every` WAL records have accumulated
@@ -1527,12 +1556,11 @@ impl NodeService {
 /// replicated: the adverts to ingest, or the reply that refuses them.
 type Commit = Result<Vec<Advert>, Frame>;
 
-/// The batch and trace context of an ingest frame (`AdvertBatch`,
-/// `TracedAdvertBatch` or `Forward`); `None` for every other frame.
+/// The batch and trace context of an ingest frame (`AdvertBatch` or
+/// `Forward`); `None` for every other frame.
 fn ingest_payload(frame: &Frame) -> Option<(&[WireAdvert], Option<TraceCtx>)> {
     match frame {
         Frame::AdvertBatch(batch) => Some((batch, None)),
-        Frame::TracedAdvertBatch(ctx, batch) => Some((batch, Some(*ctx))),
         Frame::Forward { ctx, adverts, .. } => Some((adverts, (ctx.trace_id != 0).then_some(*ctx))),
         _ => None,
     }
@@ -1742,6 +1770,57 @@ mod tests {
         follower.shutdown();
         let _ = std::fs::remove_dir_all(&follower_dir);
         let _ = std::fs::remove_dir_all(&owner_dir);
+    }
+
+    /// A traced batch runs the untraced schedule: a tick of traced
+    /// batches costs the one coalesced engine pass an untraced tick
+    /// costs, and that pass closes every batch's queue and refit laps.
+    #[test]
+    fn a_tick_of_traced_batches_costs_one_engine_pass() {
+        let obs = Obs::ring(64);
+        let addr = "127.0.0.1:1".parse().expect("addr");
+        let mut node = NodeService::new(engine(), None, None, addr, obs.clone()).expect("node");
+        let adverts = adverts();
+        let requests = adverts[..8 * 64]
+            .chunks(64)
+            .enumerate()
+            .map(|(i, chunk)| {
+                request(Frame::Forward {
+                    seq: i as u64,
+                    ctx: TraceCtx::mint(200 + i as u64),
+                    adverts: wire(chunk),
+                })
+            })
+            .collect();
+
+        let before = node.engine.stats().processes;
+        let replies = node.execute(requests, false);
+        for (i, reply) in replies.iter().enumerate() {
+            match reply {
+                Frame::ForwardAck { seq, summary, .. } => {
+                    assert_eq!(*seq, i as u64);
+                    assert_eq!(summary.consumed, 64);
+                }
+                other => panic!("batch {i}: expected a forward ack, got {other:?}"),
+            }
+        }
+        node.settle();
+        assert_eq!(
+            node.engine.stats().processes,
+            before + 1,
+            "eight traced batches share the tick's one engine pass"
+        );
+        for i in 0..8 {
+            let record = obs.trace_lookup(200 + i).expect("trace recorded");
+            for stage in [Stage::Route, Stage::ShardQueue, Stage::Refit] {
+                assert!(
+                    record.lap(stage).is_some(),
+                    "batch {i} lacks a {} lap: {:?}",
+                    stage.name(),
+                    record.laps
+                );
+            }
+        }
     }
 
     /// Runs a 4-batch tick against an owner whose follower has stopped;

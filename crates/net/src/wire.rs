@@ -35,10 +35,11 @@
 //! the `Forward`/`Replicate` discriminants, which a v1 decoder would
 //! reject as malformed — hence the bump rather than tags alone. The
 //! decoder accepts exactly [`WIRE_VERSION`]: every other version byte
-//! is a recoverable [`DecodeError::BadVersion`]. A retired tag (18, the
-//! old `Join` request; 27–30, the old rebalance frames `Handoff`,
-//! `HandoffAck`, `ExportState` and `StateExport`) is never reused: it
-//! decodes as `BadTag`.
+//! is a recoverable [`DecodeError::BadVersion`]. A retired tag (12 and
+//! 13, the old `TracedAdvertBatch` and `TracedIngestAck`, whose job
+//! [`Frame::Forward`] does; 18, the old `Join` request; 27–30, the old
+//! rebalance frames `Handoff`, `HandoffAck`, `ExportState` and
+//! `StateExport`) is never reused: it decodes as `BadTag`.
 
 use locble_ble::BeaconId;
 use locble_core::{FitMethod, LocationEstimate};
@@ -295,22 +296,6 @@ impl WireStats {
     }
 }
 
-/// Reply to a [`Frame::TracedAdvertBatch`]: the ingest accounting plus
-/// every stage lap known at ack time. Laps recorded *after* the ack is
-/// encoded (the `ack` write itself, and any shard drain that runs
-/// later) land in the server's trace table instead — fetch them with
-/// [`Frame::TraceQuery`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TracedAck {
-    /// Exact accounting, as in [`Frame::IngestAck`].
-    pub summary: IngestSummary,
-    /// The batch's context with every server-side stage bit the batch
-    /// accumulated by ack time.
-    pub ctx: TraceCtx,
-    /// Stage laps known at ack time, in arrival order.
-    pub laps: Vec<StageLap>,
-}
-
 /// A whole metrics registry as served over the wire: the flattened
 /// image of [`MetricsSnapshot`], name-sorted. Floats travel by bit
 /// pattern, so a scraped histogram is indistinguishable from the
@@ -536,14 +521,6 @@ pub enum Frame {
     /// Reply: a typed error. The connection stays open unless the
     /// transport itself is broken.
     Error(WireError),
-    /// Request: [`Frame::AdvertBatch`] carrying a client-minted trace
-    /// context. Reply: [`Frame::TracedIngestAck`]. New tag, not a
-    /// version bump: old decoders reject it as
-    /// [`DecodeError::BadTag`] and the client can fall back to the
-    /// untraced batch.
-    TracedAdvertBatch(TraceCtx, Vec<WireAdvert>),
-    /// Reply: ingest accounting plus the stage laps known at ack time.
-    TracedIngestAck(TracedAck),
     /// Request: the server's metrics registry. Reply:
     /// [`Frame::MetricsReport`].
     MetricsQuery,
@@ -563,22 +540,25 @@ pub enum Frame {
     /// into the owner set) and every other membership change. Reply:
     /// [`Frame::JoinAck`] with the view actually held afterwards.
     PartitionMap(WirePartitionMap),
-    /// Request (front → owner): ingest this partition of a client
-    /// batch. `ctx.trace_id == 0` means untraced. `seq` is a
-    /// per-connection sequence number echoed in the ack so a pipelined
-    /// front can match replies. Reply: [`Frame::ForwardAck`].
+    /// Request: a batch with a sequence number and a trace context. A
+    /// front partitions it across its owners; a node ingests it exactly
+    /// as an [`Frame::AdvertBatch`]. `ctx.trace_id == 0` means untraced;
+    /// a traced batch's stage laps land in the receiver's trace table
+    /// ([`Frame::TraceQuery`]), never in the reply. `seq` is echoed in
+    /// the ack so a pipelining sender can match replies. Reply:
+    /// [`Frame::ForwardAck`].
     Forward {
         /// Per-connection forward sequence number.
         seq: u64,
-        /// Trace context carried through the hop (`trace_id` 0 when the
-        /// client batch was untraced).
+        /// The batch's trace context (`trace_id` 0 when untraced).
         ctx: TraceCtx,
-        /// The adverts owned by the receiving node.
+        /// The adverts.
         adverts: Vec<WireAdvert>,
     },
-    /// Reply: accounting for one forwarded partition, plus how deep the
+    /// Reply: accounting for one forwarded batch, plus how deep the
     /// owner's follower was when the ack was sent (equal to the owner's
-    /// durable count under a synchronous policy; 0 with no follower).
+    /// durable count under a synchronous policy; 0 with no follower or
+    /// from a front).
     ForwardAck {
         /// Echo of the request's sequence number.
         seq: u64,
@@ -629,7 +609,6 @@ impl Frame {
         matches!(
             self,
             Frame::AdvertBatch(_)
-                | Frame::TracedAdvertBatch(..)
                 | Frame::QuerySnapshot
                 | Frame::QueryBeacon(_)
                 | Frame::QueryStats
@@ -655,8 +634,8 @@ const TAG_STATS: u8 = 8;
 const TAG_FINISH: u8 = 9;
 const TAG_FINISH_ACK: u8 = 10;
 const TAG_ERROR: u8 = 11;
-const TAG_TRACED_ADVERT_BATCH: u8 = 12;
-const TAG_TRACED_INGEST_ACK: u8 = 13;
+// Tags 12 and 13 were the retired traced batch and its ack
+// (`TracedAdvertBatch`, `TracedIngestAck`); never reuse them.
 const TAG_METRICS_QUERY: u8 = 14;
 const TAG_METRICS_REPORT: u8 = 15;
 const TAG_TRACE_QUERY: u8 = 16;
@@ -958,34 +937,6 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             put_u16(&mut out, bytes.len() as u16);
             out.extend_from_slice(bytes);
         }
-        Frame::TracedAdvertBatch(ctx, adverts) => {
-            out.push(TAG_TRACED_ADVERT_BATCH);
-            put_u64(&mut out, ctx.trace_id);
-            put_u16(&mut out, ctx.path);
-            put_u32(&mut out, adverts.len() as u32);
-            for a in adverts {
-                put_advert(&mut out, a);
-            }
-        }
-        Frame::TracedIngestAck(ack) => {
-            out.push(TAG_TRACED_INGEST_ACK);
-            for v in [
-                ack.summary.consumed,
-                ack.summary.routed,
-                ack.summary.sessions_created,
-                ack.summary.rejected_non_finite,
-                ack.summary.rejected_out_of_order,
-                ack.summary.rejected_capacity,
-            ] {
-                put_u64(&mut out, v);
-            }
-            put_u64(&mut out, ack.ctx.trace_id);
-            put_u16(&mut out, ack.ctx.path);
-            put_u16(&mut out, ack.laps.len() as u16);
-            for lap in &ack.laps {
-                put_lap(&mut out, lap);
-            }
-        }
         Frame::MetricsQuery => out.push(TAG_METRICS_QUERY),
         Frame::MetricsReport(m) => {
             out.push(TAG_METRICS_REPORT);
@@ -1216,43 +1167,6 @@ pub fn decode_frame_with_limit(buf: &[u8], max_len: usize) -> Result<(Frame, usi
                     context: "error message is not UTF-8",
                 })?;
             Frame::Error(WireError { code, message })
-        }
-        TAG_TRACED_ADVERT_BATCH => {
-            let ctx = TraceCtx {
-                trace_id: r.u64()?,
-                path: r.u16()?,
-            };
-            let n = r.counted(ADVERT_WIRE_LEN, "traced advert batch count")?;
-            let mut adverts = Vec::with_capacity(n);
-            for _ in 0..n {
-                adverts.push(r.advert()?);
-            }
-            Frame::TracedAdvertBatch(ctx, adverts)
-        }
-        TAG_TRACED_INGEST_ACK => {
-            let summary = IngestSummary {
-                consumed: r.u64()?,
-                routed: r.u64()?,
-                sessions_created: r.u64()?,
-                rejected_non_finite: r.u64()?,
-                rejected_out_of_order: r.u64()?,
-                rejected_capacity: r.u64()?,
-            };
-            let ctx = TraceCtx {
-                trace_id: r.u64()?,
-                path: r.u16()?,
-            };
-            let n = r.u16()? as usize;
-            if n.saturating_mul(LAP_WIRE_LEN) > r.remaining() {
-                return Err(DecodeError::Malformed {
-                    context: "traced ack lap count",
-                });
-            }
-            let mut laps = Vec::with_capacity(n);
-            for _ in 0..n {
-                laps.push(r.lap()?);
-            }
-            Frame::TracedIngestAck(TracedAck { summary, ctx, laps })
         }
         TAG_METRICS_QUERY => Frame::MetricsQuery,
         TAG_METRICS_REPORT => {
@@ -1648,35 +1562,6 @@ mod tests {
                 code: ErrorCode::Capacity,
                 message: "table full".to_string(),
             }),
-            Frame::TracedAdvertBatch(
-                TraceCtx::mint(0xDEAD_BEEF_u64),
-                vec![WireAdvert {
-                    beacon: 7,
-                    t: 1.5,
-                    rssi_dbm: -55.0,
-                }],
-            ),
-            Frame::TracedAdvertBatch(TraceCtx::mint(0), Vec::new()),
-            Frame::TracedIngestAck(TracedAck {
-                summary: IngestSummary {
-                    consumed: 5,
-                    routed: 5,
-                    ..IngestSummary::default()
-                },
-                ctx: TraceCtx::mint(99).with_stage(Stage::Route),
-                laps: vec![
-                    StageLap {
-                        stage: Stage::Decode,
-                        start_us: 10,
-                        duration_us: 3,
-                    },
-                    StageLap {
-                        stage: Stage::Route,
-                        start_us: 14,
-                        duration_us: 120,
-                    },
-                ],
-            }),
             Frame::MetricsQuery,
             Frame::MetricsReport(WireMetrics {
                 counters: vec![("net.frames_rx".to_string(), 12)],
@@ -1837,11 +1722,12 @@ mod tests {
     fn old_decoders_reject_new_tags_without_a_version_bump() {
         // The versioning rule the telemetry frames rely on: a frame
         // with an unknown tag is BadTag (recoverable), not BadVersion.
-        // A retired tag (18, the old `Join`; 27–30, the old rebalance
-        // frames) is just as unknown.
+        // A retired tag (12 and 13, the old traced batch and its ack;
+        // 18, the old `Join`; 27–30, the old rebalance frames) is just
+        // as unknown.
         let bytes = encode_frame(&Frame::MetricsQuery);
         assert_eq!(bytes[4], WIRE_VERSION);
-        for tag in [250, 18, 27, 28, 29, 30] {
+        for tag in [250, 18, 27, 28, 29, 30, 12, 13] {
             let mut unknown = bytes.clone();
             unknown[5] = tag;
             let err = decode_frame(&unknown).expect_err("unknown tag");

@@ -7,8 +7,8 @@ use locble_core::FitMethod;
 use locble_geom::EnvClass;
 use locble_net::wire::{
     decode_frame, decode_frame_with_limit, encode_frame, ClusterSummary, DecodeError, ErrorCode,
-    FinishSummary, Frame, IngestSummary, NodeEntry, NodeRole, TracedAck, WireAdvert, WireError,
-    WireEstimate, WireMetrics, WirePartitionMap, WireStats, DEFAULT_MAX_FRAME_LEN, WIRE_VERSION,
+    FinishSummary, Frame, IngestSummary, NodeEntry, NodeRole, WireAdvert, WireError, WireEstimate,
+    WireMetrics, WirePartitionMap, WireStats, DEFAULT_MAX_FRAME_LEN, WIRE_VERSION,
 };
 use locble_net::{Assembled, FrameAssembler};
 use locble_obs::{HistogramSnapshot, Stage, StageLap, TraceCtx, TraceRecord};
@@ -318,18 +318,6 @@ fn any_frame() -> impl Strategy<Value = Frame> {
             })
         }),
         any_error().prop_map(Frame::Error),
-        (any_ctx(), prop::collection::vec(any_advert(), 0..40))
-            .prop_map(|(ctx, batch)| Frame::TracedAdvertBatch(ctx, batch)),
-        (
-            any_summary(),
-            any_ctx(),
-            prop::collection::vec(any_lap(), 0..8)
-        )
-            .prop_map(|(summary, ctx, laps)| Frame::TracedIngestAck(TracedAck {
-                summary,
-                ctx,
-                laps
-            })),
         Just(Frame::MetricsQuery),
         any_metrics().prop_map(Frame::MetricsReport),
         prop_oneof![Just(None), any::<u64>().prop_map(Some)].prop_map(Frame::TraceQuery),

@@ -1,13 +1,13 @@
-//! Live introspection over loopback: one traced batch must come back
-//! with per-stage latency attributable to *that* batch (decode,
-//! shard-queue wait, refit, ack), the server's metrics frames must
+//! Live introspection over loopback: one traced batch must leave
+//! per-stage latency attributable to *that* batch (decode, coalesce,
+//! route, shard-queue wait, refit, ack) in the server's trace table, the server's metrics frames must
 //! expose the per-stage histograms, and a decode storm must dump the
 //! flight recorder to a parseable file.
 
 use locble_ble::BeaconId;
 use locble_core::{Estimator, EstimatorConfig};
 use locble_engine::{Advert, Engine, EngineConfig};
-use locble_net::{Client, Server, ServerConfig};
+use locble_net::{Client, Server, ServerConfig, WireAdvert};
 use locble_obs::{trace_id, Obs, Stage, TraceCtx};
 use std::path::PathBuf;
 
@@ -40,45 +40,39 @@ fn one_traced_batch_is_attributable_per_stage() {
     let mut client = Client::connect(server.addr()).expect("connect");
 
     let id = trace_id(0xC11E47, 1);
-    let ack = client
-        .ingest_traced(&adverts(300), TraceCtx::mint(id))
+    let batch: Vec<WireAdvert> = adverts(300).into_iter().map(WireAdvert::from).collect();
+    let (summary, replica_durable) = client
+        .forward(1, TraceCtx::mint(id), batch)
         .expect("traced ingest");
+    assert_eq!(summary.consumed, 300);
+    assert_eq!(summary.routed, 300);
+    assert_eq!(replica_durable, 0, "a standalone server has no follower");
 
-    // The ack carries the batch's accounting plus every lap closed
-    // before the ack was written.
-    assert_eq!(ack.summary.consumed, 300);
-    assert_eq!(ack.summary.routed, 300);
-    assert_eq!(ack.ctx.trace_id, id);
-    for stage in [Stage::Client, Stage::Decode, Stage::Route] {
-        assert!(
-            ack.ctx.has_stage(stage),
-            "ack path missing {}: {:?}",
-            stage.name(),
-            ack.ctx.stages()
-        );
-    }
-    for stage in [Stage::Decode, Stage::Route, Stage::ShardQueue, Stage::Refit] {
-        assert!(
-            ack.laps.iter().any(|l| l.stage == stage),
-            "ack laps missing {}: {:?}",
-            stage.name(),
-            ack.laps
-        );
-    }
-
-    // The ack lap is recorded after the reply hits the wire, so it
-    // lives only in the server's trace table — fetch it back.
+    // No reply carries laps: the server's trace table holds them all,
+    // the ack's own write included.
     let records = client.traces(Some(id)).expect("trace query");
     assert_eq!(records.len(), 1, "exactly one record for the traced batch");
     let record = &records[0];
     assert_eq!(record.ctx.trace_id, id);
-    for stage in [Stage::Decode, Stage::ShardQueue, Stage::Refit, Stage::Ack] {
+    assert!(
+        record.ctx.has_stage(Stage::Client),
+        "the client's path bit survives"
+    );
+    for stage in [
+        Stage::Decode,
+        Stage::Coalesce,
+        Stage::Route,
+        Stage::ShardQueue,
+        Stage::Refit,
+        Stage::Ack,
+    ] {
         assert!(
             record.lap(stage).is_some(),
             "trace record missing {} lap: {:?}",
             stage.name(),
             record.laps
         );
+        assert!(record.ctx.has_stage(stage), "path missing {}", stage.name());
     }
     // Laps are wall-clock laps of this one batch: every start is within
     // the handle's epoch-relative timeline and durations are sane

@@ -51,13 +51,16 @@ fn assert_bit_identical(
     }
 }
 
-/// Full tracing must be invisible to the math: the same stream shipped
-/// with a minted [`TraceCtx`] per batch into a *recording* server (so
-/// every decode/route/shard-queue/refit/ack lap actually fires) leaves
-/// estimates bit-identical to the untraced noop run above.
+/// Full tracing must be invisible to the math and to the schedule:
+/// the same stream shipped as `Forward` frames under a minted
+/// [`TraceCtx`] per batch into a *recording* server (so every
+/// decode/route/shard-queue/refit/ack lap actually fires) leaves
+/// estimates bit-identical to the untraced noop run, and engine
+/// statistics equal field by field, pass count included.
 #[test]
 fn fully_traced_stream_is_bit_identical_to_noop_run() {
-    use locble_obs::{trace_id, TraceCtx};
+    use locble_net::WireAdvert;
+    use locble_obs::{trace_id, Stage, TraceCtx};
 
     let session = fleet_session(10, 41);
     let estimator = Estimator::new(EstimatorConfig::default());
@@ -78,12 +81,14 @@ fn fully_traced_stream_is_bit_identical_to_noop_run() {
         client.ingest(chunk).expect("ingest");
     }
     client.finish().expect("finish");
+    let want_stats = client.stats().expect("stats");
     let want = client.snapshot().expect("snapshot");
     drop(client);
     server.shutdown();
 
     // Traced path: identical stream, every batch under a trace context,
-    // into a recording server.
+    // into a recording server. Each batch's record is read back before
+    // the next batch goes out (the trace table holds 256 records).
     let mut engine = Engine::new(config, estimator, Obs::ring(4096));
     engine.set_motion(motion);
     let obs = Obs::ring(4096);
@@ -91,16 +96,30 @@ fn fully_traced_stream_is_bit_identical_to_noop_run() {
     let mut client = Client::connect(server.addr()).expect("connect");
     for (batch, chunk) in adverts.chunks(97).enumerate() {
         let ctx = TraceCtx::mint(trace_id(0xD1FF, batch as u64));
-        let ack = client.ingest_traced(chunk, ctx).expect("traced ingest");
-        assert_eq!(ack.summary.consumed, chunk.len() as u64);
-        assert_eq!(ack.ctx.trace_id, ctx.trace_id);
+        let wire: Vec<WireAdvert> = chunk.iter().map(|a| WireAdvert::from(*a)).collect();
+        let (summary, _) = client
+            .forward(batch as u64, ctx, wire)
+            .expect("traced ingest");
+        assert_eq!(summary.consumed, chunk.len() as u64);
+        let records = client.traces(Some(ctx.trace_id)).expect("trace query");
+        assert_eq!(records.len(), 1, "batch {batch} left no trace record");
+        for stage in [Stage::ShardQueue, Stage::Refit] {
+            assert!(
+                records[0].lap(stage).is_some(),
+                "batch {batch} lacks a {} lap: {:?}",
+                stage.name(),
+                records[0].laps
+            );
+        }
     }
     client.finish().expect("finish");
+    let traced_stats = client.stats().expect("stats");
     let traced = client.snapshot().expect("snapshot");
     drop(client);
     server.shutdown();
 
     assert_bit_identical("traced vs noop", &traced, &want);
+    assert_eq!(traced_stats, want_stats, "traced vs noop engine statistics");
 }
 
 /// Concurrency differential: N clients stream disjoint beacon

@@ -32,9 +32,9 @@ pub enum Stage {
     /// Durability WAL append (only on durable servers).
     Wal = 2,
     /// Reactor coalescing wait: the batch sat decoded in its
-    /// connection's op queue until the tick-end engine pass ran (only on
-    /// readiness-driven servers; the price one batch pays so many
-    /// connections share a single engine lock acquisition).
+    /// connection's op queue until the tick's group commit reached it
+    /// (the price one batch pays so every connection's batches of a
+    /// tick share one WAL group and one engine pass).
     Coalesce = 7,
     /// Control-plane ingest: validation + shard routing.
     Route = 3,

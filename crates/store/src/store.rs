@@ -2,7 +2,8 @@
 //! the latest snapshot (`snapshot.bin`), with a recovery path that
 //! rebuilds an [`Engine`] bit-identical to the uninterrupted run.
 //!
-//! Write path (the server's ingest loop, under the engine lock):
+//! Write path (the server's ingest loop, on the reactor thread that
+//! owns the engine):
 //!
 //! 1. [`SessionStore::append`] every *offered* batch **before**
 //!    handing it to [`Engine::ingest`] — offered-before-ingest is the
@@ -243,9 +244,10 @@ impl SessionStore {
     }
 
     /// Snapshots the engine's current state, stamped with the current
-    /// WAL position, and returns once the snapshot is durable. Call
-    /// with the engine lock held (or otherwise quiesced relative to
-    /// [`SessionStore::append`]) so the position and the state agree.
+    /// WAL position, and returns once the snapshot is durable. Call it
+    /// between batches, never between a batch's
+    /// [`SessionStore::append`] and its ingest, so the position and the
+    /// state agree.
     /// A background checkpoint in flight is waited for first; if it
     /// failed, its error is returned once this snapshot is written.
     /// Returns the snapshot size in bytes.

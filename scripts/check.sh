@@ -32,6 +32,9 @@ for workload in fleet trickle cluster; do
     || { echo "perfbench $workload failed"; exit 1; }
 done
 
+echo "==> perfbench tests (its own workspace, built against the locble-* crates)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
