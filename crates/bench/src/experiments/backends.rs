@@ -1,10 +1,10 @@
 //! Backend shootout: accuracy of every estimation backend.
 //!
-//! Not a paper figure — this compares the pluggable-backend layer
-//! (DESIGN.md §16). Every backend streams the same Table-1 sessions,
-//! sliced into the §5.3 2.2 s batches, through its `Box<dyn Estimator>`
-//! surface; the report compares median/p90 localization error across
-//! backends and gates:
+//! Not a paper figure — this compares the paper's estimator with the
+//! comparison backends (DESIGN.md §16). Every backend streams the same
+//! Table-1 sessions, sliced into the §5.3 2.2 s batches, through its
+//! `Box<dyn Estimator>` surface; the report compares median/p90
+//! localization error across backends and gates:
 //!
 //! * **default_bit_identical** — the streaming default driven through
 //!   the trait object produces bit-for-bit the estimates of the concrete

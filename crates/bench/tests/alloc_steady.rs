@@ -172,7 +172,7 @@ fn warm_particle_session_processes_batches_without_allocating() {
     // The warm phase must have exercised the resample path, or the
     // scratch target buffers would first grow inside the measurement.
     assert!(
-        filter.export_state().resamples > 0,
+        filter.resamples() > 0,
         "fixture failed to trigger resampling during warm-up"
     );
 

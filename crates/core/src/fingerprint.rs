@@ -12,8 +12,10 @@
 //! residuals. The grid winner is refined by two halving passes.
 //!
 //! The backend is a pure function of the accumulated series and the
-//! motion track (no RNG), so export/restore and replay are trivially
-//! bit-identical. Refit-stride semantics mirror the streaming backend:
+//! motion track (no RNG), so replay is trivially bit-identical. It is a
+//! comparison baseline for the backend shootout (`harness backends`);
+//! the engine serves only the streaming estimator. Refit-stride
+//! semantics mirror the streaming backend:
 //! skipped batches accumulate, [`refit_now`](FingerprintBackend::refit_now)
 //! forces an up-to-date fit.
 
@@ -55,23 +57,22 @@ impl Default for FingerprintConfig {
     }
 }
 
-/// Persistable fingerprint-backend state. Configuration is rebuilt from
-/// the engine's [`crate::backend::BackendSpec`] on restore, exactly
-/// like the other backends.
+/// The backend's evolving state: the accumulated series, the refit
+/// cadence, and the latest estimate.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FingerprintState {
+struct FingerprintState {
     /// Accumulated sample times, seconds.
-    pub series_t: Vec<f64>,
+    series_t: Vec<f64>,
     /// RSSI values parallel to `series_t`.
-    pub series_v: Vec<f64>,
+    series_v: Vec<f64>,
     /// Refit every `refit_stride`-th batch.
-    pub refit_stride: usize,
+    refit_stride: usize,
     /// Batches accumulated since the last refit.
-    pub batches_since_refit: usize,
+    batches_since_refit: usize,
     /// Batches consumed.
-    pub batches: u64,
+    batches: u64,
     /// The latest estimate, if any.
-    pub current: Option<LocationEstimate>,
+    current: Option<LocationEstimate>,
 }
 
 /// Reusable per-refit buffers. Not part of [`FingerprintState`]: both
@@ -364,26 +365,9 @@ impl FingerprintBackend {
     pub fn current(&self) -> Option<&LocationEstimate> {
         self.state.current.as_ref()
     }
-
-    /// Extracts the persistable state.
-    pub fn export_state(&self) -> FingerprintState {
-        self.state.clone()
-    }
-
-    /// Rebuilds a mid-session backend from persisted state.
-    pub fn from_state(config: FingerprintConfig, state: FingerprintState) -> FingerprintBackend {
-        let mut backend = FingerprintBackend::new(config);
-        backend.state = state;
-        backend.state.refit_stride = backend.state.refit_stride.max(1);
-        backend
-    }
 }
 
 impl crate::backend::Estimator for FingerprintBackend {
-    fn kind(&self) -> crate::backend::BackendKind {
-        crate::backend::BackendKind::Fingerprint
-    }
-
     fn push_batch(
         &mut self,
         batch: &RssBatch,
@@ -398,39 +382,6 @@ impl crate::backend::Estimator for FingerprintBackend {
 
     fn current(&self) -> Option<&LocationEstimate> {
         FingerprintBackend::current(self)
-    }
-
-    fn active_samples(&self) -> usize {
-        self.state.series_t.len()
-    }
-
-    fn restarts(&self) -> usize {
-        0
-    }
-
-    fn export_state(&self) -> crate::backend::BackendState {
-        crate::backend::BackendState::Fingerprint(self.state.clone())
-    }
-
-    fn restore_state(
-        &mut self,
-        state: crate::backend::BackendState,
-    ) -> Result<(), crate::backend::BackendMismatch> {
-        match state {
-            crate::backend::BackendState::Fingerprint(s) => {
-                self.state = s;
-                self.state.refit_stride = self.state.refit_stride.max(1);
-                Ok(())
-            }
-            other => Err(crate::backend::BackendMismatch {
-                expected: crate::backend::BackendKind::Fingerprint,
-                found: other.kind(),
-            }),
-        }
-    }
-
-    fn reserve(&mut self, additional_samples: usize) {
-        FingerprintBackend::reserve(self, additional_samples);
     }
 }
 
@@ -457,33 +408,6 @@ mod tests {
         assert_eq!(est.method, FitMethod::Fingerprint);
         assert!(est.confidence > 0.0 && est.confidence <= 1.0);
         assert!((0.3..=8.0).contains(&est.exponent));
-    }
-
-    #[test]
-    fn export_restore_roundtrip_is_bit_identical() {
-        let target = Vec2::new(4.0, 3.5);
-        let (batches, track) = l_walk(target);
-        for cut in 0..batches.len() {
-            let mut live =
-                FingerprintBackend::new(FingerprintConfig::default()).with_refit_stride(2);
-            for b in &batches[..cut] {
-                live.push_batch(b, &track);
-            }
-            let state = live.export_state();
-            let mut restored =
-                FingerprintBackend::from_state(FingerprintConfig::default(), state.clone());
-            assert_eq!(restored.export_state(), state, "cut {cut}: lossy export");
-            for b in &batches[cut..] {
-                let a = live.push_batch(b, &track).copied();
-                let r = restored.push_batch(b, &track).copied();
-                assert_eq!(a, r, "cut {cut}: continuation diverged");
-            }
-            if let (Some(a), Some(r)) = (live.current(), restored.current()) {
-                assert_eq!(a.position.x.to_bits(), r.position.x.to_bits());
-                assert_eq!(a.position.y.to_bits(), r.position.y.to_bits());
-            }
-            assert_eq!(live.export_state(), restored.export_state());
-        }
     }
 
     #[test]

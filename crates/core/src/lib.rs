@@ -52,7 +52,7 @@ pub use anf::AdaptiveNoiseFilter;
 // The `Estimator` *trait* is deliberately not re-exported at the root:
 // `locble_core::Estimator` stays the batch estimator struct below, and
 // backend-generic code names the trait `backend::Estimator` explicitly.
-pub use backend::{BackendKind, BackendMismatch, BackendSpec, BackendState};
+pub use backend::BackendSpec;
 pub use baseline::{DartleRanger, ProximityZone};
 pub use cluster::{calibrate, ClusterConfig, ClusterVote, DtwMatcher};
 pub use confidence::estimation_confidence;
@@ -62,10 +62,10 @@ pub use exponent::{
     search_candidates, search_circular, search_exponent, search_exponent_with, search_leg,
     search_scored, sweep_anchored, Candidate, ExponentSearch,
 };
-pub use fingerprint::{FingerprintBackend, FingerprintConfig, FingerprintState};
+pub use fingerprint::{FingerprintBackend, FingerprintConfig};
 pub use mirror::MirrorResolver;
 pub use navigation::{NavInstruction, Navigator};
-pub use particle::{ParticleBackend, ParticleConfig, ParticleState};
+pub use particle::{ParticleBackend, ParticleConfig};
 pub use proximity::{LastMeterRefiner, ProximityConfig, ProximityObservation};
 pub use regression::{CircularFit, FitSolver, LegFit, LegSolver, RhoTable, RssPoint};
 pub use streaming::{BatchError, RssBatch, StreamingEstimator, StreamingState};

@@ -13,9 +13,10 @@
 //! when the effective sample size collapses.
 //!
 //! Everything is deterministic: the only randomness is a SplitMix64
-//! stream whose state is part of [`ParticleState`], so an
-//! export/restore roundtrip continues the filter bit-for-bit — the
-//! same durability contract the streaming backend honours.
+//! stream seeded from the configuration, so identical inputs give a
+//! bit-identical filter. It is a comparison baseline for the backend
+//! shootout (`harness backends`); the engine serves only the streaming
+//! estimator.
 
 use crate::estimator::{FitMethod, LocationEstimate};
 use crate::streaming::RssBatch;
@@ -59,36 +60,34 @@ impl Default for ParticleConfig {
     }
 }
 
-/// Persistable particle-filter state: the cloud, the RNG stream
-/// position, and the running counters. Configuration is *not* part of
-/// the state (restore rebuilds from the engine's [`crate::backend::BackendSpec`],
-/// mirroring how the streaming backend excludes its model).
+/// The filter's evolving state: the cloud, the RNG stream position,
+/// and the running counters.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ParticleState {
+struct ParticleState {
     /// Particle x coordinates, observer-local frame, metres.
-    pub xs: Vec<f64>,
+    xs: Vec<f64>,
     /// Particle y coordinates.
-    pub ys: Vec<f64>,
+    ys: Vec<f64>,
     /// Unnormalized log weights, parallel to `xs`.
-    pub log_w: Vec<f64>,
+    log_w: Vec<f64>,
     /// SplitMix64 stream state (advances once per draw).
-    pub rng: u64,
+    rng: u64,
     /// Batches consumed.
-    pub batches: u64,
+    batches: u64,
     /// Samples consumed.
-    pub samples: u64,
+    samples: u64,
     /// Systematic resampling passes run so far.
-    pub resamples: u64,
+    resamples: u64,
     /// The latest estimate, if any.
-    pub current: Option<LocationEstimate>,
+    current: Option<LocationEstimate>,
 }
 
 /// Reusable per-batch buffers. Deliberately *not* part of
 /// [`ParticleState`]: the scratch holds no information (weights are a
 /// pure function of `log_w`, the resample targets are swapped into the
-/// cloud before the batch returns), so keeping it out preserves the
-/// state's `PartialEq`/persistence contract while letting a warm
-/// filter run a batch without heap allocation.
+/// cloud before the batch returns), so keeping it out keeps the
+/// state's `PartialEq` meaningful while letting a warm filter run a
+/// batch without heap allocation.
 #[derive(Debug, Clone, Default)]
 struct ParticleScratch {
     /// Normalized linear weights.
@@ -324,24 +323,13 @@ impl ParticleBackend {
         self.state.current.as_ref()
     }
 
-    /// Extracts the persistable state.
-    pub fn export_state(&self) -> ParticleState {
-        self.state.clone()
-    }
-
-    /// Rebuilds a mid-session filter from persisted state.
-    pub fn from_state(config: ParticleConfig, state: ParticleState) -> ParticleBackend {
-        let mut backend = ParticleBackend::new(config);
-        backend.state = state;
-        backend
+    /// Systematic resampling passes run so far.
+    pub fn resamples(&self) -> u64 {
+        self.state.resamples
     }
 }
 
 impl crate::backend::Estimator for ParticleBackend {
-    fn kind(&self) -> crate::backend::BackendKind {
-        crate::backend::BackendKind::Particle
-    }
-
     fn push_batch(
         &mut self,
         batch: &RssBatch,
@@ -357,34 +345,6 @@ impl crate::backend::Estimator for ParticleBackend {
 
     fn current(&self) -> Option<&LocationEstimate> {
         ParticleBackend::current(self)
-    }
-
-    fn active_samples(&self) -> usize {
-        self.state.samples as usize
-    }
-
-    fn restarts(&self) -> usize {
-        0
-    }
-
-    fn export_state(&self) -> crate::backend::BackendState {
-        crate::backend::BackendState::Particle(self.state.clone())
-    }
-
-    fn restore_state(
-        &mut self,
-        state: crate::backend::BackendState,
-    ) -> Result<(), crate::backend::BackendMismatch> {
-        match state {
-            crate::backend::BackendState::Particle(s) => {
-                self.state = s;
-                Ok(())
-            }
-            other => Err(crate::backend::BackendMismatch {
-                expected: crate::backend::BackendKind::Particle,
-                found: other.kind(),
-            }),
-        }
     }
 }
 
@@ -425,32 +385,7 @@ mod tests {
         let (ea, eb) = (a.current().unwrap(), b.current().unwrap());
         assert_eq!(ea.position.x.to_bits(), eb.position.x.to_bits());
         assert_eq!(ea.position.y.to_bits(), eb.position.y.to_bits());
-        assert_eq!(a.export_state(), b.export_state());
-    }
-
-    #[test]
-    fn export_restore_roundtrip_is_bit_identical() {
-        let target = Vec2::new(4.0, 3.5);
-        let (batches, track) = l_walk(target);
-        for cut in 0..batches.len() {
-            let mut live = ParticleBackend::new(ParticleConfig::default());
-            for b in &batches[..cut] {
-                live.push_batch(b, &track);
-            }
-            let state = live.export_state();
-            let mut restored =
-                ParticleBackend::from_state(ParticleConfig::default(), state.clone());
-            assert_eq!(restored.export_state(), state, "cut {cut}: lossy export");
-            for b in &batches[cut..] {
-                let a = live.push_batch(b, &track).copied();
-                let r = restored.push_batch(b, &track).copied();
-                assert_eq!(a, r, "cut {cut}: continuation diverged");
-            }
-            let (a, r) = (live.current().unwrap(), restored.current().unwrap());
-            assert_eq!(a.position.x.to_bits(), r.position.x.to_bits());
-            assert_eq!(a.position.y.to_bits(), r.position.y.to_bits());
-            assert_eq!(live.export_state(), restored.export_state());
-        }
+        assert_eq!(a.state, b.state);
     }
 
     #[test]
@@ -464,7 +399,7 @@ mod tests {
         for b in &batches {
             filter.push_batch(b, &track);
         }
-        let s = filter.export_state();
+        let s = &filter.state;
         assert_eq!(s.xs.len(), 64);
         assert_eq!(s.ys.len(), 64);
         assert_eq!(s.log_w.len(), 64);
@@ -481,9 +416,9 @@ mod tests {
         assert!(filter.push_batch(&RssBatch::default(), &track).is_none());
         filter.push_batch(&batches[0], &track);
         let before = filter.current().copied();
-        let state_before = filter.export_state();
+        let state_before = filter.state.clone();
         filter.push_batch(&RssBatch::default(), &track);
         assert_eq!(filter.current().copied(), before);
-        assert_eq!(filter.export_state(), state_before);
+        assert_eq!(filter.state, state_before);
     }
 }

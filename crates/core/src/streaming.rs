@@ -224,13 +224,6 @@ impl StreamingEstimator {
         self.current.as_ref()
     }
 
-    /// The wrapped batch estimator (configuration + trained models) —
-    /// what [`crate::backend`] clones to rebuild a session around
-    /// restored state.
-    pub fn estimator(&self) -> &Estimator {
-        &self.estimator
-    }
-
     /// Samples in the active regression.
     pub fn active_samples(&self) -> usize {
         self.series.len()

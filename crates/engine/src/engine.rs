@@ -15,15 +15,15 @@
 //!    matter how many threads run; each worker takes a fixed stride of
 //!    the shards, so a shard stays on one thread from pass to pass
 //!    (see `pool.rs`). Each shard's sessions batch their
-//!    samples into 2.2 s windows and run the per-beacon estimation
-//!    backend selected by [`EngineConfig::backend`] (the streaming
-//!    regression by default). Idle sessions are then evicted.
+//!    samples into 2.2 s windows and run the per-beacon
+//!    [`StreamingEstimator`] (the paper's Algorithm 1). Idle sessions
+//!    are then evicted.
 //! 3. [`Engine::snapshot`] — current [`LocationEstimate`]s of every live
 //!    session, in beacon-id order.
 //!
 //! **Determinism guarantee:** for a fixed input stream, every estimate
 //! the engine produces is bit-identical to feeding each beacon's
-//! samples through a standalone estimator of the configured backend
+//! samples through a standalone [`StreamingEstimator`]
 //! sequentially — across any thread count and any slicing of the
 //! ingest calls. The differential test suite (`tests/determinism.rs`)
 //! enforces this.
@@ -33,8 +33,7 @@ use crate::registry::{AdmitError, Admitted, SessionMeta, SessionRegistry};
 use crate::router::{shard_of, Advert, ShardQueues};
 use crate::state::{BeaconSessionState, EngineState, RestoreError, SessionState};
 use locble_ble::BeaconId;
-use locble_core::backend::Estimator as EstimatorBackend;
-use locble_core::{BackendSpec, Estimator, LocationEstimate, RssBatch};
+use locble_core::{Estimator, LocationEstimate, RssBatch, StreamingEstimator};
 use locble_geom::Trajectory;
 use locble_motion::{MotionTrack, StepResult};
 use locble_obs::Obs;
@@ -64,11 +63,6 @@ pub struct EngineConfig {
     /// Refit every n-th batch per session (1 = the paper's every-batch
     /// behaviour); [`Engine::finish`] always refits pending data.
     pub refit_stride: usize,
-    /// Which estimation backend sessions run (per-workload selection):
-    /// the paper's streaming regression by default, or the particle /
-    /// fingerprint alternatives. [`Engine::restore`] refuses snapshots
-    /// exported under a different backend.
-    pub backend: BackendSpec,
 }
 
 impl Default for EngineConfig {
@@ -83,7 +77,6 @@ impl Default for EngineConfig {
             batch_window_s: 2.2,
             shard_queue_cap: 8192,
             refit_stride: 1,
-            backend: BackendSpec::Streaming,
         }
     }
 }
@@ -199,11 +192,11 @@ pub struct SessionStats {
     pub estimate: Option<LocationEstimate>,
 }
 
-/// One beacon's tracking session: the estimation backend plus the
-/// batch under construction. The backend is trait-boxed so the engine
-/// dataflow is identical whichever algorithm the config selects.
+/// One beacon's tracking session: the streaming estimator plus the
+/// batch under construction. The estimator is boxed so a session map
+/// node stays small; it is one allocation per session.
 struct BeaconSession {
-    estimator: Box<dyn EstimatorBackend>,
+    estimator: Box<StreamingEstimator>,
     batch_t: Vec<f64>,
     batch_v: Vec<f64>,
     batch_start: f64,
@@ -212,9 +205,11 @@ struct BeaconSession {
 }
 
 impl BeaconSession {
-    fn new(spec: &BackendSpec, prototype: &Estimator, refit_stride: usize) -> BeaconSession {
+    fn new(prototype: &Estimator, refit_stride: usize) -> BeaconSession {
         BeaconSession {
-            estimator: spec.build(prototype, refit_stride),
+            estimator: Box::new(
+                StreamingEstimator::new(prototype.clone()).with_refit_stride(refit_stride),
+            ),
             batch_t: Vec::new(),
             batch_v: Vec::new(),
             batch_start: 0.0,
@@ -359,9 +354,10 @@ impl PoolWork for Core {
             ..DrainReport::default()
         };
         while let Some(advert) = state.inbox.pop_front() {
-            let session = state.sessions.entry(advert.beacon).or_insert_with(|| {
-                BeaconSession::new(&config.backend, &self.prototype, config.refit_stride)
-            });
+            let session = state
+                .sessions
+                .entry(advert.beacon)
+                .or_insert_with(|| BeaconSession::new(&self.prototype, config.refit_stride));
             let (pushed, rejected) =
                 session.push_sample(advert.t, advert.rssi_dbm, config.batch_window_s, motion);
             report.samples += 1;
@@ -815,7 +811,8 @@ impl Engine {
     /// decision replays identically because the WAL records *offered*
     /// adverts in offer order). Call
     /// [`Engine::process`]/[`Engine::finish`] afterwards exactly as the
-    /// uninterrupted run would have.
+    /// uninterrupted run would have. A state no engine under `config`
+    /// could have exported is refused with a [`RestoreError`].
     pub fn restore(
         config: EngineConfig,
         prototype: Estimator,
@@ -835,12 +832,41 @@ impl Engine {
                 max_sessions: config.max_sessions,
             });
         }
+        if let Some(w) = state
+            .sessions
+            .windows(2)
+            .find(|w| w[0].beacon >= w[1].beacon)
+        {
+            return Err(RestoreError::Inconsistent {
+                beacon: w[1].beacon,
+                rule: "sessions are not in strictly ascending beacon order",
+            });
+        }
+        if let Some(s) = state
+            .sessions
+            .iter()
+            .find(|s| s.shard != shard_of(s.beacon, config.shards))
+        {
+            return Err(RestoreError::Inconsistent {
+                beacon: s.beacon,
+                rule: "session is not on its beacon's shard",
+            });
+        }
         for (shard, queue) in state.queued.iter().enumerate() {
             if queue.len() > config.shard_queue_cap {
                 return Err(RestoreError::QueueOverflow {
                     shard,
                     depth: queue.len(),
                     capacity: config.shard_queue_cap,
+                });
+            }
+            if let Some(a) = queue
+                .iter()
+                .find(|a| shard_of(a.beacon, config.shards) != shard)
+            {
+                return Err(RestoreError::Inconsistent {
+                    beacon: a.beacon,
+                    rule: "queued advert is not on its beacon's shard",
                 });
             }
         }
@@ -860,17 +886,12 @@ impl Engine {
                 },
             );
             if let Some(b) = s.session {
-                let core = &engine.core;
-                let estimator = core
-                    .config
-                    .backend
-                    .restore(&core.prototype, core.config.refit_stride, b.estimator)
-                    .map_err(|e| RestoreError::BackendMismatch {
-                        expected: e.expected,
-                        found: e.found,
-                    })?;
+                // The snapshot carries the session's refit stride.
                 let session = BeaconSession {
-                    estimator,
+                    estimator: Box::new(StreamingEstimator::from_state(
+                        engine.core.prototype.clone(),
+                        b.estimator,
+                    )),
                     batch_t: b.batch_t,
                     batch_v: b.batch_v,
                     batch_start: b.batch_start,

@@ -20,7 +20,7 @@
 use crate::engine::EngineStats;
 use crate::router::Advert;
 use locble_ble::BeaconId;
-use locble_core::{BackendKind, BackendState};
+use locble_core::StreamingState;
 use locble_motion::MotionTrack;
 use std::fmt;
 
@@ -46,14 +46,14 @@ pub struct SessionState {
     pub session: Option<BeaconSessionState>,
 }
 
-/// Worker-side per-beacon state: the session's estimation backend plus
-/// the partial batch that has not closed its 2.2 s window yet.
+/// Worker-side per-beacon state: the session's streaming-estimator
+/// state plus the partial batch that has not closed its 2.2 s window
+/// yet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BeaconSessionState {
-    /// Backend-tagged estimator state (series/cloud, current estimate,
-    /// per-backend bookkeeping). Restore refuses a tag that differs
-    /// from the restore config's backend.
-    pub estimator: BackendState,
+    /// Estimator state: series, current estimate, refit cadence and
+    /// environment-change bookkeeping.
+    pub estimator: StreamingState,
     /// Timestamps of the batch under construction.
     pub batch_t: Vec<f64>,
     /// RSSI values parallel to `batch_t`.
@@ -121,14 +121,16 @@ pub enum RestoreError {
         /// The restore config's capacity.
         max_sessions: usize,
     },
-    /// A session snapshot is tagged with a different estimation backend
-    /// than the restore config selects — restoring it would silently
-    /// misread state, so it is refused instead.
-    BackendMismatch {
-        /// The backend the restore config selects.
-        expected: BackendKind,
-        /// The backend the snapshot was exported from.
-        found: BackendKind,
+    /// The snapshot breaks the layout every exported state has: a
+    /// session or a queued advert on a shard its beacon does not hash
+    /// to, or sessions not in strictly ascending beacon order (a
+    /// duplicate included). Restoring it would panic or leave a session
+    /// no advert reaches, so it is refused instead.
+    Inconsistent {
+        /// The beacon that breaks the layout.
+        beacon: BeaconId,
+        /// Which rule it breaks.
+        rule: &'static str,
     },
 }
 
@@ -154,10 +156,9 @@ impl fmt::Display for RestoreError {
                 f,
                 "snapshot holds {sessions} sessions but the restore config caps at {max_sessions}"
             ),
-            RestoreError::BackendMismatch { expected, found } => write!(
-                f,
-                "snapshot session was exported from the {found} backend but the restore config selects {expected}"
-            ),
+            RestoreError::Inconsistent { beacon, rule } => {
+                write!(f, "snapshot is inconsistent at beacon {beacon}: {rule}")
+            }
         }
     }
 }

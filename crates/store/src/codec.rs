@@ -8,9 +8,7 @@
 //! [`CodecError`], never a panic.
 
 use locble_ble::BeaconId;
-use locble_core::{
-    BackendState, FingerprintState, FitMethod, LocationEstimate, ParticleState, StreamingState,
-};
+use locble_core::{FitMethod, LocationEstimate, StreamingState};
 use locble_engine::{Advert, BeaconSessionState, EngineState, EngineStats, SessionState};
 use locble_geom::{EnvClass, TimedPoint, Trajectory, Vec2};
 use locble_motion::{DetectedTurn, MotionTrack, StepResult};
@@ -145,47 +143,6 @@ fn put_streaming(out: &mut impl Sink, s: &StreamingState) {
     }
 }
 
-fn put_particle(out: &mut impl Sink, s: &ParticleState) {
-    put_f64s(out, &s.xs);
-    put_f64s(out, &s.ys);
-    put_f64s(out, &s.log_w);
-    put_u64(out, s.rng);
-    put_u64(out, s.batches);
-    put_u64(out, s.samples);
-    put_u64(out, s.resamples);
-    put_estimate_opt(out, &s.current);
-}
-
-fn put_fingerprint(out: &mut impl Sink, s: &FingerprintState) {
-    put_f64s(out, &s.series_t);
-    put_f64s(out, &s.series_v);
-    put_u64(out, s.refit_stride as u64);
-    put_u64(out, s.batches_since_refit as u64);
-    put_u64(out, s.batches);
-    put_estimate_opt(out, &s.current);
-}
-
-/// Serializes a backend-tagged session state: one discriminant byte,
-/// then the backend's own payload. The tag is what lets restore refuse
-/// a snapshot exported under a different backend with a typed error
-/// instead of misreading bytes.
-fn put_backend_state(out: &mut impl Sink, s: &BackendState) {
-    match s {
-        BackendState::Streaming(s) => {
-            out.put(&[1]);
-            put_streaming(out, s);
-        }
-        BackendState::Particle(s) => {
-            out.put(&[2]);
-            put_particle(out, s);
-        }
-        BackendState::Fingerprint(s) => {
-            out.put(&[3]);
-            put_fingerprint(out, s);
-        }
-    }
-}
-
 fn put_motion(out: &mut impl Sink, m: &MotionTrack) {
     let points = m.trajectory.points();
     put_u32(out, points.len() as u32);
@@ -238,8 +195,10 @@ pub fn put_engine_state(out: &mut impl Sink, state: &EngineState) {
         put_u64(out, s.samples_routed);
         match &s.session {
             Some(b) => {
-                out.put(&[1]);
-                put_backend_state(out, &b.estimator);
+                // The session flag, then the estimator tag: always 1,
+                // the streaming estimator.
+                out.put(&[1, 1]);
+                put_streaming(out, &b.estimator);
                 put_f64s(out, &b.batch_t);
                 put_f64s(out, &b.batch_v);
                 put_f64(out, b.batch_start);
@@ -438,57 +397,6 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn particle(&mut self) -> Result<ParticleState, CodecError> {
-        let xs = self.f64s("particle xs")?;
-        let ys = self.f64s("particle ys")?;
-        let log_w = self.f64s("particle log_w")?;
-        if xs.len() != ys.len() || xs.len() != log_w.len() {
-            return Err(CodecError::Malformed {
-                context: "particle cloud length mismatch",
-            });
-        }
-        Ok(ParticleState {
-            xs,
-            ys,
-            log_w,
-            rng: self.u64("particle rng")?,
-            batches: self.u64("particle batches")?,
-            samples: self.u64("particle samples")?,
-            resamples: self.u64("particle resamples")?,
-            current: self.estimate_opt()?,
-        })
-    }
-
-    fn fingerprint(&mut self) -> Result<FingerprintState, CodecError> {
-        let series_t = self.f64s("fingerprint series_t")?;
-        let series_v = self.f64s("fingerprint series_v")?;
-        if series_t.len() != series_v.len() {
-            return Err(CodecError::Malformed {
-                context: "fingerprint series length mismatch",
-            });
-        }
-        Ok(FingerprintState {
-            series_t,
-            series_v,
-            refit_stride: self.u64("fingerprint refit_stride")? as usize,
-            batches_since_refit: self.u64("fingerprint batches_since_refit")? as usize,
-            batches: self.u64("fingerprint batches")?,
-            current: self.estimate_opt()?,
-        })
-    }
-
-    /// Decodes a backend-tagged session state (see `put_backend_state`).
-    fn backend_state(&mut self) -> Result<BackendState, CodecError> {
-        match self.u8("backend tag")? {
-            1 => Ok(BackendState::Streaming(self.streaming()?)),
-            2 => Ok(BackendState::Particle(self.particle()?)),
-            3 => Ok(BackendState::Fingerprint(self.fingerprint()?)),
-            _ => Err(CodecError::Malformed {
-                context: "backend tag",
-            }),
-        }
-    }
-
     fn motion(&mut self) -> Result<MotionTrack, CodecError> {
         let n_points = self.counted(24, "trajectory points")?;
         let mut points = Vec::with_capacity(n_points);
@@ -558,7 +466,14 @@ impl<'a> Reader<'a> {
             let session = match self.u8("session flag")? {
                 0 => None,
                 1 => {
-                    let estimator = self.backend_state()?;
+                    // Older builds tagged particle (2) and fingerprint
+                    // (3) sessions too; only streaming ones restore.
+                    if self.u8("backend tag")? != 1 {
+                        return Err(CodecError::Malformed {
+                            context: "backend tag",
+                        });
+                    }
+                    let estimator = self.streaming()?;
                     let batch_t = self.f64s("batch_t")?;
                     let batch_v = self.f64s("batch_v")?;
                     if batch_t.len() != batch_v.len() {

@@ -229,7 +229,10 @@ pub fn read_snapshot(path: &Path) -> Result<Option<Snapshot>, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use locble_geom::Trajectory;
+    use locble_ble::BeaconId;
+    use locble_core::{FitMethod, LocationEstimate, StreamingState};
+    use locble_engine::{BeaconSessionState, SessionState};
+    use locble_geom::{EnvClass, Trajectory, Vec2};
     use locble_motion::{MotionTrack, StepResult};
 
     fn empty_state(shards: usize) -> EngineState {
@@ -250,6 +253,78 @@ mod tests {
             sessions: Vec::new(),
             queued: vec![Vec::new(); shards],
         }
+    }
+
+    /// Two shards, one streaming session with a current estimate and
+    /// an open one-sample batch.
+    fn one_session_state() -> EngineState {
+        let mut state = empty_state(2);
+        state.watermark = 3.25;
+        state.sessions.push(SessionState {
+            beacon: BeaconId(7),
+            shard: 1,
+            last_t: 3.25,
+            created_t: 0.5,
+            samples_routed: 4,
+            session: Some(BeaconSessionState {
+                estimator: StreamingState {
+                    series_t: vec![0.5, 1.0],
+                    series_v: vec![-60.0, -61.5],
+                    restarts: 0,
+                    current: Some(LocationEstimate {
+                        position: Vec2::new(1.5, -2.0),
+                        mirror: None,
+                        confidence: 0.75,
+                        exponent: 2.0,
+                        gamma_dbm: -59.0,
+                        env: Some(EnvClass::Los),
+                        points_used: 2,
+                        method: FitMethod::FreeJoint,
+                        residual_db: 0.5,
+                    }),
+                    refit_stride: 1,
+                    batches_since_refit: 0,
+                    env_current: Some(EnvClass::Los),
+                    env_pending: None,
+                },
+                batch_t: vec![3.25],
+                batch_v: vec![-62.0],
+                batch_start: 3.25,
+                samples: 3,
+                batches: 1,
+            }),
+        });
+        state
+    }
+
+    /// `encode_snapshot(11, &one_session_state())` as format version 1
+    /// has always written it, hex-encoded.
+    const ONE_SESSION_IMAGE: [&str; 12] = [
+        "4c42534e0100000164000000000000000b00000002400a000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000001000000070000000000000001400a0000000000",
+        "003fe000000000000000000000000000040101000000023fe00000000000003f",
+        "f000000000000000000002c04e000000000000c04ec000000000000000000000",
+        "000000013ff8000000000000c000000000000000003fe8000000000000400000",
+        "0000000000c04d800000000000010000000000000002013fe000000000000000",
+        "000000000000010000000000000000010000000001400a000000000000000000",
+        "01c04f000000000000400a000000000000000000000000000300000000000000",
+        "0100000002000000000000000049f2c765",
+    ];
+
+    /// Offset of the first session's estimator tag in that image:
+    /// header 9, WAL position 8, shards 4, watermark 8, stats 72, empty
+    /// motion 36, session count 4, session fields 36, session flag 1.
+    const SESSION_TAG_OFFSET: usize = 178;
+
+    fn unhex(lines: &[&str]) -> Vec<u8> {
+        let hex: String = lines.concat();
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+            .collect()
     }
 
     #[test]
@@ -282,6 +357,36 @@ mod tests {
         assert_eq!(bytes, want.len() as u64);
         assert_eq!(std::fs::read(&path).expect("read"), want);
         let _ = std::fs::remove_file(&path);
+
+        // A session's layout is pinned byte for byte, estimator tag 1
+        // included, so every snapshot written so far still recovers.
+        let image = encode_snapshot(11, &one_session_state());
+        assert_eq!(image, unhex(&ONE_SESSION_IMAGE));
+        assert_eq!(image[SESSION_TAG_OFFSET], 1);
+        let snap = decode_snapshot(&image).expect("decode");
+        assert_eq!(
+            snap.state.sessions[0].session,
+            one_session_state().sessions[0].session
+        );
+
+        // Tags 2 and 3 (particle and fingerprint sessions, which older
+        // builds also wrote) are refused, even under a valid CRC.
+        for tag in [2, 3] {
+            let mut bad = image.clone();
+            bad[SESSION_TAG_OFFSET] = tag;
+            let crc_at = bad.len() - 4;
+            let crc = crc32(&bad[HEADER_LEN..crc_at]);
+            bad[crc_at..].copy_from_slice(&crc.to_be_bytes());
+            assert!(
+                matches!(
+                    decode_snapshot(&bad),
+                    Err(SnapshotError::Codec(CodecError::Malformed {
+                        context: "backend tag"
+                    }))
+                ),
+                "tag {tag} must not decode"
+            );
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use locble_ble::BeaconId;
 use locble_core::{Estimator, EstimatorConfig, LocationEstimate};
-use locble_engine::{Advert, Engine, EngineConfig, EngineStats};
+use locble_engine::{Advert, Engine, EngineConfig, EngineState, EngineStats, RestoreError};
 use locble_motion::MotionTrack;
 use locble_obs::Obs;
 use locble_scenario::runner::track_observer;
@@ -20,7 +20,10 @@ use locble_scenario::world::simulate_session;
 use locble_scenario::{environment_by_index, fleet_beacons, plan_l_walk, SessionConfig};
 use locble_store::snapshot::encode_snapshot;
 use locble_store::wal::ADVERT_RECORD_LEN;
-use locble_store::{FsyncPolicy, RecoverError, SessionStore, SNAPSHOT_FILE, WAL_FILE};
+use locble_store::{
+    read_snapshot, write_snapshot, CodecError, FsyncPolicy, RecoverError, SessionStore,
+    SnapshotError, SNAPSHOT_FILE, WAL_FILE,
+};
 use std::path::PathBuf;
 
 const CHUNK: usize = 53;
@@ -423,100 +426,52 @@ fn duplicate_adverts_replay_exactly_once_each() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// Kill-and-recover with a non-default estimation backend: the
-/// backend-tagged session state must survive the snapshot codec and
-/// continue bit-identically, exactly like the streaming default.
-fn backend_crash_recover(tag: &str, backend: locble_core::BackendSpec) {
-    let backend_config = || EngineConfig {
-        backend: backend.clone(),
-        ..config()
-    };
-    let (adverts, motion) = fleet_adverts(6, 21);
-    let crash_at = adverts.len() / 2;
-    let dir = temp_dir(tag);
-    {
-        let mut store =
-            SessionStore::open(&dir, FsyncPolicy::Never, Obs::noop()).expect("open store");
-        let mut engine = Engine::new(backend_config(), estimator(), Obs::noop());
-        engine.set_motion(motion.clone());
-        for chunk in adverts[..crash_at].chunks(CHUNK) {
-            store.append(chunk).expect("wal append");
-            engine.ingest_all(chunk);
-        }
-        engine.process();
-        store.checkpoint(&engine).expect("checkpoint");
-        // Crash: drop everything.
-    }
-    let (_store, mut engine, report) = SessionStore::recover(
-        &dir,
-        FsyncPolicy::Never,
-        backend_config(),
-        estimator(),
-        Obs::noop(),
-    )
-    .expect("recover");
-    assert!(report.snapshot_found, "{tag}: snapshot must be found");
-    for chunk in adverts[crash_at..].chunks(CHUNK) {
-        engine.ingest_all(chunk);
-    }
-    engine.finish();
-
-    let mut reference = Engine::new(backend_config(), estimator(), Obs::noop());
-    reference.set_motion(motion.clone());
-    reference.ingest_all(&adverts);
-    reference.finish();
-    assert_engines_match(tag, &engine, &reference);
-    std::fs::remove_dir_all(&dir).expect("cleanup");
-}
-
-#[test]
-fn particle_sessions_snapshot_and_recover_bit_identically() {
-    backend_crash_recover(
-        "particle-backend",
-        locble_core::BackendSpec::Particle(locble_core::ParticleConfig::default()),
-    );
-}
-
-#[test]
-fn fingerprint_sessions_snapshot_and_recover_bit_identically() {
-    backend_crash_recover(
-        "fingerprint-backend",
-        locble_core::BackendSpec::Fingerprint(locble_core::FingerprintConfig::default()),
-    );
-}
-
+/// A snapshot whose session carries another estimator tag (older
+/// builds also wrote particle sessions as 2 and fingerprint sessions
+/// as 3) is refused with a typed error, not misread as a streaming
+/// session.
 #[test]
 fn mismatched_backend_is_rejected_not_garbled() {
-    let (adverts, motion) = fleet_adverts(4, 13);
+    let (adverts, _) = fleet_adverts(4, 13);
     let dir = temp_dir("backend-mismatch");
-    let particle = EngineConfig {
-        backend: locble_core::BackendSpec::Particle(locble_core::ParticleConfig::default()),
-        ..config()
-    };
     {
         let mut store =
             SessionStore::open(&dir, FsyncPolicy::Never, Obs::noop()).expect("open store");
-        let mut engine = Engine::new(particle, estimator(), Obs::noop());
-        engine.set_motion(motion.clone());
+        // No motion update: the snapshot's track stays empty, which puts
+        // the first session's tag at a fixed offset.
+        let mut engine = Engine::new(config(), estimator(), Obs::noop());
         store.append(&adverts).expect("append");
         engine.ingest_all(&adverts);
         engine.process();
         store.checkpoint(&engine).expect("checkpoint");
     }
-    // Recover with the default (streaming) backend: the tagged session
-    // states must be refused with the typed mismatch, not misread.
-    let err = SessionStore::recover(&dir, FsyncPolicy::Never, config(), estimator(), Obs::noop())
-        .expect_err("backend mismatch must fail");
-    assert!(
-        matches!(
-            err,
-            locble_store::RecoverError::Restore(locble_engine::RestoreError::BackendMismatch {
-                expected: locble_core::BackendKind::Streaming,
-                found: locble_core::BackendKind::Particle,
-            })
-        ),
-        "unexpected error: {err}"
-    );
+    // Header 9, WAL position 8, shards 4, watermark 8, stats 72, empty
+    // motion 36, session count 4, session fields 36, session flag 1.
+    const TAG: usize = 178;
+    let path = dir.join(SNAPSHOT_FILE);
+    let image = std::fs::read(&path).expect("snapshot file");
+    assert_eq!(image[TAG - 1], 1, "the first session has estimator state");
+    assert_eq!(image[TAG], 1, "streaming sessions are tagged 1");
+    for tag in [2, 3] {
+        let mut foreign = image.clone();
+        foreign[TAG] = tag;
+        let crc_at = foreign.len() - 4;
+        let crc = locble_store::crc32::crc32(&foreign[9..crc_at]);
+        foreign[crc_at..].copy_from_slice(&crc.to_be_bytes());
+        std::fs::write(&path, &foreign).expect("rewrite snapshot");
+        let err =
+            SessionStore::recover(&dir, FsyncPolicy::Never, config(), estimator(), Obs::noop())
+                .expect_err("a foreign estimator tag must fail");
+        assert!(
+            matches!(
+                err,
+                RecoverError::Snapshot(SnapshotError::Codec(CodecError::Malformed {
+                    context: "backend tag"
+                }))
+            ),
+            "tag {tag}: unexpected error: {err}"
+        );
+    }
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
@@ -529,8 +484,14 @@ fn mismatched_shard_count_is_rejected_not_garbled() {
             SessionStore::open(&dir, FsyncPolicy::Never, Obs::noop()).expect("open store");
         let mut engine = Engine::new(config(), estimator(), Obs::noop());
         engine.set_motion(motion.clone());
-        store.append(&adverts).expect("append");
-        engine.ingest_all(&adverts);
+        // Half processed, half still queued: the snapshot holds both
+        // estimator state and queued adverts.
+        let (done, queued) = adverts.split_at(adverts.len() / 2);
+        store.append(done).expect("append");
+        engine.ingest_all(done);
+        engine.process();
+        store.append(queued).expect("append");
+        engine.ingest_all(queued);
         store.checkpoint(&engine).expect("checkpoint");
     }
     let wrong = EngineConfig {
@@ -543,6 +504,51 @@ fn mismatched_shard_count_is_rejected_not_garbled() {
         matches!(err, locble_store::RecoverError::Restore(_)),
         "unexpected error: {err}"
     );
+
+    // A snapshot that contradicts its own shard layout is refused the
+    // same way, typed and without a panic.
+    let path = dir.join(SNAPSHOT_FILE);
+    let snap = read_snapshot(&path).expect("read").expect("present");
+    assert!(snap.state.sessions.len() >= 2 && snap.state.queued_total() > 0);
+    assert!(snap.state.sessions[0].session.is_some());
+    type Corruption = fn(&mut EngineState);
+    let corruptions: [(&str, Corruption); 5] = [
+        ("session shard out of range", |s| {
+            s.sessions[0].shard = s.shards;
+        }),
+        ("session on another shard", |s| {
+            s.sessions[0].shard = (s.sessions[0].shard + 1) % s.shards;
+        }),
+        ("duplicate session", |s| {
+            let dup = s.sessions[0].clone();
+            s.sessions.insert(1, dup);
+        }),
+        ("sessions out of order", |s| s.sessions.swap(0, 1)),
+        ("queued advert on another shard", |s| {
+            let from = s.queued.iter().position(|q| !q.is_empty()).expect("queued");
+            let advert = s.queued[from].pop().expect("queued");
+            let to = (from + 1) % s.shards;
+            s.queued[to].push(advert);
+        }),
+    ];
+    for (label, corrupt) in corruptions {
+        let mut state = snap.state.clone();
+        corrupt(&mut state);
+        write_snapshot(&path, snap.wal_records, &state).expect("rewrite snapshot");
+        let err =
+            SessionStore::recover(&dir, FsyncPolicy::Never, config(), estimator(), Obs::noop())
+                .expect_err(label);
+        assert!(
+            matches!(
+                err,
+                RecoverError::Restore(RestoreError::Inconsistent { .. })
+            ),
+            "{label}: unexpected error: {err}"
+        );
+    }
+    write_snapshot(&path, snap.wal_records, &snap.state).expect("restore snapshot");
+    SessionStore::recover(&dir, FsyncPolicy::Never, config(), estimator(), Obs::noop())
+        .expect("the untouched snapshot recovers");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 

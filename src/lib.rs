@@ -44,8 +44,8 @@ pub mod prelude {
     pub use locble_ble::{BeaconHardware, BeaconId, BeaconKind};
     pub use locble_cluster::{serve_node, ClusterRouter, Front, FrontConfig, NodeSpec};
     pub use locble_core::{
-        calibrate, BackendKind, BackendSpec, ClusterConfig, DartleRanger, DtwMatcher, Estimator,
-        EstimatorConfig, FingerprintConfig, LocationEstimate, Navigator, ParticleConfig,
+        calibrate, ClusterConfig, DartleRanger, DtwMatcher, Estimator, EstimatorConfig,
+        LocationEstimate, Navigator,
     };
     pub use locble_engine::{Advert, Engine, EngineConfig};
     pub use locble_geom::{EnvClass, Pose2, Vec2};
