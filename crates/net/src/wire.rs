@@ -1818,4 +1818,213 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
     }
+
+    /// One frame of each kind, as the wire bytes pin it.
+    fn pinned_frames() -> Vec<Frame> {
+        let advert = WireAdvert {
+            beacon: 7,
+            t: 0.5,
+            rssi_dbm: -61.25,
+        };
+        let summary = IngestSummary {
+            consumed: 3,
+            routed: 2,
+            sessions_created: 1,
+            rejected_non_finite: 0,
+            rejected_out_of_order: 1,
+            rejected_capacity: 0,
+        };
+        let map = WirePartitionMap {
+            epoch: 5,
+            nodes: vec![NodeEntry {
+                node_id: 9,
+                addr: "n9".to_string(),
+            }],
+        };
+        vec![
+            Frame::AdvertBatch(vec![advert]),
+            Frame::IngestAck(summary),
+            Frame::QuerySnapshot,
+            Frame::Snapshot(vec![
+                sample_estimate(),
+                WireEstimate {
+                    beacon: 43,
+                    mirror: None,
+                    env: None,
+                    method: FitMethod::Fingerprint,
+                    ..sample_estimate()
+                },
+            ]),
+            Frame::QueryBeacon(42),
+            Frame::BeaconReply(Some(WireEstimate {
+                env: Some(EnvClass::Los),
+                method: FitMethod::Leg,
+                ..sample_estimate()
+            })),
+            Frame::BeaconReply(None),
+            Frame::QueryStats,
+            Frame::Stats(WireStats {
+                samples_routed: 1,
+                samples_rejected: 2,
+                samples_processed: 3,
+                sessions_created: 4,
+                sessions_evicted: 5,
+                sessions_live: 6,
+                batches_pushed: 7,
+                batches_rejected: 8,
+                processes: 9,
+                queued: 10,
+            }),
+            Frame::Finish,
+            Frame::FinishAck(FinishSummary {
+                samples_processed: 11,
+                batches_pushed: 3,
+            }),
+            Frame::error(ErrorCode::Capacity, "full"),
+            Frame::MetricsQuery,
+            Frame::MetricsReport(WireMetrics {
+                counters: vec![("c".to_string(), 12)],
+                gauges: vec![("g".to_string(), 3.0)],
+                histograms: vec![(
+                    "h".to_string(),
+                    HistogramSnapshot {
+                        bounds: vec![1.0],
+                        counts: vec![1, 2],
+                        sum: 7.5,
+                        count: 3,
+                        min: 1.5,
+                        max: 3.5,
+                    },
+                )],
+            }),
+            Frame::TraceQuery(Some(0xABCD)),
+            Frame::TraceReport(vec![TraceRecord {
+                ctx: TraceCtx::mint(4).with_stage(Stage::Refit),
+                laps: vec![StageLap {
+                    stage: Stage::Refit,
+                    start_us: 100,
+                    duration_us: 2_000,
+                }],
+            }]),
+            Frame::JoinAck(map.clone()),
+            Frame::PartitionMap(map.clone()),
+            Frame::Forward {
+                seq: 17,
+                ctx: TraceCtx::mint(0x50C1A1).with_stage(Stage::Forward),
+                adverts: vec![advert],
+            },
+            Frame::ForwardAck {
+                seq: 17,
+                summary,
+                replica_durable: 1,
+            },
+            Frame::Replicate {
+                seq: 9,
+                base: 4096,
+                adverts: vec![advert],
+            },
+            Frame::ReplicateAck {
+                seq: 9,
+                durable: 4097,
+            },
+            Frame::ClusterQuery,
+            Frame::ClusterReport(ClusterSummary {
+                node_id: 2,
+                role: NodeRole::Owner,
+                map,
+                owned_sessions: 40,
+                forwarded_batches: 0,
+                forwarded_adverts: 0,
+                replicated_records: 123,
+            }),
+        ]
+    }
+
+    /// `pinned_frames`, encoded: each frame's bytes as hex, header
+    /// included.
+    const PINNED_FRAME_HEX: [&str; 24] = [
+        "0000001a020100000001000000073fe0000000000000c04ea00000000000",
+        concat!(
+            "0000003202020000000000000003000000000000000200000000000000010000",
+            "00000000000000000000000000010000000000000000",
+        ),
+        "000000020203",
+        concat!(
+            "000000940204000000020000002a3ff8000000000000c002000000000000013f",
+            "e000000000000080000000000000003fec0000000000004000cccccccccccdc0",
+            "4e80000000000002000000000000002502400c0000000000000000002b3ff800",
+            "0000000000c002000000000000003fec0000000000004000cccccccccccdc04e",
+            "80000000000000000000000000002506400c000000000000",
+        ),
+        "0000000602050000002a",
+        concat!(
+            "000000520206010000002a3ff8000000000000c002000000000000013fe00000",
+            "0000000080000000000000003fec0000000000004000cccccccccccdc04e8000",
+            "0000000001000000000000002503400c000000000000",
+        ),
+        "00000003020600",
+        "000000020207",
+        concat!(
+            "0000005202080000000000000001000000000000000200000000000000030000",
+            "0000000000040000000000000005000000000000000600000000000000070000",
+            "0000000000080000000000000009000000000000000a",
+        ),
+        "000000020209",
+        "00000012020a000000000000000b0000000000000003",
+        "00000009020b04000466756c6c",
+        "00000002020e",
+        concat!(
+            "00000067020f00000001000163000000000000000c0000000100016740080000",
+            "0000000000000001000168000000013ff0000000000000000000020000000000",
+            "0000010000000000000002401e00000000000000000000000000033ff8000000",
+            "000000400c000000000000",
+        ),
+        "0000000b021001000000000000abcd",
+        concat!(
+            "0000002302110000000100000000000000040021000105000000000000006400",
+            "000000000007d0",
+        ),
+        "0000001a0213000000000000000500000001000000000000000900026e39",
+        "0000001a0214000000000000000500000001000000000000000900026e39",
+        concat!(
+            "0000002c02150000000000000011000000000050c1a101010000000100000007",
+            "3fe0000000000000c04ea00000000000",
+        ),
+        concat!(
+            "0000004202160000000000000011000000000000000300000000000000020000",
+            "0000000000010000000000000000000000000000000100000000000000000000",
+            "000000000001",
+        ),
+        concat!(
+            "0000002a02170000000000000009000000000000100000000001000000073fe0",
+            "000000000000c04ea00000000000",
+        ),
+        "00000012021800000000000000090000000000001001",
+        "000000020219",
+        concat!(
+            "00000043021a0000000000000002020000000000000005000000010000000000",
+            "00000900026e3900000000000000280000000000000000000000000000000000",
+            "0000000000007b",
+        ),
+    ];
+
+    #[test]
+    fn frame_bytes_are_unchanged() {
+        // Round trips cannot see a field that moved on both sides; these
+        // bytes can. Every change here is a wire change (WIRE_VERSION).
+        let frames = pinned_frames();
+        assert_eq!(frames.len(), PINNED_FRAME_HEX.len());
+        for (frame, want) in frames.iter().zip(PINNED_FRAME_HEX) {
+            let got: String = encode_frame(frame)
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            assert_eq!(got, want, "{frame:?}");
+            let bytes: Vec<u8> = (0..want.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&want[i..i + 2], 16).expect("hex"))
+                .collect();
+            assert_eq!(decode_frame(&bytes), Ok((frame.clone(), bytes.len())));
+        }
+    }
 }
