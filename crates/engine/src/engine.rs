@@ -37,6 +37,7 @@ use locble_core::{Estimator, LocationEstimate, RssBatch, StreamingEstimator};
 use locble_geom::Trajectory;
 use locble_motion::{MotionTrack, StepResult};
 use locble_obs::Obs;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
@@ -850,6 +851,21 @@ impl Engine {
             return Err(RestoreError::Inconsistent {
                 beacon: s.beacon,
                 rule: "session is not on its beacon's shard",
+            });
+        }
+        // The estimator's series must be one `TimeSeries::new` accepts:
+        // equal lengths and non-decreasing times, which a NaN time breaks.
+        if let Some(s) = state.sessions.iter().find(|s| {
+            s.session.as_ref().is_some_and(|b| {
+                let (t, v) = (&b.estimator.series_t, &b.estimator.series_v);
+                t.len() != v.len()
+                    || t.windows(2)
+                        .any(|w| w[1].partial_cmp(&w[0]).is_none_or(Ordering::is_lt))
+            })
+        }) {
+            return Err(RestoreError::Inconsistent {
+                beacon: s.beacon,
+                rule: "session series times decrease, are NaN or are unpaired",
             });
         }
         for (shard, queue) in state.queued.iter().enumerate() {

@@ -123,9 +123,10 @@ pub enum RestoreError {
     },
     /// The snapshot breaks the layout every exported state has: a
     /// session or a queued advert on a shard its beacon does not hash
-    /// to, or sessions not in strictly ascending beacon order (a
-    /// duplicate included). Restoring it would panic or leave a session
-    /// no advert reaches, so it is refused instead.
+    /// to, sessions not in strictly ascending beacon order (a duplicate
+    /// included), or a session series whose times decrease or are NaN.
+    /// Restoring it would panic or leave a session no advert reaches,
+    /// so it is refused instead.
     Inconsistent {
         /// The beacon that breaks the layout.
         beacon: BeaconId,

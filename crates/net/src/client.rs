@@ -7,10 +7,10 @@
 //! [`Client::read_frame`] pair exists for protocol tests that need to
 //! put arbitrary bytes on the wire.
 
+use crate::conn::{Assembled, FrameAssembler};
 use crate::wire::{
-    decode_frame_with_limit, encode_frame, ClusterSummary, DecodeError, FinishSummary, Frame,
-    IngestSummary, WireAdvert, WireError, WireMetrics, WirePartitionMap, WireStats,
-    DEFAULT_MAX_FRAME_LEN,
+    encode_frame, ClusterSummary, DecodeError, FinishSummary, Frame, IngestSummary, WireAdvert,
+    WireError, WireMetrics, WirePartitionMap, WireStats, DEFAULT_MAX_FRAME_LEN,
 };
 use locble_ble::BeaconId;
 use locble_core::LocationEstimate;
@@ -60,8 +60,7 @@ impl From<std::io::Error> for ClientError {
 /// One blocking protocol connection.
 pub struct Client {
     stream: TcpStream,
-    buf: Vec<u8>,
-    max_frame_len: usize,
+    frames: FrameAssembler,
 }
 
 impl Client {
@@ -90,8 +89,7 @@ impl Client {
         stream.set_nodelay(true)?;
         Ok(Client {
             stream,
-            buf: Vec::new(),
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
+            frames: FrameAssembler::new(DEFAULT_MAX_FRAME_LEN),
         })
     }
 
@@ -108,20 +106,21 @@ impl Client {
     }
 
     /// Reads the next frame, blocking up to the read timeout per read.
+    /// A framed but undecodable reply is consumed and returned as
+    /// [`ClientError::Decode`], so the next read starts on the next
+    /// frame; an unusable length prefix is returned as `Decode` too,
+    /// and every later read repeats it.
     pub fn read_frame(&mut self) -> Result<Frame, ClientError> {
         let mut scratch = [0u8; 16 * 1024];
         loop {
-            match decode_frame_with_limit(&self.buf, self.max_frame_len) {
-                Ok((frame, used)) => {
-                    self.buf.drain(..used);
-                    return Ok(frame);
-                }
-                Err(DecodeError::Incomplete { .. }) => {}
-                Err(e) => return Err(ClientError::Decode(e)),
+            match self.frames.next_frame() {
+                Ok(Some(Assembled::Frame(frame))) => return Ok(frame),
+                Ok(Some(Assembled::Skipped(e))) | Err(e) => return Err(ClientError::Decode(e)),
+                Ok(None) => {}
             }
             match self.stream.read(&mut scratch)? {
                 0 => return Err(ClientError::ConnectionClosed),
-                n => self.buf.extend_from_slice(&scratch[..n]),
+                n => self.frames.feed(&scratch[..n]),
             }
         }
     }
@@ -275,5 +274,34 @@ impl std::fmt::Debug for Client {
         f.debug_struct("Client")
             .field("peer", &self.stream.peer_addr().ok())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn an_undecodable_reply_is_skipped_and_the_next_one_reads() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            let mut bad = encode_frame(&Frame::Finish);
+            bad[5] = 250; // an unknown tag inside a valid length prefix
+            bad.extend_from_slice(&encode_frame(&Frame::QueryBeacon(7)));
+            conn.write_all(&bad).expect("write");
+        });
+        let mut client = Client::connect(addr).expect("connect");
+        assert!(matches!(
+            client.read_frame(),
+            Err(ClientError::Decode(DecodeError::BadTag { got: 250 }))
+        ));
+        assert_eq!(
+            client.read_frame().expect("next frame"),
+            Frame::QueryBeacon(7)
+        );
+        peer.join().expect("peer");
     }
 }

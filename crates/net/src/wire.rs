@@ -10,11 +10,16 @@
 //! 6       N-2   frame body (tag-specific)
 //! ```
 //!
-//! Integers are big-endian; `f64`s travel as their IEEE-754 bit pattern
-//! in a big-endian `u64`, so estimates survive the wire **bit-exactly**
-//! (the loopback differential suite depends on this). Variable-length
-//! sequences carry a `u32` element count whose plausibility is checked
-//! against the remaining body before any allocation.
+//! Bodies are written and read through [`locble_store::codec`], the
+//! byte codec the WAL and the snapshots use too: integers big-endian,
+//! `f64`s as their IEEE-754 bit pattern in a big-endian `u64`, so
+//! estimates survive the wire **bit-exactly** (the loopback
+//! differential suite depends on this), and variable-length sequences
+//! with a `u32` element count checked against the remaining body before
+//! any allocation. An advert is the codec's advert layout; an estimate
+//! is its beacon id (`u32`) followed by the codec's estimate layout.
+//! This module owns only what belongs to frames: the header, tags,
+//! strings, trace records, partition maps and histograms.
 //!
 //! The decoder is total: for *any* byte slice it returns a frame or a
 //! typed [`DecodeError`] — it never panics and never allocates
@@ -43,9 +48,12 @@
 
 use locble_ble::BeaconId;
 use locble_core::{FitMethod, LocationEstimate};
-use locble_engine::{EngineStats, IngestReport};
+use locble_engine::{Advert, EngineStats, IngestReport};
 use locble_geom::{EnvClass, Vec2};
 use locble_obs::{HistogramSnapshot, MetricsSnapshot, Stage, StageLap, TraceCtx, TraceRecord};
+use locble_store::codec::{
+    self, put_f64, put_u16, put_u32, put_u64, CodecError, Reader, ADVERT_LEN, ESTIMATE_MIN_LEN,
+};
 
 /// Current protocol version byte.
 pub const WIRE_VERSION: u8 = 2;
@@ -80,8 +88,8 @@ impl PartialEq for WireAdvert {
 
 impl Eq for WireAdvert {}
 
-impl From<locble_engine::Advert> for WireAdvert {
-    fn from(a: locble_engine::Advert) -> WireAdvert {
+impl From<Advert> for WireAdvert {
+    fn from(a: Advert) -> WireAdvert {
         WireAdvert {
             beacon: a.beacon.0,
             t: a.t,
@@ -90,9 +98,9 @@ impl From<locble_engine::Advert> for WireAdvert {
     }
 }
 
-impl From<WireAdvert> for locble_engine::Advert {
-    fn from(a: WireAdvert) -> locble_engine::Advert {
-        locble_engine::Advert {
+impl From<WireAdvert> for Advert {
+    fn from(a: WireAdvert) -> Advert {
+        Advert {
             beacon: BeaconId(a.beacon),
             t: a.t,
             rssi_dbm: a.rssi_dbm,
@@ -652,12 +660,6 @@ const TAG_CLUSTER_REPORT: u8 = 26;
 // Tags 27–30 were the retired rebalance frames (`Handoff`, `HandoffAck`,
 // `ExportState`, `StateExport`); never reuse them.
 
-/// Smallest possible encoded advert (beacon + t + rssi).
-const ADVERT_WIRE_LEN: usize = 4 + 8 + 8;
-
-/// Smallest possible encoded estimate (mirror absent).
-const ESTIMATE_MIN_WIRE_LEN: usize = 4 + 8 + 8 + 1 + 8 + 8 + 8 + 1 + 8 + 1 + 8;
-
 /// Encoded stage lap (stage byte + start + duration).
 const LAP_WIRE_LEN: usize = 1 + 8 + 8;
 
@@ -747,59 +749,44 @@ impl DecodeError {
     }
 }
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-fn put_advert(out: &mut Vec<u8>, a: &WireAdvert) {
-    put_u32(out, a.beacon);
-    put_f64(out, a.t);
-    put_f64(out, a.rssi_dbm);
-}
-
-fn put_estimate(out: &mut Vec<u8>, e: &WireEstimate) {
-    put_u32(out, e.beacon);
-    put_f64(out, e.x);
-    put_f64(out, e.y);
-    match e.mirror {
-        Some((mx, my)) => {
-            out.push(1);
-            put_f64(out, mx);
-            put_f64(out, my);
+impl From<CodecError> for DecodeError {
+    /// Inside a complete frame a short body is corruption, not
+    /// truncation: every body error is `Malformed`.
+    #[inline]
+    fn from(e: CodecError) -> DecodeError {
+        match e {
+            CodecError::Truncated { context } | CodecError::Malformed { context } => {
+                DecodeError::Malformed { context }
+            }
         }
-        None => out.push(0),
     }
-    put_f64(out, e.confidence);
-    put_f64(out, e.exponent);
-    put_f64(out, e.gamma_dbm);
-    out.push(match e.env {
-        None => 0,
-        Some(EnvClass::Los) => 1,
-        Some(EnvClass::PartialLos) => 2,
-        Some(EnvClass::NonLos) => 3,
-    });
-    put_u64(out, e.points_used);
-    out.push(match e.method {
-        FitMethod::FreeJoint => 1,
-        FitMethod::Anchored => 2,
-        FitMethod::Leg => 3,
-        FitMethod::Gradient => 4,
-        FitMethod::Particle => 5,
-        FitMethod::Fingerprint => 6,
-    });
-    put_f64(out, e.residual_db);
+}
+
+fn put_adverts(out: &mut Vec<u8>, adverts: &[WireAdvert]) {
+    put_u32(out, adverts.len() as u32);
+    for &a in adverts {
+        codec::put_advert(out, &Advert::from(a));
+    }
+}
+
+/// A wire estimate: its beacon id, then the shared estimate layout.
+fn put_wire_estimate(out: &mut Vec<u8>, e: &WireEstimate) {
+    let (beacon, est) = e.to_estimate();
+    put_u32(out, beacon.0);
+    codec::put_estimate(out, &est);
+}
+
+fn put_summary(out: &mut Vec<u8>, s: &IngestSummary) {
+    for v in [
+        s.consumed,
+        s.routed,
+        s.sessions_created,
+        s.rejected_non_finite,
+        s.rejected_out_of_order,
+        s.rejected_capacity,
+    ] {
+        put_u64(out, v);
+    }
 }
 
 /// Short string (metric names, &c): u16 length prefix + UTF-8 bytes,
@@ -866,30 +853,18 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     match frame {
         Frame::AdvertBatch(adverts) => {
             out.push(TAG_ADVERT_BATCH);
-            put_u32(&mut out, adverts.len() as u32);
-            for a in adverts {
-                put_advert(&mut out, a);
-            }
+            put_adverts(&mut out, adverts);
         }
         Frame::IngestAck(s) => {
             out.push(TAG_INGEST_ACK);
-            for v in [
-                s.consumed,
-                s.routed,
-                s.sessions_created,
-                s.rejected_non_finite,
-                s.rejected_out_of_order,
-                s.rejected_capacity,
-            ] {
-                put_u64(&mut out, v);
-            }
+            put_summary(&mut out, s);
         }
         Frame::QuerySnapshot => out.push(TAG_QUERY_SNAPSHOT),
         Frame::Snapshot(estimates) => {
             out.push(TAG_SNAPSHOT);
             put_u32(&mut out, estimates.len() as u32);
             for e in estimates {
-                put_estimate(&mut out, e);
+                put_wire_estimate(&mut out, e);
             }
         }
         Frame::QueryBeacon(beacon) => {
@@ -901,7 +876,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             match est {
                 Some(e) => {
                     out.push(1);
-                    put_estimate(&mut out, e);
+                    put_wire_estimate(&mut out, e);
                 }
                 None => out.push(0),
             }
@@ -933,9 +908,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         Frame::Error(e) => {
             out.push(TAG_ERROR);
             out.push(e.code as u8);
-            let bytes = utf8_prefix(&e.message, u16::MAX as usize);
-            put_u16(&mut out, bytes.len() as u16);
-            out.extend_from_slice(bytes);
+            put_string(&mut out, &e.message);
         }
         Frame::MetricsQuery => out.push(TAG_METRICS_QUERY),
         Frame::MetricsReport(m) => {
@@ -985,10 +958,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             put_u64(&mut out, *seq);
             put_u64(&mut out, ctx.trace_id);
             put_u16(&mut out, ctx.path);
-            put_u32(&mut out, adverts.len() as u32);
-            for a in adverts {
-                put_advert(&mut out, a);
-            }
+            put_adverts(&mut out, adverts);
         }
         Frame::ForwardAck {
             seq,
@@ -997,26 +967,14 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         } => {
             out.push(TAG_FORWARD_ACK);
             put_u64(&mut out, *seq);
-            for v in [
-                summary.consumed,
-                summary.routed,
-                summary.sessions_created,
-                summary.rejected_non_finite,
-                summary.rejected_out_of_order,
-                summary.rejected_capacity,
-            ] {
-                put_u64(&mut out, v);
-            }
+            put_summary(&mut out, summary);
             put_u64(&mut out, *replica_durable);
         }
         Frame::Replicate { seq, base, adverts } => {
             out.push(TAG_REPLICATE);
             put_u64(&mut out, *seq);
             put_u64(&mut out, *base);
-            put_u32(&mut out, adverts.len() as u32);
-            for a in adverts {
-                put_advert(&mut out, a);
-            }
+            put_adverts(&mut out, adverts);
         }
         Frame::ReplicateAck { seq, durable } => {
             out.push(TAG_REPLICATE_ACK);
@@ -1098,74 +1056,48 @@ pub fn decode_frame_with_limit(buf: &[u8], max_len: usize) -> Result<(Frame, usi
         return Err(DecodeError::BadVersion { got: version });
     }
     let tag = buf[HEADER_LEN + 1];
-    let mut r = Reader {
-        buf: &buf[HEADER_LEN + MIN_PAYLOAD_LEN..total],
-        pos: 0,
-    };
+    let r = &mut Reader::new(&buf[HEADER_LEN + MIN_PAYLOAD_LEN..total]);
     let frame = match tag {
-        TAG_ADVERT_BATCH => {
-            let n = r.counted(ADVERT_WIRE_LEN, "advert batch count")?;
-            let mut adverts = Vec::with_capacity(n);
-            for _ in 0..n {
-                adverts.push(r.advert()?);
-            }
-            Frame::AdvertBatch(adverts)
-        }
-        TAG_INGEST_ACK => Frame::IngestAck(IngestSummary {
-            consumed: r.u64()?,
-            routed: r.u64()?,
-            sessions_created: r.u64()?,
-            rejected_non_finite: r.u64()?,
-            rejected_out_of_order: r.u64()?,
-            rejected_capacity: r.u64()?,
-        }),
+        TAG_ADVERT_BATCH => Frame::AdvertBatch(adverts(r, "advert batch count")?),
+        TAG_INGEST_ACK => Frame::IngestAck(summary(r)?),
         TAG_QUERY_SNAPSHOT => Frame::QuerySnapshot,
         TAG_SNAPSHOT => {
-            let n = r.counted(ESTIMATE_MIN_WIRE_LEN, "snapshot count")?;
+            let n = r.counted(4 + ESTIMATE_MIN_LEN, "snapshot count")?;
             let mut estimates = Vec::with_capacity(n);
             for _ in 0..n {
-                estimates.push(r.estimate()?);
+                estimates.push(wire_estimate(r)?);
             }
             Frame::Snapshot(estimates)
         }
-        TAG_QUERY_BEACON => Frame::QueryBeacon(r.u32()?),
-        TAG_BEACON_REPLY => Frame::BeaconReply(match r.u8()? {
-            0 => None,
-            1 => Some(r.estimate()?),
-            _ => {
-                return Err(DecodeError::Malformed {
-                    context: "beacon reply presence flag",
-                })
-            }
+        TAG_QUERY_BEACON => Frame::QueryBeacon(r.u32("queried beacon")?),
+        TAG_BEACON_REPLY => Frame::BeaconReply(if r.flag("beacon reply presence flag")? {
+            Some(wire_estimate(r)?)
+        } else {
+            None
         }),
         TAG_QUERY_STATS => Frame::QueryStats,
         TAG_STATS => Frame::Stats(WireStats {
-            samples_routed: r.u64()?,
-            samples_rejected: r.u64()?,
-            samples_processed: r.u64()?,
-            sessions_created: r.u64()?,
-            sessions_evicted: r.u64()?,
-            sessions_live: r.u64()?,
-            batches_pushed: r.u64()?,
-            batches_rejected: r.u64()?,
-            processes: r.u64()?,
-            queued: r.u64()?,
+            samples_routed: r.u64("stats")?,
+            samples_rejected: r.u64("stats")?,
+            samples_processed: r.u64("stats")?,
+            sessions_created: r.u64("stats")?,
+            sessions_evicted: r.u64("stats")?,
+            sessions_live: r.u64("stats")?,
+            batches_pushed: r.u64("stats")?,
+            batches_rejected: r.u64("stats")?,
+            processes: r.u64("stats")?,
+            queued: r.u64("stats")?,
         }),
         TAG_FINISH => Frame::Finish,
         TAG_FINISH_ACK => Frame::FinishAck(FinishSummary {
-            samples_processed: r.u64()?,
-            batches_pushed: r.u64()?,
+            samples_processed: r.u64("finish ack")?,
+            batches_pushed: r.u64("finish ack")?,
         }),
         TAG_ERROR => {
-            let code = ErrorCode::from_u8(r.u8()?).ok_or(DecodeError::Malformed {
+            let code = ErrorCode::from_u8(r.u8("error code")?).ok_or(DecodeError::Malformed {
                 context: "error code",
             })?;
-            let len = r.u16()? as usize;
-            let bytes = r.take(len, "error message")?;
-            let message =
-                String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::Malformed {
-                    context: "error message is not UTF-8",
-                })?;
+            let message = string(r, "error message")?;
             Frame::Error(WireError { code, message })
         }
         TAG_METRICS_QUERY => Frame::MetricsQuery,
@@ -1173,17 +1105,17 @@ pub fn decode_frame_with_limit(buf: &[u8], max_len: usize) -> Result<(Frame, usi
             let n = r.counted(METRIC_ENTRY_MIN_WIRE_LEN, "counter count")?;
             let mut counters = Vec::with_capacity(n);
             for _ in 0..n {
-                counters.push((r.string("counter name")?, r.u64()?));
+                counters.push((string(r, "counter name")?, r.u64("counter value")?));
             }
             let n = r.counted(METRIC_ENTRY_MIN_WIRE_LEN, "gauge count")?;
             let mut gauges = Vec::with_capacity(n);
             for _ in 0..n {
-                gauges.push((r.string("gauge name")?, r.f64()?));
+                gauges.push((string(r, "gauge name")?, r.f64("gauge value")?));
             }
             let n = r.counted(HISTOGRAM_MIN_WIRE_LEN, "histogram count")?;
             let mut histograms = Vec::with_capacity(n);
             for _ in 0..n {
-                histograms.push(r.histogram()?);
+                histograms.push(histogram(r)?);
             }
             Frame::MetricsReport(WireMetrics {
                 counters,
@@ -1191,81 +1123,52 @@ pub fn decode_frame_with_limit(buf: &[u8], max_len: usize) -> Result<(Frame, usi
                 histograms,
             })
         }
-        TAG_TRACE_QUERY => Frame::TraceQuery(match r.u8()? {
-            0 => None,
-            1 => Some(r.u64()?),
-            _ => {
-                return Err(DecodeError::Malformed {
-                    context: "trace query presence flag",
-                })
-            }
+        TAG_TRACE_QUERY => Frame::TraceQuery(if r.flag("trace query presence flag")? {
+            Some(r.u64("trace id")?)
+        } else {
+            None
         }),
         TAG_TRACE_REPORT => {
             let n = r.counted(TRACE_RECORD_MIN_WIRE_LEN, "trace record count")?;
             let mut records = Vec::with_capacity(n);
             for _ in 0..n {
-                records.push(r.trace_record()?);
+                records.push(trace_record(r)?);
             }
             Frame::TraceReport(records)
         }
-        TAG_JOIN_ACK => Frame::JoinAck(r.partition_map()?),
-        TAG_PARTITION_MAP => Frame::PartitionMap(r.partition_map()?),
-        TAG_FORWARD => {
-            let seq = r.u64()?;
-            let ctx = TraceCtx {
-                trace_id: r.u64()?,
-                path: r.u16()?,
-            };
-            let n = r.counted(ADVERT_WIRE_LEN, "forward batch count")?;
-            let mut adverts = Vec::with_capacity(n);
-            for _ in 0..n {
-                adverts.push(r.advert()?);
-            }
-            Frame::Forward { seq, ctx, adverts }
-        }
-        TAG_FORWARD_ACK => Frame::ForwardAck {
-            seq: r.u64()?,
-            summary: IngestSummary {
-                consumed: r.u64()?,
-                routed: r.u64()?,
-                sessions_created: r.u64()?,
-                rejected_non_finite: r.u64()?,
-                rejected_out_of_order: r.u64()?,
-                rejected_capacity: r.u64()?,
-            },
-            replica_durable: r.u64()?,
+        TAG_JOIN_ACK => Frame::JoinAck(partition_map(r)?),
+        TAG_PARTITION_MAP => Frame::PartitionMap(partition_map(r)?),
+        TAG_FORWARD => Frame::Forward {
+            seq: r.u64("forward seq")?,
+            ctx: trace_ctx(r)?,
+            adverts: adverts(r, "forward batch count")?,
         },
-        TAG_REPLICATE => {
-            let seq = r.u64()?;
-            let base = r.u64()?;
-            let n = r.counted(ADVERT_WIRE_LEN, "replicate batch count")?;
-            let mut adverts = Vec::with_capacity(n);
-            for _ in 0..n {
-                adverts.push(r.advert()?);
-            }
-            Frame::Replicate { seq, base, adverts }
-        }
+        TAG_FORWARD_ACK => Frame::ForwardAck {
+            seq: r.u64("forward ack seq")?,
+            summary: summary(r)?,
+            replica_durable: r.u64("replica durable")?,
+        },
+        TAG_REPLICATE => Frame::Replicate {
+            seq: r.u64("replicate seq")?,
+            base: r.u64("replicate base")?,
+            adverts: adverts(r, "replicate batch count")?,
+        },
         TAG_REPLICATE_ACK => Frame::ReplicateAck {
-            seq: r.u64()?,
-            durable: r.u64()?,
+            seq: r.u64("replicate ack seq")?,
+            durable: r.u64("replicate ack durable")?,
         },
         TAG_CLUSTER_QUERY => Frame::ClusterQuery,
-        TAG_CLUSTER_REPORT => {
-            let node_id = r.u64()?;
-            let role = NodeRole::from_u8(r.u8()?).ok_or(DecodeError::Malformed {
+        TAG_CLUSTER_REPORT => Frame::ClusterReport(ClusterSummary {
+            node_id: r.u64("cluster report")?,
+            role: NodeRole::from_u8(r.u8("node role")?).ok_or(DecodeError::Malformed {
                 context: "node role discriminant",
-            })?;
-            let map = r.partition_map()?;
-            Frame::ClusterReport(ClusterSummary {
-                node_id,
-                role,
-                map,
-                owned_sessions: r.u64()?,
-                forwarded_batches: r.u64()?,
-                forwarded_adverts: r.u64()?,
-                replicated_records: r.u64()?,
-            })
-        }
+            })?,
+            map: partition_map(r)?,
+            owned_sessions: r.u64("cluster report")?,
+            forwarded_batches: r.u64("cluster report")?,
+            forwarded_adverts: r.u64("cluster report")?,
+            replicated_records: r.u64("cluster report")?,
+        }),
         got => return Err(DecodeError::BadTag { got }),
     };
     if r.remaining() != 0 {
@@ -1276,212 +1179,113 @@ pub fn decode_frame_with_limit(buf: &[u8], max_len: usize) -> Result<(Frame, usi
     Ok((frame, total))
 }
 
-/// Bounds-checked body reader. Every accessor returns
-/// [`DecodeError::Malformed`] on underrun — inside a complete frame a
-/// short body is corruption, not truncation.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+// Frame-body pieces over the shared reader; the `?`s map every codec
+// error to `DecodeError::Malformed`.
+
+#[inline]
+fn adverts(r: &mut Reader<'_>, context: &'static str) -> Result<Vec<WireAdvert>, DecodeError> {
+    let n = r.counted(ADVERT_LEN, context)?;
+    let mut adverts = Vec::with_capacity(n);
+    for _ in 0..n {
+        adverts.push(WireAdvert::from(r.advert()?));
+    }
+    Ok(adverts)
 }
 
-impl<'a> Reader<'a> {
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
+fn wire_estimate(r: &mut Reader<'_>) -> Result<WireEstimate, DecodeError> {
+    let beacon = BeaconId(r.u32("estimate beacon")?);
+    Ok(WireEstimate::from_estimate(beacon, &r.estimate()?))
+}
 
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], DecodeError> {
-        if self.remaining() < n {
-            return Err(DecodeError::Malformed { context });
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
+fn summary(r: &mut Reader<'_>) -> Result<IngestSummary, DecodeError> {
+    Ok(IngestSummary {
+        consumed: r.u64("ingest summary")?,
+        routed: r.u64("ingest summary")?,
+        sessions_created: r.u64("ingest summary")?,
+        rejected_non_finite: r.u64("ingest summary")?,
+        rejected_out_of_order: r.u64("ingest summary")?,
+        rejected_capacity: r.u64("ingest summary")?,
+    })
+}
 
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1, "u8 field")?[0])
-    }
+fn string(r: &mut Reader<'_>, context: &'static str) -> Result<String, DecodeError> {
+    let len = r.u16(context)? as usize;
+    let bytes = r.take(len, context)?;
+    String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::Malformed { context })
+}
 
-    fn u16(&mut self) -> Result<u16, DecodeError> {
-        let b = self.take(2, "u16 field")?;
-        Ok(u16::from_be_bytes([b[0], b[1]]))
-    }
+fn trace_ctx(r: &mut Reader<'_>) -> Result<TraceCtx, DecodeError> {
+    Ok(TraceCtx {
+        trace_id: r.u64("trace id")?,
+        path: r.u16("trace path")?,
+    })
+}
 
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        let b = self.take(4, "u32 field")?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+fn trace_record(r: &mut Reader<'_>) -> Result<TraceRecord, DecodeError> {
+    let ctx = trace_ctx(r)?;
+    let n = r.u16("trace record lap count")? as usize;
+    if n.saturating_mul(LAP_WIRE_LEN) > r.remaining() {
+        return Err(DecodeError::Malformed {
+            context: "trace record lap count",
+        });
     }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        let b = self.take(8, "u64 field")?;
-        Ok(u64::from_be_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn f64(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a `u32` element count and validates it against the bytes
-    /// actually present (`min_item` each), so a hostile count cannot
-    /// drive allocation.
-    fn counted(&mut self, min_item: usize, context: &'static str) -> Result<usize, DecodeError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_item) > self.remaining() {
-            return Err(DecodeError::Malformed { context });
-        }
-        Ok(n)
-    }
-
-    fn advert(&mut self) -> Result<WireAdvert, DecodeError> {
-        Ok(WireAdvert {
-            beacon: self.u32()?,
-            t: self.f64()?,
-            rssi_dbm: self.f64()?,
-        })
-    }
-
-    fn string(&mut self, context: &'static str) -> Result<String, DecodeError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len, context)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::Malformed { context })
-    }
-
-    fn lap(&mut self) -> Result<StageLap, DecodeError> {
-        let stage = Stage::from_u8(self.u8()?).ok_or(DecodeError::Malformed {
+    let mut laps = Vec::with_capacity(n);
+    for _ in 0..n {
+        let stage = Stage::from_u8(r.u8("stage")?).ok_or(DecodeError::Malformed {
             context: "stage discriminant",
         })?;
-        Ok(StageLap {
+        laps.push(StageLap {
             stage,
-            start_us: self.u64()?,
-            duration_us: self.u64()?,
-        })
+            start_us: r.u64("lap start")?,
+            duration_us: r.u64("lap duration")?,
+        });
     }
+    Ok(TraceRecord { ctx, laps })
+}
 
-    fn trace_record(&mut self) -> Result<TraceRecord, DecodeError> {
-        let ctx = TraceCtx {
-            trace_id: self.u64()?,
-            path: self.u16()?,
-        };
-        let n = self.u16()? as usize;
-        if n.saturating_mul(LAP_WIRE_LEN) > self.remaining() {
-            return Err(DecodeError::Malformed {
-                context: "trace record lap count",
-            });
-        }
-        let mut laps = Vec::with_capacity(n);
-        for _ in 0..n {
-            laps.push(self.lap()?);
-        }
-        Ok(TraceRecord { ctx, laps })
+fn partition_map(r: &mut Reader<'_>) -> Result<WirePartitionMap, DecodeError> {
+    let epoch = r.u64("partition map epoch")?;
+    let n = r.counted(NODE_ENTRY_MIN_WIRE_LEN, "partition map node count")?;
+    let mut nodes = Vec::with_capacity(n);
+    for _ in 0..n {
+        nodes.push(NodeEntry {
+            node_id: r.u64("node id")?,
+            addr: string(r, "node address")?,
+        });
     }
+    Ok(WirePartitionMap { epoch, nodes })
+}
 
-    fn node_entry(&mut self) -> Result<NodeEntry, DecodeError> {
-        Ok(NodeEntry {
-            node_id: self.u64()?,
-            addr: self.string("node address")?,
-        })
+fn histogram(r: &mut Reader<'_>) -> Result<(String, HistogramSnapshot), DecodeError> {
+    let name = string(r, "histogram name")?;
+    let n = r.counted(8, "histogram bound count")?;
+    let mut bounds = Vec::with_capacity(n);
+    for _ in 0..n {
+        bounds.push(r.f64("histogram bound")?);
     }
-
-    fn partition_map(&mut self) -> Result<WirePartitionMap, DecodeError> {
-        let epoch = self.u64()?;
-        let n = self.counted(NODE_ENTRY_MIN_WIRE_LEN, "partition map node count")?;
-        let mut nodes = Vec::with_capacity(n);
-        for _ in 0..n {
-            nodes.push(self.node_entry()?);
-        }
-        Ok(WirePartitionMap { epoch, nodes })
+    let n = r.counted(8, "histogram bucket count")?;
+    // The +1 overflow-bucket invariant travels implicitly; enforce
+    // it so a scraped snapshot is safe to run quantiles over.
+    if n != bounds.len() + 1 {
+        return Err(DecodeError::Malformed {
+            context: "histogram bucket count does not match bounds",
+        });
     }
-
-    fn histogram(&mut self) -> Result<(String, HistogramSnapshot), DecodeError> {
-        let name = self.string("histogram name")?;
-        let n = self.counted(8, "histogram bound count")?;
-        let mut bounds = Vec::with_capacity(n);
-        for _ in 0..n {
-            bounds.push(self.f64()?);
-        }
-        let n = self.counted(8, "histogram bucket count")?;
-        // The +1 overflow-bucket invariant travels implicitly; enforce
-        // it so a scraped snapshot is safe to run quantiles over.
-        if n != bounds.len() + 1 {
-            return Err(DecodeError::Malformed {
-                context: "histogram bucket count does not match bounds",
-            });
-        }
-        let mut counts = Vec::with_capacity(n);
-        for _ in 0..n {
-            counts.push(self.u64()?);
-        }
-        Ok((
-            name,
-            HistogramSnapshot {
-                bounds,
-                counts,
-                sum: self.f64()?,
-                count: self.u64()?,
-                min: self.f64()?,
-                max: self.f64()?,
-            },
-        ))
+    let mut counts = Vec::with_capacity(n);
+    for _ in 0..n {
+        counts.push(r.u64("histogram bucket")?);
     }
-
-    fn estimate(&mut self) -> Result<WireEstimate, DecodeError> {
-        let beacon = self.u32()?;
-        let x = self.f64()?;
-        let y = self.f64()?;
-        let mirror = match self.u8()? {
-            0 => None,
-            1 => Some((self.f64()?, self.f64()?)),
-            _ => {
-                return Err(DecodeError::Malformed {
-                    context: "mirror presence flag",
-                })
-            }
-        };
-        let confidence = self.f64()?;
-        let exponent = self.f64()?;
-        let gamma_dbm = self.f64()?;
-        let env = match self.u8()? {
-            0 => None,
-            1 => Some(EnvClass::Los),
-            2 => Some(EnvClass::PartialLos),
-            3 => Some(EnvClass::NonLos),
-            _ => {
-                return Err(DecodeError::Malformed {
-                    context: "env class discriminant",
-                })
-            }
-        };
-        let points_used = self.u64()?;
-        let method = match self.u8()? {
-            1 => FitMethod::FreeJoint,
-            2 => FitMethod::Anchored,
-            3 => FitMethod::Leg,
-            4 => FitMethod::Gradient,
-            5 => FitMethod::Particle,
-            6 => FitMethod::Fingerprint,
-            _ => {
-                return Err(DecodeError::Malformed {
-                    context: "fit method discriminant",
-                })
-            }
-        };
-        let residual_db = self.f64()?;
-        Ok(WireEstimate {
-            beacon,
-            x,
-            y,
-            mirror,
-            confidence,
-            exponent,
-            gamma_dbm,
-            env,
-            points_used,
-            method,
-            residual_db,
-        })
-    }
+    Ok((
+        name,
+        HistogramSnapshot {
+            bounds,
+            counts,
+            sum: r.f64("histogram sum")?,
+            count: r.u64("histogram count")?,
+            min: r.f64("histogram min")?,
+            max: r.f64("histogram max")?,
+        },
+    ))
 }
 
 #[cfg(test)]

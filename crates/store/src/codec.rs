@@ -1,17 +1,39 @@
-//! Bit-exact binary codec for durable state, reusing the wire idiom
-//! from `locble-net`: integers big-endian, every `f64` as its IEEE-754
-//! bit pattern in a big-endian `u64`, option flags as single bytes,
-//! variable-length sequences as a `u32` count validated against the
-//! bytes actually present before any allocation. The encoders write to
-//! any [`Sink`]: a `Vec<u8>`, or a body streamed to a file. The decoder
-//! is total: for any byte slice it returns a value or a typed
-//! [`CodecError`], never a panic.
+//! The one byte codec of the workspace. The wire frames
+//! (`locble-net`), the WAL records ([`crate::wal`]) and the snapshot
+//! body ([`crate::snapshot`]) all write and read through it, so each
+//! layout below exists once:
+//!
+//! * the primitives: integers big-endian, every `f64` as its IEEE-754
+//!   bit pattern in a big-endian `u64` (NaN payloads survive), option
+//!   flags as single bytes, variable-length sequences as a `u32` count
+//!   validated against the bytes actually present before any
+//!   allocation ([`Reader::counted`]);
+//! * an advert ([`put_advert`], [`Reader::advert`]): beacon `u32`, `t`,
+//!   `rssi_dbm`;
+//! * a location estimate ([`put_estimate`], [`Reader::estimate`]): the
+//!   §5 fit's position, mirror candidate, confidence, exponent, Γ,
+//!   environment class, points used, fit rung and residual;
+//! * the environment-class and fit-method byte maps;
+//! * the engine state a snapshot body carries (crate-private: only
+//!   [`crate::snapshot`] reads and writes it).
+//!
+//! The encoders write to any [`Sink`]: a `Vec<u8>`, or a body streamed
+//! to a file. The decoder is total: for any byte slice it returns a
+//! value or a typed [`CodecError`], never a panic. The primitives are
+//! `#[inline]` because the wire decodes every advert through them and
+//! no release profile enables cross-crate LTO.
 
 use locble_ble::BeaconId;
 use locble_core::{FitMethod, LocationEstimate, StreamingState};
 use locble_engine::{Advert, BeaconSessionState, EngineState, EngineStats, SessionState};
 use locble_geom::{EnvClass, TimedPoint, Trajectory, Vec2};
 use locble_motion::{DetectedTurn, MotionTrack, StepResult};
+
+/// Encoded size of one advert.
+pub const ADVERT_LEN: usize = 4 + 8 + 8;
+
+/// Smallest encoded estimate (no mirror candidate).
+pub const ESTIMATE_MIN_LEN: usize = 8 + 8 + 1 + 8 + 8 + 8 + 1 + 8 + 1 + 8;
 
 /// Why a byte slice did not decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,14 +77,26 @@ impl Sink for Vec<u8> {
     }
 }
 
+/// Writes a big-endian `u16`.
+#[inline]
+pub fn put_u16(out: &mut impl Sink, v: u16) {
+    out.put(&v.to_be_bytes());
+}
+
+/// Writes a big-endian `u32`.
+#[inline]
 pub fn put_u32(out: &mut impl Sink, v: u32) {
     out.put(&v.to_be_bytes());
 }
 
+/// Writes a big-endian `u64`.
+#[inline]
 pub fn put_u64(out: &mut impl Sink, v: u64) {
     out.put(&v.to_be_bytes());
 }
 
+/// Writes an `f64` as its bit pattern.
+#[inline]
 pub fn put_f64(out: &mut impl Sink, v: f64) {
     put_u64(out, v.to_bits());
 }
@@ -74,6 +108,8 @@ fn put_f64s(out: &mut impl Sink, vs: &[f64]) {
     }
 }
 
+/// Writes one advert ([`ADVERT_LEN`] bytes).
+#[inline]
 pub fn put_advert(out: &mut impl Sink, a: &Advert) {
     put_u32(out, a.beacon.0);
     put_f64(out, a.t);
@@ -89,7 +125,8 @@ fn env_byte(env: Option<EnvClass>) -> u8 {
     }
 }
 
-fn put_estimate(out: &mut impl Sink, e: &LocationEstimate) {
+/// Writes one location estimate.
+pub fn put_estimate(out: &mut impl Sink, e: &LocationEstimate) {
     put_f64(out, e.position.x);
     put_f64(out, e.position.y);
     match e.mirror {
@@ -181,7 +218,7 @@ fn put_stats(out: &mut impl Sink, s: &EngineStats) {
 }
 
 /// Serializes a complete [`EngineState`].
-pub fn put_engine_state(out: &mut impl Sink, state: &EngineState) {
+pub(crate) fn put_engine_state(out: &mut impl Sink, state: &EngineState) {
     put_u32(out, state.shards as u32);
     put_f64(out, state.watermark);
     put_stats(out, &state.stats);
@@ -217,7 +254,8 @@ pub fn put_engine_state(out: &mut impl Sink, state: &EngineState) {
     }
 }
 
-/// Bounds-checked reader over a decoded body.
+/// Bounds-checked reader over a body. An underrun is
+/// [`CodecError::Truncated`] with the caller's context.
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -225,16 +263,20 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// Wraps a byte slice.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], CodecError> {
+    /// The next `n` bytes.
+    #[inline]
+    pub fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::Truncated { context });
         }
@@ -243,15 +285,28 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self, context: &'static str) -> Result<u8, CodecError> {
         Ok(self.take(1, context)?[0])
     }
 
+    /// Reads a big-endian `u16`.
+    #[inline]
+    pub fn u16(&mut self, context: &'static str) -> Result<u16, CodecError> {
+        let b = self.take(2, context)?;
+        Ok(u16::from_be_bytes([b[0], b[1]]))
+    }
+
+    /// Reads a big-endian `u32`.
+    #[inline]
     pub fn u32(&mut self, context: &'static str) -> Result<u32, CodecError> {
         let b = self.take(4, context)?;
         Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
     }
 
+    /// Reads a big-endian `u64`.
+    #[inline]
     pub fn u64(&mut self, context: &'static str) -> Result<u64, CodecError> {
         let b = self.take(8, context)?;
         Ok(u64::from_be_bytes([
@@ -259,13 +314,26 @@ impl<'a> Reader<'a> {
         ]))
     }
 
+    /// Reads an `f64` from its bit pattern.
+    #[inline]
     pub fn f64(&mut self, context: &'static str) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64(context)?))
+    }
+
+    /// Reads an option flag: 0 or 1, anything else is malformed.
+    #[inline]
+    pub fn flag(&mut self, context: &'static str) -> Result<bool, CodecError> {
+        match self.u8(context)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(CodecError::Malformed { context }),
+        }
     }
 
     /// Reads a `u32` element count and validates it against the bytes
     /// actually present (`min_item` each), so a corrupt count cannot
     /// drive allocation.
+    #[inline]
     pub fn counted(&mut self, min_item: usize, context: &'static str) -> Result<usize, CodecError> {
         let n = self.u32(context)? as usize;
         if n.saturating_mul(min_item) > self.remaining() {
@@ -284,6 +352,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Decodes one advert.
+    #[inline]
     pub fn advert(&mut self) -> Result<Advert, CodecError> {
         Ok(Advert {
             beacon: BeaconId(self.u32("advert beacon")?),
@@ -302,17 +371,14 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn estimate(&mut self) -> Result<LocationEstimate, CodecError> {
+    /// Decodes one location estimate.
+    pub fn estimate(&mut self) -> Result<LocationEstimate, CodecError> {
         let x = self.f64("estimate x")?;
         let y = self.f64("estimate y")?;
-        let mirror = match self.u8("mirror flag")? {
-            0 => None,
-            1 => Some(Vec2::new(self.f64("mirror x")?, self.f64("mirror y")?)),
-            _ => {
-                return Err(CodecError::Malformed {
-                    context: "mirror flag",
-                })
-            }
+        let mirror = if self.flag("mirror flag")? {
+            Some(Vec2::new(self.f64("mirror x")?, self.f64("mirror y")?))
+        } else {
+            None
         };
         let confidence = self.f64("confidence")?;
         let exponent = self.f64("exponent")?;
@@ -346,16 +412,6 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn estimate_opt(&mut self) -> Result<Option<LocationEstimate>, CodecError> {
-        match self.u8("estimate flag")? {
-            0 => Ok(None),
-            1 => Ok(Some(self.estimate()?)),
-            _ => Err(CodecError::Malformed {
-                context: "estimate flag",
-            }),
-        }
-    }
-
     fn streaming(&mut self) -> Result<StreamingState, CodecError> {
         let series_t = self.f64s("series_t")?;
         let series_v = self.f64s("series_v")?;
@@ -365,25 +421,17 @@ impl<'a> Reader<'a> {
             });
         }
         let restarts = self.u64("restarts")? as usize;
-        let current = self.estimate_opt()?;
+        let current = if self.flag("estimate flag")? {
+            Some(self.estimate()?)
+        } else {
+            None
+        };
         let refit_stride = self.u64("refit_stride")? as usize;
         let batches_since_refit = self.u64("batches_since_refit")? as usize;
         let env_current = self.env("env_current")?;
-        let env_pending = match self.u8("env_pending")? {
-            0 => None,
-            b @ 1..=3 => {
-                let class = match b {
-                    1 => EnvClass::Los,
-                    2 => EnvClass::PartialLos,
-                    _ => EnvClass::NonLos,
-                };
-                Some((class, self.u64("pending votes")? as usize))
-            }
-            _ => {
-                return Err(CodecError::Malformed {
-                    context: "env_pending",
-                })
-            }
+        let env_pending = match self.env("env_pending")? {
+            Some(class) => Some((class, self.u64("pending votes")? as usize)),
+            None => None,
         };
         Ok(StreamingState {
             series_t,
@@ -450,7 +498,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Decodes a complete [`EngineState`]; rejects trailing bytes.
-    pub fn engine_state(&mut self) -> Result<EngineState, CodecError> {
+    pub(crate) fn engine_state(&mut self) -> Result<EngineState, CodecError> {
         let shards = self.u32("shards")? as usize;
         let watermark = self.f64("watermark")?;
         let stats = self.stats()?;
@@ -463,38 +511,32 @@ impl<'a> Reader<'a> {
             let last_t = self.f64("session last_t")?;
             let created_t = self.f64("session created_t")?;
             let samples_routed = self.u64("session samples_routed")?;
-            let session = match self.u8("session flag")? {
-                0 => None,
-                1 => {
-                    // Older builds tagged particle (2) and fingerprint
-                    // (3) sessions too; only streaming ones restore.
-                    if self.u8("backend tag")? != 1 {
-                        return Err(CodecError::Malformed {
-                            context: "backend tag",
-                        });
-                    }
-                    let estimator = self.streaming()?;
-                    let batch_t = self.f64s("batch_t")?;
-                    let batch_v = self.f64s("batch_v")?;
-                    if batch_t.len() != batch_v.len() {
-                        return Err(CodecError::Malformed {
-                            context: "batch length mismatch",
-                        });
-                    }
-                    Some(BeaconSessionState {
-                        estimator,
-                        batch_t,
-                        batch_v,
-                        batch_start: self.f64("batch_start")?,
-                        samples: self.u64("session samples")?,
-                        batches: self.u64("session batches")?,
-                    })
-                }
-                _ => {
+            let session = if self.flag("session flag")? {
+                // Older builds tagged particle (2) and fingerprint
+                // (3) sessions too; only streaming ones restore.
+                if self.u8("backend tag")? != 1 {
                     return Err(CodecError::Malformed {
-                        context: "session flag",
-                    })
+                        context: "backend tag",
+                    });
                 }
+                let estimator = self.streaming()?;
+                let batch_t = self.f64s("batch_t")?;
+                let batch_v = self.f64s("batch_v")?;
+                if batch_t.len() != batch_v.len() {
+                    return Err(CodecError::Malformed {
+                        context: "batch length mismatch",
+                    });
+                }
+                Some(BeaconSessionState {
+                    estimator,
+                    batch_t,
+                    batch_v,
+                    batch_start: self.f64("batch_start")?,
+                    samples: self.u64("session samples")?,
+                    batches: self.u64("session batches")?,
+                })
+            } else {
+                None
             };
             sessions.push(SessionState {
                 beacon,
@@ -513,7 +555,7 @@ impl<'a> Reader<'a> {
         }
         let mut queued = Vec::with_capacity(n_queues);
         for _ in 0..n_queues {
-            let n = self.counted(20, "queued adverts")?;
+            let n = self.counted(ADVERT_LEN, "queued adverts")?;
             let mut q = Vec::with_capacity(n);
             for _ in 0..n {
                 q.push(self.advert()?);

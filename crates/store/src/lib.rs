@@ -20,10 +20,13 @@
 //! the tail through the *normal ingest path* in fixed-size chunks, so
 //! its memory does not grow with the log's history. It yields an
 //! engine bit-identical to one that never crashed — same estimates
-//! (compared as IEEE-754 bit patterns), same admit/reject counters. The
-//! serialization reuses the `locble-net` wire idiom: big-endian
-//! integers, `f64::to_bits` for floats, so NaN payloads survive
-//! round-trips exactly.
+//! (compared as IEEE-754 bit patterns), same admit/reject counters.
+//!
+//! * **Codec** ([`codec`]): the one byte codec of the workspace. WAL
+//!   records, the snapshot body and `locble-net`'s wire frames all
+//!   encode adverts and location estimates through it: big-endian
+//!   integers, `f64::to_bits` for floats, so NaN payloads survive
+//!   round-trips exactly.
 //!
 //! ```
 //! use locble_engine::{Advert, Engine, EngineConfig};
@@ -59,7 +62,7 @@
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
-mod codec;
+pub mod codec;
 pub mod crc32;
 pub mod snapshot;
 pub mod store;

@@ -1,8 +1,8 @@
 //! The write-ahead log: every advert *offered* to the engine, in offer
 //! order, one CRC-guarded record each.
 //!
-//! Record layout (integers big-endian, `f64`s as IEEE-754 bit
-//! patterns — the `locble-net` wire idiom):
+//! Record layout (integers big-endian; the advert body is the advert
+//! layout of [`crate::codec`], the codec the wire frames use too):
 //!
 //! ```text
 //! offset  size  field
@@ -31,7 +31,7 @@
 //! — goes through one record scanner that streams the file through a
 //! buffered reader once, so no reader holds more than one buffer of it.
 
-use crate::codec::{put_advert, Reader};
+use crate::codec::{put_advert, Reader, ADVERT_LEN};
 use crate::crc32::crc32;
 use locble_engine::Advert;
 use std::fs::{File, OpenOptions};
@@ -42,7 +42,7 @@ use std::path::{Path, PathBuf};
 const TAG_ADVERT: u8 = 1;
 
 /// Bytes of an encoded advert payload (tag + beacon + t + rssi).
-const ADVERT_PAYLOAD_LEN: usize = 1 + 4 + 8 + 8;
+const ADVERT_PAYLOAD_LEN: usize = 1 + ADVERT_LEN;
 
 /// Per-record framing overhead (length prefix + CRC word).
 const RECORD_HEADER_LEN: usize = 8;

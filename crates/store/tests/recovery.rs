@@ -510,9 +510,14 @@ fn mismatched_shard_count_is_rejected_not_garbled() {
     let path = dir.join(SNAPSHOT_FILE);
     let snap = read_snapshot(&path).expect("read").expect("present");
     assert!(snap.state.sessions.len() >= 2 && snap.state.queued_total() > 0);
-    assert!(snap.state.sessions[0].session.is_some());
+    let session = snap.state.sessions[0]
+        .session
+        .as_ref()
+        .expect("session state");
+    let times = &session.estimator.series_t;
+    assert!(times.len() >= 2 && times[0] < times[1], "{times:?}");
     type Corruption = fn(&mut EngineState);
-    let corruptions: [(&str, Corruption); 5] = [
+    let corruptions: [(&str, Corruption); 7] = [
         ("session shard out of range", |s| {
             s.sessions[0].shard = s.shards;
         }),
@@ -529,6 +534,16 @@ fn mismatched_shard_count_is_rejected_not_garbled() {
             let advert = s.queued[from].pop().expect("queued");
             let to = (from + 1) % s.shards;
             s.queued[to].push(advert);
+        }),
+        // A CRC-valid series out of time order, or with a NaN time,
+        // would trip `TimeSeries::new`'s assertion inside the restore.
+        ("session series times swapped", |s| {
+            let b = s.sessions[0].session.as_mut().expect("session state");
+            b.estimator.series_t.swap(0, 1);
+        }),
+        ("session series time is NaN", |s| {
+            let b = s.sessions[0].session.as_mut().expect("session state");
+            b.estimator.series_t[1] = f64::NAN;
         }),
     ];
     for (label, corrupt) in corruptions {
