@@ -225,7 +225,7 @@ fn measure(envs: &[usize], seeds_per_env: usize) -> Shootout {
         for b in &s.batches {
             bits.push(est.push_batch(b, &s.motion).map(|e| e.position.x.to_bits()));
         }
-        bits.push(est.refit_now(&s.motion).map(|e| e.position.x.to_bits()));
+        bits.push(est.current().map(|e| e.position.x.to_bits()));
         concrete_estimates.push(bits);
     }
 
@@ -249,7 +249,7 @@ fn measure(envs: &[usize], seeds_per_env: usize) -> Shootout {
                             .map(|e| e.position.x.to_bits()),
                     );
                 }
-                bits.push(backend.refit_now(&s.motion).map(|e| e.position.x.to_bits()));
+                bits.push(backend.current().map(|e| e.position.x.to_bits()));
                 if name == "streaming" && bits != concrete_estimates[si] {
                     default_bit_identical = false;
                 }
@@ -291,7 +291,6 @@ fn moving_rows(runs_per_distance: usize) -> String {
                 for b in &s.batches {
                     backend.push_batch(b, &s.motion);
                 }
-                backend.refit_now(&s.motion);
                 backend.current().map(|est| score(est, s.truth))
             });
             (name, errors.into_iter().flatten().collect())

@@ -16,11 +16,13 @@
 //!   recorded. A traced batch runs the untraced schedule; the arm is
 //!   reported for visibility, not gated.
 //!
-//! Each arm replays the identical pre-partitioned fleet trace
-//! `reps` times, interleaved (noop, instrumented, traced, noop, …) so
+//! Each arm replays the identical pre-partitioned fleet trace `reps`
+//! times, interleaved (noop, instrumented, traced, noop, …) so
 //! slow-machine drift hits all arms alike; the best (minimum) wall
 //! time per arm is compared, which is the standard way to price a
-//! constant overhead under scheduling noise.
+//! constant overhead under scheduling noise. The engine is the one
+//! every node deploys (default [`EngineConfig`], one refit per batch),
+//! so the overhead is priced on the serving path as it runs.
 
 use crate::util::{harness_threads, header, row};
 use locble_core::{Estimator, EstimatorConfig};
@@ -80,7 +82,6 @@ fn build_workload(n_beacons: usize, connections: usize, seed: u64, threads: usiz
 fn replay(workload: &Workload, arm: Arm) -> f64 {
     let config = EngineConfig {
         threads: workload.threads,
-        refit_stride: 4,
         ..EngineConfig::default()
     };
     let obs = match arm {

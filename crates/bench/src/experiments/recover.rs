@@ -120,9 +120,8 @@ pub(crate) fn run_sized(n_beacons: usize) -> String {
     out.push_str(&row("engine threads", harness_threads()));
     out.push_str(&row("ingest wall, no WAL (s)", format!("{wall_plain:.4}")));
 
-    let policies: [(&str, FsyncPolicy); 3] = [
+    let policies: [(&str, FsyncPolicy); 2] = [
         ("fsync=never", FsyncPolicy::Never),
-        ("fsync=every-64", FsyncPolicy::EveryN(64)),
         ("fsync=every-append", FsyncPolicy::EveryAppend),
     ];
     let base = std::env::temp_dir().join(format!("locble-recover-exp-{}", std::process::id()));

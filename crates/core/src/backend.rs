@@ -26,16 +26,12 @@ use locble_motion::MotionTrack;
 use std::fmt;
 
 /// The estimation surface the shootout drives per session: feed
-/// batches, force refits, read the current estimate.
+/// batches, read the current estimate.
 pub trait Estimator: Send + fmt::Debug {
     /// Feeds one RSS batch plus the observer's motion so far; returns
     /// the refreshed estimate when the backend has one.
     fn push_batch(&mut self, batch: &RssBatch, observer: &MotionTrack)
         -> Option<&LocationEstimate>;
-
-    /// Forces an up-to-date estimate over everything accumulated
-    /// (no-op for backends that are always current).
-    fn refit_now(&mut self, observer: &MotionTrack) -> Option<&LocationEstimate>;
 
     /// The latest estimate, if any.
     fn current(&self) -> Option<&LocationEstimate>;
@@ -48,10 +44,6 @@ impl Estimator for StreamingEstimator {
         observer: &MotionTrack,
     ) -> Option<&LocationEstimate> {
         StreamingEstimator::push_batch(self, batch, observer)
-    }
-
-    fn refit_now(&mut self, observer: &MotionTrack) -> Option<&LocationEstimate> {
-        StreamingEstimator::refit_now(self, observer)
     }
 
     fn current(&self) -> Option<&LocationEstimate> {
@@ -74,21 +66,23 @@ pub enum BackendSpec {
 
 impl BackendSpec {
     /// Builds a fresh session backend. `prototype` seeds the streaming
-    /// backend (configuration + trained EnvAware model); `refit_stride`
-    /// applies to backends with deferred-refit semantics.
+    /// backend (configuration + trained EnvAware model). Every backend
+    /// refits on every batch, so `refit_stride` is fixed at 1; the
+    /// parameter stays only because the serving benchmark's core replay
+    /// passes it.
+    ///
+    /// # Panics
+    /// Panics when `refit_stride` is not 1.
     pub fn build(
         &self,
         prototype: &crate::estimator::Estimator,
         refit_stride: usize,
     ) -> Box<dyn Estimator> {
+        assert_eq!(refit_stride, 1, "every backend refits on every batch");
         match self {
-            BackendSpec::Streaming => {
-                Box::new(StreamingEstimator::new(prototype.clone()).with_refit_stride(refit_stride))
-            }
+            BackendSpec::Streaming => Box::new(StreamingEstimator::new(prototype.clone())),
             BackendSpec::Particle(cfg) => Box::new(ParticleBackend::new(cfg.clone())),
-            BackendSpec::Fingerprint(cfg) => {
-                Box::new(FingerprintBackend::new(cfg.clone()).with_refit_stride(refit_stride))
-            }
+            BackendSpec::Fingerprint(cfg) => Box::new(FingerprintBackend::new(cfg.clone())),
         }
     }
 }
@@ -162,7 +156,6 @@ pub(crate) mod tests {
             for b in &batches {
                 backend.push_batch(b, &track);
             }
-            backend.refit_now(&track);
             let est = backend
                 .current()
                 .unwrap_or_else(|| panic!("{name} backend produced no estimate"));
@@ -185,15 +178,15 @@ pub(crate) mod tests {
         let target = Vec2::new(4.0, 3.5);
         let (batches, track) = l_walk(target);
         let prototype = BatchEstimator::new(EstimatorConfig::default());
-        let mut concrete = StreamingEstimator::new(prototype.clone()).with_refit_stride(2);
-        let mut boxed = BackendSpec::Streaming.build(&prototype, 2);
+        let mut concrete = StreamingEstimator::new(prototype.clone());
+        let mut boxed = BackendSpec::Streaming.build(&prototype, 1);
         for b in &batches {
             let a = StreamingEstimator::push_batch(&mut concrete, b, &track).copied();
             let d = boxed.push_batch(b, &track).copied();
             assert_eq!(a, d);
         }
-        let a = StreamingEstimator::refit_now(&mut concrete, &track).copied();
-        let d = boxed.refit_now(&track).copied();
+        let a = StreamingEstimator::current(&concrete).copied();
+        let d = boxed.current().copied();
         assert_eq!(a, d);
         let (a, d) = (a.expect("estimate"), d.expect("estimate"));
         assert_eq!(a.position.x.to_bits(), d.position.x.to_bits());

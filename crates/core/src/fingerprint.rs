@@ -14,10 +14,8 @@
 //! The backend is a pure function of the accumulated series and the
 //! motion track (no RNG), so replay is trivially bit-identical. It is a
 //! comparison baseline for the backend shootout (`harness backends`);
-//! the engine serves only the streaming estimator. Refit-stride
-//! semantics mirror the streaming backend:
-//! skipped batches accumulate, [`refit_now`](FingerprintBackend::refit_now)
-//! forces an up-to-date fit.
+//! the engine serves only the streaming estimator. Like the streaming
+//! backend, it refits on every non-empty batch.
 
 use crate::estimator::{FitMethod, LocationEstimate};
 use crate::streaming::RssBatch;
@@ -57,20 +55,14 @@ impl Default for FingerprintConfig {
     }
 }
 
-/// The backend's evolving state: the accumulated series, the refit
-/// cadence, and the latest estimate.
+/// The backend's evolving state: the accumulated series and the latest
+/// estimate.
 #[derive(Debug, Clone, PartialEq)]
 struct FingerprintState {
     /// Accumulated sample times, seconds.
     series_t: Vec<f64>,
     /// RSSI values parallel to `series_t`.
     series_v: Vec<f64>,
-    /// Refit every `refit_stride`-th batch.
-    refit_stride: usize,
-    /// Batches accumulated since the last refit.
-    batches_since_refit: usize,
-    /// Batches consumed.
-    batches: u64,
     /// The latest estimate, if any.
     current: Option<LocationEstimate>,
 }
@@ -122,9 +114,6 @@ impl FingerprintBackend {
             state: FingerprintState {
                 series_t: Vec::new(),
                 series_v: Vec::new(),
-                refit_stride: 1,
-                batches_since_refit: 0,
-                batches: 0,
                 current: None,
             },
             scratch: FingerprintScratch::default(),
@@ -144,13 +133,6 @@ impl FingerprintBackend {
         self.scratch
             .feats
             .reserve(total.saturating_sub(self.scratch.feats.len()));
-    }
-
-    /// Sets the refit stride (clamped to at least 1), mirroring
-    /// [`crate::streaming::StreamingEstimator::with_refit_stride`].
-    pub fn with_refit_stride(mut self, stride: usize) -> FingerprintBackend {
-        self.state.refit_stride = stride.max(1);
-        self
     }
 
     /// The configuration the backend runs with.
@@ -274,7 +256,6 @@ impl FingerprintBackend {
 
     /// Full fit over everything accumulated.
     fn refit(&mut self, observer: &MotionTrack) {
-        self.state.batches_since_refit = 0;
         if self.state.series_t.len() < self.config.min_samples {
             return;
         }
@@ -333,7 +314,7 @@ impl FingerprintBackend {
         self.scratch = scratch;
     }
 
-    /// Feeds one batch; refits on the stride.
+    /// Feeds one batch and refits.
     pub fn push_batch(
         &mut self,
         batch: &RssBatch,
@@ -344,20 +325,7 @@ impl FingerprintBackend {
         }
         self.state.series_t.extend_from_slice(&batch.t);
         self.state.series_v.extend_from_slice(&batch.v);
-        self.state.batches += 1;
-        self.state.batches_since_refit += 1;
-        if self.state.batches_since_refit >= self.state.refit_stride {
-            self.refit(observer);
-        }
-        self.state.current.as_ref()
-    }
-
-    /// Forces a refit over everything accumulated (no-op when nothing
-    /// arrived since the last fit).
-    pub fn refit_now(&mut self, observer: &MotionTrack) -> Option<&LocationEstimate> {
-        if self.state.batches_since_refit > 0 {
-            self.refit(observer);
-        }
+        self.refit(observer);
         self.state.current.as_ref()
     }
 
@@ -374,10 +342,6 @@ impl crate::backend::Estimator for FingerprintBackend {
         observer: &MotionTrack,
     ) -> Option<&LocationEstimate> {
         FingerprintBackend::push_batch(self, batch, observer)
-    }
-
-    fn refit_now(&mut self, observer: &MotionTrack) -> Option<&LocationEstimate> {
-        FingerprintBackend::refit_now(self, observer)
     }
 
     fn current(&self) -> Option<&LocationEstimate> {
@@ -408,24 +372,6 @@ mod tests {
         assert_eq!(est.method, FitMethod::Fingerprint);
         assert!(est.confidence > 0.0 && est.confidence <= 1.0);
         assert!((0.3..=8.0).contains(&est.exponent));
-    }
-
-    #[test]
-    fn refit_stride_defers_until_forced() {
-        let target = Vec2::new(4.0, 3.5);
-        let (batches, track) = l_walk(target);
-        let mut every = FingerprintBackend::new(FingerprintConfig::default());
-        let mut strided = FingerprintBackend::new(FingerprintConfig::default())
-            .with_refit_stride(batches.len() + 1);
-        for b in &batches {
-            every.push_batch(b, &track);
-            strided.push_batch(b, &track);
-        }
-        assert!(every.current().is_some());
-        assert!(strided.current().is_none(), "no fit before the stride");
-        let forced = strided.refit_now(&track).copied().expect("estimate");
-        assert_eq!(Some(forced), every.current().copied());
-        assert_eq!(strided.refit_now(&track).copied(), Some(forced));
     }
 
     /// The original allocating scorer, kept as the differential and

@@ -338,11 +338,6 @@ impl crate::backend::Estimator for ParticleBackend {
         ParticleBackend::push_batch(self, batch, observer)
     }
 
-    fn refit_now(&mut self, _observer: &MotionTrack) -> Option<&LocationEstimate> {
-        // The filter re-weights on every batch; it is never stale.
-        self.state.current.as_ref()
-    }
-
     fn current(&self) -> Option<&LocationEstimate> {
         ParticleBackend::current(self)
     }

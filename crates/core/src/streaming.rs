@@ -149,10 +149,6 @@ pub struct StreamingState {
     pub restarts: usize,
     /// The latest estimate, if any.
     pub current: Option<LocationEstimate>,
-    /// Refit every `refit_stride`-th batch.
-    pub refit_stride: usize,
-    /// Batches accumulated since the last refit.
-    pub batches_since_refit: usize,
     /// Confirmed environment regime of the change detector.
     pub env_current: Option<EnvClass>,
     /// Unconfirmed candidate change (class, consecutive votes).
@@ -176,12 +172,6 @@ pub struct StreamingEstimator {
     restarts: usize,
     /// The latest estimate, if any.
     current: Option<LocationEstimate>,
-    /// Refit every `refit_stride`-th batch (1 = every batch, the paper's
-    /// behaviour). Larger strides trade estimate freshness for compute —
-    /// the knob fleet-scale engines use to bound per-session cost.
-    refit_stride: usize,
-    /// Batches accumulated since the last refit.
-    batches_since_refit: usize,
     /// Shared-factorization cache for the regression: across refits of a
     /// growing session only the new samples' geometry is accumulated.
     /// Not persisted — rebuilding it from the series is bit-identical
@@ -199,24 +189,8 @@ impl StreamingEstimator {
             series: TimeSeries::default(),
             restarts: 0,
             current: None,
-            refit_stride: 1,
-            batches_since_refit: 0,
             solver: FitSolver::new(),
         }
-    }
-
-    /// Sets the refit stride: the regression refits only on every
-    /// `stride`-th batch (clamped to at least 1). Skipped batches still
-    /// accumulate data and still run the environment-restart rule; call
-    /// [`refit_now`](Self::refit_now) to force an up-to-date estimate.
-    pub fn with_refit_stride(mut self, stride: usize) -> StreamingEstimator {
-        self.set_refit_stride(stride);
-        self
-    }
-
-    /// See [`with_refit_stride`](Self::with_refit_stride).
-    pub fn set_refit_stride(&mut self, stride: usize) {
-        self.refit_stride = stride.max(1);
     }
 
     /// The latest estimate.
@@ -235,12 +209,6 @@ impl StreamingEstimator {
         self.restarts
     }
 
-    /// `true` when batches have accumulated since the last refit (the
-    /// current estimate is stale with respect to the ingested data).
-    pub fn has_pending_refit(&self) -> bool {
-        self.batches_since_refit > 0
-    }
-
     /// Returns the session to its initial state — no accumulated RSS, no
     /// estimate, fresh environment detector — so a pooled session can be
     /// reused for a different beacon without reallocating the estimator
@@ -250,7 +218,6 @@ impl StreamingEstimator {
         self.series.clear();
         self.restarts = 0;
         self.current = None;
-        self.batches_since_refit = 0;
         self.solver.clear();
     }
 
@@ -349,28 +316,12 @@ impl StreamingEstimator {
         for (&t, &v) in batch.t.iter().zip(&batch.v) {
             self.series.push(t, v);
         }
-        self.batches_since_refit += 1;
-        if self.batches_since_refit >= self.refit_stride {
-            self.refit(observer);
-        } else {
-            obs.counter_add("stream.refits_deferred", 1);
-        }
-        self.current.as_ref()
-    }
-
-    /// Refits immediately over everything accumulated, regardless of the
-    /// refit stride (no-op when no data has arrived since the last
-    /// refit). Returns the refreshed estimate.
-    pub fn refit_now(&mut self, observer: &MotionTrack) -> Option<&LocationEstimate> {
-        if self.batches_since_refit > 0 {
-            self.refit(observer);
-        }
+        self.refit(observer);
         self.current.as_ref()
     }
 
     fn refit(&mut self, observer: &MotionTrack) {
         let obs = self.estimator.obs().clone();
-        self.batches_since_refit = 0;
         let mut span = obs.span("core.streaming", "refit");
         span.field("active_samples", self.series.len());
         let refreshed =
@@ -394,8 +345,6 @@ impl StreamingEstimator {
             series_v: self.series.v.clone(),
             restarts: self.restarts,
             current: self.current,
-            refit_stride: self.refit_stride,
-            batches_since_refit: self.batches_since_refit,
             env_current: self.detector.current(),
             env_pending: self.detector.pending(),
         }
@@ -421,8 +370,6 @@ impl StreamingEstimator {
             series: TimeSeries::new(state.series_t, state.series_v),
             restarts: state.restarts,
             current: state.current,
-            refit_stride: state.refit_stride.max(1),
-            batches_since_refit: state.batches_since_refit,
             solver: FitSolver::new(),
         }
     }
@@ -618,29 +565,6 @@ mod tests {
     }
 
     #[test]
-    fn refit_stride_defers_fits_until_forced() {
-        let target = Vec2::new(4.0, 3.5);
-        let (batches, track) = batches(target, |_| 0.0);
-        let mut every = StreamingEstimator::new(Estimator::new(EstimatorConfig::default()));
-        let mut strided = StreamingEstimator::new(Estimator::new(EstimatorConfig::default()))
-            .with_refit_stride(batches.len() + 1);
-        for b in &batches {
-            every.push_batch(b, &track);
-            strided.push_batch(b, &track);
-        }
-        assert!(every.current().is_some());
-        assert!(strided.current().is_none(), "no refit before the stride");
-        assert!(strided.has_pending_refit());
-        // Forcing the refit over the identical accumulated data must
-        // reproduce the batch-by-batch estimator's final fit exactly.
-        let forced = strided.refit_now(&track).copied().expect("estimate");
-        assert!(!strided.has_pending_refit());
-        assert_eq!(Some(forced), every.current().copied());
-        // refit_now with nothing new is a no-op.
-        assert_eq!(strided.refit_now(&track).copied(), Some(forced));
-    }
-
-    #[test]
     fn reset_returns_session_to_pristine_state() {
         let target = Vec2::new(4.0, 3.5);
         let (batches, track) = batches(target, |_| 0.0);
@@ -691,8 +615,7 @@ mod tests {
         let target = Vec2::new(4.0, 3.5);
         let (batches, track) = batches(target, |i| if i % 3 == 0 { 0.8 } else { -0.4 });
         for cut in 0..batches.len() {
-            let mut live = StreamingEstimator::new(Estimator::new(EstimatorConfig::default()))
-                .with_refit_stride(2);
+            let mut live = StreamingEstimator::new(Estimator::new(EstimatorConfig::default()));
             for b in &batches[..cut] {
                 live.push_batch(b, &track);
             }

@@ -6,8 +6,8 @@
 //!    [`StreamingEstimator::from_state`] continues the stream
 //!    **bit-identically** to the session that was never interrupted
 //!    (the invariant the store kill-and-recover and cluster failover
-//!    paths stand on), over randomized walks, batch slicings, refit
-//!    strides and snapshot cut points.
+//!    paths stand on), over randomized walks, batch slicings and
+//!    snapshot cut points.
 //! 2. **Boxed differential** — the default backend driven through
 //!    `Box<dyn Estimator>` (as the backend shootout drives it) stays
 //!    bit-identical to the concrete [`StreamingEstimator`] under every
@@ -156,7 +156,6 @@ proptest! {
         ty in 0.5f64..5.0,
         noise in 0.0f64..2.0,
         chunk in 5usize..30,
-        stride in 1usize..4,
         cut_frac in 0.0f64..1.0,
     ) {
         let target = Vec2::new(tx, ty);
@@ -164,7 +163,7 @@ proptest! {
         let cut = ((batches.len() as f64) * cut_frac) as usize;
         let prototype = Estimator::new(EstimatorConfig::default());
 
-        let fresh = || StreamingEstimator::new(prototype.clone()).with_refit_stride(stride);
+        let fresh = || StreamingEstimator::new(prototype.clone());
         let mut uninterrupted = fresh();
         let mut crashed = fresh();
         for b in &batches[..cut] {
@@ -182,35 +181,34 @@ proptest! {
             let r = recovered.push_batch(b, &track).copied();
             assert_bits_equal(a.as_ref(), r.as_ref(), &format!("batch {k}"));
         }
-        let a = uninterrupted.refit_now(&track).copied();
-        let r = recovered.refit_now(&track).copied();
-        assert_bits_equal(a.as_ref(), r.as_ref(), "final refit");
+        let a = uninterrupted.current().copied();
+        let r = recovered.current().copied();
+        assert_bits_equal(a.as_ref(), r.as_ref(), "final estimate");
         prop_assert_eq!(uninterrupted.export_state(), recovered.export_state());
         prop_assert_eq!(uninterrupted.active_samples(), recovered.active_samples());
         prop_assert_eq!(uninterrupted.restarts(), recovered.restarts());
     }
 
     /// Boxed differential: boxed default backend ≡ concrete
-    /// `StreamingEstimator` under arbitrary slicing and stride.
+    /// `StreamingEstimator` under arbitrary slicing.
     #[test]
     fn boxed_streaming_matches_concrete_under_any_slicing(
         tx in 1.5f64..6.0,
         ty in 0.5f64..5.0,
         noise in 0.0f64..2.5,
         chunk in 3usize..40,
-        stride in 1usize..5,
     ) {
         let (batches, track) = walk(Vec2::new(tx, ty), 80, noise, chunk);
         let prototype = Estimator::new(EstimatorConfig::default());
-        let mut concrete = StreamingEstimator::new(prototype.clone()).with_refit_stride(stride);
-        let mut boxed = BackendSpec::Streaming.build(&prototype, stride);
+        let mut concrete = StreamingEstimator::new(prototype.clone());
+        let mut boxed = BackendSpec::Streaming.build(&prototype, 1);
         for (k, b) in batches.iter().enumerate() {
             let a = StreamingEstimator::push_batch(&mut concrete, b, &track).copied();
             let d = boxed.push_batch(b, &track).copied();
             assert_bits_equal(a.as_ref(), d.as_ref(), &format!("batch {k}"));
         }
-        let a = StreamingEstimator::refit_now(&mut concrete, &track).copied();
-        let d = boxed.refit_now(&track).copied();
-        assert_bits_equal(a.as_ref(), d.as_ref(), "final refit");
+        let a = StreamingEstimator::current(&concrete).copied();
+        let d = boxed.current().copied();
+        assert_bits_equal(a.as_ref(), d.as_ref(), "final estimate");
     }
 }

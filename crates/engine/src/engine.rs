@@ -61,9 +61,6 @@ pub struct EngineConfig {
     pub batch_window_s: f64,
     /// Per-shard ingest queue capacity (backpressure threshold).
     pub shard_queue_cap: usize,
-    /// Refit every n-th batch per session (1 = the paper's every-batch
-    /// behaviour); [`Engine::finish`] always refits pending data.
-    pub refit_stride: usize,
 }
 
 impl Default for EngineConfig {
@@ -77,7 +74,6 @@ impl Default for EngineConfig {
             idle_evict_s: 60.0,
             batch_window_s: 2.2,
             shard_queue_cap: 8192,
-            refit_stride: 1,
         }
     }
 }
@@ -88,7 +84,6 @@ impl EngineConfig {
         self.threads = self.threads.max(1);
         self.max_sessions = self.max_sessions.max(1);
         self.shard_queue_cap = self.shard_queue_cap.max(1);
-        self.refit_stride = self.refit_stride.max(1);
         assert!(
             self.batch_window_s.is_finite() && self.batch_window_s > 0.0,
             "batch window must be positive, got {}",
@@ -206,11 +201,9 @@ struct BeaconSession {
 }
 
 impl BeaconSession {
-    fn new(prototype: &Estimator, refit_stride: usize) -> BeaconSession {
+    fn new(prototype: &Estimator) -> BeaconSession {
         BeaconSession {
-            estimator: Box::new(
-                StreamingEstimator::new(prototype.clone()).with_refit_stride(refit_stride),
-            ),
+            estimator: Box::new(StreamingEstimator::new(prototype.clone())),
             batch_t: Vec::new(),
             batch_v: Vec::new(),
             batch_start: 0.0,
@@ -319,8 +312,7 @@ struct ProcessScratch {
 /// One drain pass as every worker sees it.
 #[derive(Clone)]
 struct Pass {
-    /// Also push each session's partial batch and refit
-    /// ([`Engine::finish`]).
+    /// Also push each session's partial batch ([`Engine::finish`]).
     finish: bool,
     motion: Arc<MotionTrack>,
 }
@@ -358,7 +350,7 @@ impl PoolWork for Core {
             let session = state
                 .sessions
                 .entry(advert.beacon)
-                .or_insert_with(|| BeaconSession::new(&self.prototype, config.refit_stride));
+                .or_insert_with(|| BeaconSession::new(&self.prototype));
             let (pushed, rejected) =
                 session.push_sample(advert.t, advert.rssi_dbm, config.batch_window_s, motion);
             report.samples += 1;
@@ -387,7 +379,6 @@ impl PoolWork for Core {
                 let (pushed, rejected) = session.flush_batch(motion);
                 report.batches += pushed;
                 report.batches_rejected += rejected;
-                session.estimator.refit_now(motion);
             }
         }
         state.report = report;
@@ -625,10 +616,9 @@ impl Engine {
         self.pass(false)
     }
 
-    /// Completes the stream: processes everything still queued, pushes
-    /// every session's partial trailing batch, and forces a final refit
-    /// where the refit stride left estimates stale. Call at end-of-walk
-    /// before reading [`Engine::snapshot`].
+    /// Completes the stream: processes everything still queued and
+    /// pushes every session's partial trailing batch (each push refits).
+    /// Call at end-of-walk before reading [`Engine::snapshot`].
     pub fn finish(&mut self) -> ProcessReport {
         self.pass(true)
     }
@@ -902,7 +892,6 @@ impl Engine {
                 },
             );
             if let Some(b) = s.session {
-                // The snapshot carries the session's refit stride.
                 let session = BeaconSession {
                     estimator: Box::new(StreamingEstimator::from_state(
                         engine.core.prototype.clone(),

@@ -32,12 +32,10 @@ fn sequential_baseline(
     session: &Session,
     estimator: &Estimator,
     motion: &MotionTrack,
-    refit_stride: usize,
 ) -> Vec<(BeaconId, LocationEstimate)> {
     let mut out = Vec::new();
     for (&id, ts) in &session.rss {
-        let mut streaming =
-            StreamingEstimator::new(estimator.clone()).with_refit_stride(refit_stride);
+        let mut streaming = StreamingEstimator::new(estimator.clone());
         let (mut bt, mut bv) = (Vec::new(), Vec::new());
         let mut batch_start = 0.0;
         for (&t, &v) in ts.t.iter().zip(&ts.v) {
@@ -56,7 +54,6 @@ fn sequential_baseline(
             let batch = RssBatch::try_new(bt, bv).expect("captured series are valid");
             streaming.push_batch(&batch, motion);
         }
-        streaming.refit_now(motion);
         if let Some(est) = streaming.current() {
             out.push((id, *est));
         }
@@ -72,12 +69,10 @@ fn engine_run(
     motion: &MotionTrack,
     threads: usize,
     chunk: usize,
-    refit_stride: usize,
 ) -> Vec<(BeaconId, LocationEstimate)> {
     let config = EngineConfig {
         threads,
         batch_window_s: WINDOW_S,
-        refit_stride,
         ..EngineConfig::default()
     };
     let mut engine = Engine::new(config, estimator.clone(), Obs::noop());
@@ -139,14 +134,14 @@ fn engine_matches_sequential_baseline_at_1_2_and_8_threads() {
     let session = fleet_session(12, 31);
     let estimator = Estimator::new(EstimatorConfig::default());
     let motion = track_observer(&session);
-    let baseline = sequential_baseline(&session, &estimator, &motion, 1);
+    let baseline = sequential_baseline(&session, &estimator, &motion);
     assert!(
         baseline.len() >= 8,
         "baseline localized only {} of 12 beacons",
         baseline.len()
     );
     for threads in [1, 2, 8] {
-        let got = engine_run(&session, &estimator, &motion, threads, 97, 1);
+        let got = engine_run(&session, &estimator, &motion, threads, 97);
         assert_bit_identical(&format!("{threads} threads"), &got, &baseline);
     }
 }
@@ -156,22 +151,9 @@ fn ingest_slicing_does_not_change_results() {
     let session = fleet_session(8, 32);
     let estimator = Estimator::new(EstimatorConfig::default());
     let motion = track_observer(&session);
-    let whole = engine_run(&session, &estimator, &motion, 4, usize::MAX, 1);
+    let whole = engine_run(&session, &estimator, &motion, 4, usize::MAX);
     for chunk in [1, 7, 256] {
-        let sliced = engine_run(&session, &estimator, &motion, 4, chunk, 1);
+        let sliced = engine_run(&session, &estimator, &motion, 4, chunk);
         assert_bit_identical(&format!("chunk {chunk}"), &sliced, &whole);
-    }
-}
-
-#[test]
-fn refit_stride_stays_deterministic_across_threads() {
-    let session = fleet_session(8, 33);
-    let estimator = Estimator::new(EstimatorConfig::default());
-    let motion = track_observer(&session);
-    let baseline = sequential_baseline(&session, &estimator, &motion, 3);
-    assert!(!baseline.is_empty());
-    for threads in [1, 8] {
-        let got = engine_run(&session, &estimator, &motion, threads, 61, 3);
-        assert_bit_identical(&format!("stride 3, {threads} threads"), &got, &baseline);
     }
 }

@@ -50,7 +50,6 @@ fn two_hundred_beacon_stress_reconciles_exactly() {
         shards: 16,
         shard_queue_cap: 128, // ~10k samples: forces many backpressure cycles
         idle_evict_s: 3600.0, // live but never firing within the 100 s trace
-        refit_stride: 4,
         ..EngineConfig::default()
     };
     let mut engine = Engine::new(config, estimator, obs.clone());

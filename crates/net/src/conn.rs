@@ -20,7 +20,7 @@
 //!   that is re-armed on every byte of progress and disarmed when the
 //!   buffer empties, so idle connections still wait forever.
 
-use crate::wire::{decode_frame_with_limit, frame_size, DecodeError, Frame};
+use crate::wire::{decode_frame_with_limit, frame_size, DecodeError, Frame, DEFAULT_MAX_FRAME_LEN};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -139,10 +139,10 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    pub(crate) fn new(stream: TcpStream, max_frame_len: usize) -> Conn {
+    pub(crate) fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            assembler: FrameAssembler::new(max_frame_len),
+            assembler: FrameAssembler::new(DEFAULT_MAX_FRAME_LEN),
             wbuf: Vec::new(),
             wpos: 0,
             peer_eof: false,

@@ -41,7 +41,6 @@ use crate::poll::{Event, Interest, Poller};
 use crate::wire::{
     encode_frame, ClusterSummary, DecodeError, ErrorCode, FinishSummary, Frame, IngestSummary,
     NodeRole, WireAdvert, WireEstimate, WireMetrics, WirePartitionMap, WireStats,
-    DEFAULT_MAX_FRAME_LEN,
 };
 use locble_ble::BeaconId;
 use locble_engine::{Advert, Engine, IngestReport};
@@ -69,8 +68,6 @@ pub struct ServerConfig {
     /// Grace period for flushing replies to a peer that has stopped
     /// reading (lingering close, shutdown flush).
     pub write_timeout: Duration,
-    /// Maximum accepted frame payload, bytes.
-    pub max_frame_len: usize,
     /// Where flight-recorder dumps go (JSON Lines, written atomically
     /// via tmp + rename). `None` disables the decode-storm dump.
     pub flight_dump_path: Option<PathBuf>,
@@ -86,7 +83,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             read_timeout: Duration::from_secs(2),
             write_timeout: Duration::from_secs(2),
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
             flight_dump_path: None,
             decode_storm_threshold: 0,
         }
@@ -613,7 +609,7 @@ impl<S: Service> Reactor<S> {
                         continue;
                     }
                     self.slots[idx] = Some(Slot {
-                        conn: Conn::new(stream, self.shared.config.max_frame_len),
+                        conn: Conn::new(stream),
                         ops: VecDeque::new(),
                         requests: Vec::new(),
                         dirty: false,

@@ -135,13 +135,7 @@ fn malformed_frame_gets_error_reply_and_connection_stays_usable() {
 /// server answers with one Error frame and closes.
 #[test]
 fn oversized_length_prefix_closes_connection() {
-    let server = bind_server(
-        EngineConfig::default(),
-        ServerConfig {
-            max_frame_len: 1024,
-            ..ServerConfig::default()
-        },
-    );
+    let server = bind_server(EngineConfig::default(), ServerConfig::default());
     let mut client = Client::connect(server.addr()).expect("connect");
     client
         .send_raw(&u32::MAX.to_be_bytes())

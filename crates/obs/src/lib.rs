@@ -136,16 +136,10 @@ impl Obs {
     }
 
     /// Records one observation into a named histogram (created with
-    /// default buckets on first use unless registered explicitly).
+    /// the default log2 buckets on first use).
     pub fn histogram_observe(&self, name: &str, v: f64) {
         let Some(inner) = &self.inner else { return };
         inner.metrics.histogram_observe(name, v);
-    }
-
-    /// Registers a histogram with explicit ascending bucket bounds.
-    pub fn register_histogram(&self, name: &str, bounds: &[f64]) {
-        let Some(inner) = &self.inner else { return };
-        inner.metrics.register_histogram(name, bounds);
     }
 
     /// Microseconds since this handle was created (0 for a noop

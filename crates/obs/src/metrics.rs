@@ -9,7 +9,7 @@ use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// Default histogram buckets: log2 ladder `2^0 .. 2^26`, sized for
+/// Histogram buckets: log2 ladder `2^0 .. 2^26`, sized for
 /// latencies recorded in microseconds — one ladder spans sub-µs
 /// observations (first bucket) through multi-second serve-path spans
 /// (`2^26 µs ≈ 67 s`) without saturating, at a constant ~7% relative
@@ -62,23 +62,13 @@ impl MetricsRegistry {
         }
     }
 
-    /// Registers a histogram with explicit ascending bucket bounds
-    /// (no-op when it already exists).
-    pub fn register_histogram(&self, name: &str, bounds: &[f64]) {
-        let mut hists = self.histograms.lock().expect("histograms not poisoned");
-        hists
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds));
-    }
-
-    /// Records one observation, creating the histogram with default
-    /// buckets on first use.
+    /// Records one observation, creating the histogram on first use.
     pub fn histogram_observe(&self, name: &str, v: f64) {
         let mut hists = self.histograms.lock().expect("histograms not poisoned");
         match hists.get_mut(name) {
             Some(hist) => hist.observe(v),
             None => {
-                let mut hist = Histogram::new(&DEFAULT_BOUNDS);
+                let mut hist = Histogram::new();
                 hist.observe(v);
                 hists.insert(name.to_string(), hist);
             }
@@ -89,10 +79,7 @@ impl MetricsRegistry {
     /// already-owned names (span latency paths).
     pub fn histogram_observe_dynamic(&self, name: String, v: f64) {
         let mut hists = self.histograms.lock().expect("histograms not poisoned");
-        hists
-            .entry(name)
-            .or_insert_with(|| Histogram::new(&DEFAULT_BOUNDS))
-            .observe(v);
+        hists.entry(name).or_insert_with(Histogram::new).observe(v);
     }
 
     /// A point-in-time copy of everything.
@@ -118,11 +105,10 @@ impl Default for MetricsRegistry {
 }
 
 /// Fixed-bucket histogram: `counts[i]` tallies observations `<=
-/// bounds[i]`, with one overflow bucket at the end.
+/// DEFAULT_BOUNDS[i]`, with one overflow bucket at the end.
 #[derive(Debug, Clone)]
 struct Histogram {
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
+    counts: [u64; DEFAULT_BOUNDS.len() + 1],
     sum: f64,
     count: u64,
     min: f64,
@@ -130,14 +116,9 @@ struct Histogram {
 }
 
 impl Histogram {
-    fn new(bounds: &[f64]) -> Histogram {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must ascend"
-        );
+    fn new() -> Histogram {
         Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
+            counts: [0; DEFAULT_BOUNDS.len() + 1],
             sum: 0.0,
             count: 0,
             min: f64::INFINITY,
@@ -149,9 +130,9 @@ impl Histogram {
         // First bound >= v, by binary search (bounds ascend); NaN and
         // anything above the last bound land in the overflow bucket.
         let idx = if v.is_nan() {
-            self.bounds.len()
+            DEFAULT_BOUNDS.len()
         } else {
-            self.bounds.partition_point(|&b| b < v)
+            DEFAULT_BOUNDS.partition_point(|&b| b < v)
         };
         self.counts[idx] += 1;
         self.sum += v;
@@ -162,8 +143,8 @@ impl Histogram {
 
     fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            counts: self.counts.clone(),
+            bounds: DEFAULT_BOUNDS.to_vec(),
+            counts: self.counts.to_vec(),
             sum: self.sum,
             count: self.count,
             min: if self.count == 0 { 0.0 } else { self.min },
@@ -253,26 +234,6 @@ impl MetricsSnapshot {
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
-
-    /// All counters whose name starts with `prefix`, in name order —
-    /// the shape subsystem reports want ("every `net.` counter",
-    /// "every `engine.shard3.` counter") without each caller rescanning
-    /// the whole map.
-    pub fn counters_with_prefix(&self, prefix: &str) -> Vec<(&str, u64)> {
-        self.counters
-            .range(prefix.to_string()..)
-            .take_while(|(name, _)| name.starts_with(prefix))
-            .map(|(name, &v)| (name.as_str(), v))
-            .collect()
-    }
-
-    /// Sum of all counters whose name starts with `prefix`.
-    pub fn counter_sum_with_prefix(&self, prefix: &str) -> u64 {
-        self.counters_with_prefix(prefix)
-            .iter()
-            .map(|(_, v)| v)
-            .sum()
-    }
 }
 
 impl Serialize for MetricsSnapshot {
@@ -320,35 +281,18 @@ mod tests {
     #[test]
     fn histogram_bucket_boundaries_are_inclusive_upper() {
         let m = MetricsRegistry::new();
-        m.register_histogram("h", &[1.0, 2.0, 5.0]);
         // Exactly on a bound lands in that bucket; above the last bound
-        // lands in overflow.
-        for v in [0.5, 1.0, 1.5, 2.0, 4.9, 5.0, 5.1, 100.0] {
+        // (2^26) lands in overflow.
+        for v in [0.5, 1.0, 1.5, 2.0, 3.9, 4.0, 4.1, 1e8] {
             m.histogram_observe("h", v);
         }
         let h = &m.snapshot().histograms["h"];
-        assert_eq!(h.counts, vec![2, 2, 2, 2]);
+        assert_eq!(h.counts[..5], [2, 2, 2, 1, 0]);
+        assert_eq!(h.counts.last(), Some(&1));
         assert_eq!(h.count, 8);
         assert_eq!(h.min, 0.5);
-        assert_eq!(h.max, 100.0);
-        assert!((h.mean() - 120.0 / 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn prefix_scoped_counters_select_and_sum() {
-        let m = MetricsRegistry::new();
-        m.counter_add("net.frames_rx", 4);
-        m.counter_add("net.frames_tx", 5);
-        m.counter_add("netx.other", 7); // shares a string prefix, not a namespace
-        m.counter_add("engine.samples_routed", 9);
-        let snap = m.snapshot();
-        assert_eq!(
-            snap.counters_with_prefix("net."),
-            vec![("net.frames_rx", 4), ("net.frames_tx", 5)]
-        );
-        assert_eq!(snap.counter_sum_with_prefix("net."), 9);
-        assert!(snap.counters_with_prefix("missing.").is_empty());
-        assert_eq!(snap.counter_sum_with_prefix(""), 25);
+        assert_eq!(h.max, 1e8);
+        assert!((h.mean() - (17.0 + 1e8) / 8.0).abs() < 1e-6);
     }
 
     #[test]
@@ -401,17 +345,11 @@ mod tests {
     #[test]
     fn nan_observations_land_in_overflow_not_bucket_zero() {
         let m = MetricsRegistry::new();
-        m.register_histogram("h", &[1.0, 2.0]);
         m.histogram_observe("h", f64::NAN);
         m.histogram_observe("h", 0.5);
         let h = &m.snapshot().histograms["h"];
-        assert_eq!(h.counts, vec![1, 0, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "ascend")]
-    fn non_ascending_bounds_are_rejected() {
-        let m = MetricsRegistry::new();
-        m.register_histogram("bad", &[2.0, 1.0]);
+        assert_eq!(h.counts.iter().sum::<u64>(), 2);
+        assert_eq!(h.counts.first(), Some(&1));
+        assert_eq!(h.counts.last(), Some(&1));
     }
 }

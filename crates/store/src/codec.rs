@@ -168,8 +168,11 @@ fn put_streaming(out: &mut impl Sink, s: &StreamingState) {
     put_f64s(out, &s.series_v);
     put_u64(out, s.restarts as u64);
     put_estimate_opt(out, &s.current);
-    put_u64(out, s.refit_stride as u64);
-    put_u64(out, s.batches_since_refit as u64);
+    // Older builds stored a refit stride and a pending-refit count
+    // here; every session now refits on every batch, so the words are
+    // fixed at 1 and 0.
+    put_u64(out, 1);
+    put_u64(out, 0);
     out.put(&[env_byte(s.env_current)]);
     match s.env_pending {
         Some((class, votes)) => {
@@ -426,8 +429,11 @@ impl<'a> Reader<'a> {
         } else {
             None
         };
-        let refit_stride = self.u64("refit_stride")? as usize;
-        let batches_since_refit = self.u64("batches_since_refit")? as usize;
+        if (self.u64("refit stride")?, self.u64("pending refits")?) != (1, 0) {
+            return Err(CodecError::Malformed {
+                context: "refit stride",
+            });
+        }
         let env_current = self.env("env_current")?;
         let env_pending = match self.env("env_pending")? {
             Some(class) => Some((class, self.u64("pending votes")? as usize)),
@@ -438,8 +444,6 @@ impl<'a> Reader<'a> {
             series_v,
             restarts,
             current,
-            refit_stride,
-            batches_since_refit,
             env_current,
             env_pending,
         })

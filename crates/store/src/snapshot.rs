@@ -282,8 +282,6 @@ mod tests {
                         method: FitMethod::FreeJoint,
                         residual_db: 0.5,
                     }),
-                    refit_stride: 1,
-                    batches_since_refit: 0,
                     env_current: Some(EnvClass::Los),
                     env_pending: None,
                 },
@@ -318,6 +316,10 @@ mod tests {
     /// header 9, WAL position 8, shards 4, watermark 8, stats 72, empty
     /// motion 36, session count 4, session fields 36, session flag 1.
     const SESSION_TAG_OFFSET: usize = 178;
+
+    /// Offset of that session's refit-stride word: after the tag, two
+    /// 2-sample series 40, restarts 8, estimate flag 1, estimate 59.
+    const REFIT_STRIDE_OFFSET: usize = SESSION_TAG_OFFSET + 1 + 40 + 8 + 1 + 59;
 
     fn unhex(lines: &[&str]) -> Vec<u8> {
         let hex: String = lines.concat();
@@ -369,22 +371,48 @@ mod tests {
             one_session_state().sessions[0].session
         );
 
-        // Tags 2 and 3 (particle and fingerprint sessions, which older
-        // builds also wrote) are refused, even under a valid CRC.
-        for tag in [2, 3] {
-            let mut bad = image.clone();
-            bad[SESSION_TAG_OFFSET] = tag;
+        // Damaged images below are resealed under a valid CRC, so only
+        // the codec can refuse them.
+        let reseal = |mut bad: Vec<u8>| {
             let crc_at = bad.len() - 4;
             let crc = crc32(&bad[HEADER_LEN..crc_at]);
             bad[crc_at..].copy_from_slice(&crc.to_be_bytes());
+            decode_snapshot(&bad)
+        };
+
+        // Tags 2 and 3 (particle and fingerprint sessions, which older
+        // builds also wrote) are refused.
+        for tag in [2, 3] {
+            let mut bad = image.clone();
+            bad[SESSION_TAG_OFFSET] = tag;
             assert!(
                 matches!(
-                    decode_snapshot(&bad),
+                    reseal(bad),
                     Err(SnapshotError::Codec(CodecError::Malformed {
                         context: "backend tag"
                     }))
                 ),
                 "tag {tag} must not decode"
+            );
+        }
+
+        // The refit-stride and pending-refit words older builds stored
+        // are fixed at 1 and 0; a stride of 4 or a pending refit is
+        // refused.
+        let words = &image[REFIT_STRIDE_OFFSET..REFIT_STRIDE_OFFSET + 16];
+        assert_eq!(words[..8], 1u64.to_be_bytes());
+        assert_eq!(words[8..], 0u64.to_be_bytes());
+        for (offset, word) in [(REFIT_STRIDE_OFFSET, 4u64), (REFIT_STRIDE_OFFSET + 8, 1)] {
+            let mut bad = image.clone();
+            bad[offset..offset + 8].copy_from_slice(&word.to_be_bytes());
+            assert!(
+                matches!(
+                    reseal(bad),
+                    Err(SnapshotError::Codec(CodecError::Malformed {
+                        context: "refit stride"
+                    }))
+                ),
+                "word {word} at {offset} must not decode"
             );
         }
     }

@@ -68,8 +68,6 @@ pub enum FsyncPolicy {
     Never,
     /// fsync after every append call — full durability, highest cost.
     EveryAppend,
-    /// fsync once every `n` records (counted across append calls).
-    EveryN(u64),
 }
 
 /// What a scan of the log found.
@@ -176,7 +174,6 @@ pub struct Wal {
     /// Encode buffer reused by every append.
     buf: Vec<u8>,
     records: u64,
-    appends_since_sync: u64,
     policy: FsyncPolicy,
 }
 
@@ -212,7 +209,6 @@ impl Wal {
             path: path.to_path_buf(),
             buf: Vec::new(),
             records: report.records,
-            appends_since_sync: 0,
             policy,
         })
     }
@@ -249,15 +245,8 @@ impl Wal {
         }
         self.file.write_all(buf)?;
         self.records += adverts.len() as u64;
-        self.appends_since_sync += adverts.len() as u64;
-        let sync = match self.policy {
-            FsyncPolicy::Never => false,
-            FsyncPolicy::EveryAppend => true,
-            FsyncPolicy::EveryN(n) => self.appends_since_sync >= n.max(1),
-        };
-        if sync {
+        if self.policy == FsyncPolicy::EveryAppend {
             self.file.sync_data()?;
-            self.appends_since_sync = 0;
         }
         Ok(self.records)
     }
@@ -270,9 +259,7 @@ impl Wal {
 
     /// Forces everything appended so far to stable storage.
     pub fn sync(&mut self) -> std::io::Result<()> {
-        self.file.sync_data()?;
-        self.appends_since_sync = 0;
-        Ok(())
+        self.file.sync_data()
     }
 }
 
@@ -465,7 +452,7 @@ mod tests {
         f.set_len(torn).expect("truncate");
         drop(f);
         // Re-open: the torn tail is dropped; appending keeps going.
-        let (mut wal, report) = Wal::open(&path, FsyncPolicy::EveryN(4)).expect("reopen");
+        let (mut wal, report) = Wal::open(&path, FsyncPolicy::EveryAppend).expect("reopen");
         assert!(report.torn_tail);
         assert_eq!(report.records, 5);
         assert_eq!(wal.records(), 5);
